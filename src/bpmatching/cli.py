@@ -110,14 +110,15 @@ def _write_trace(
         )
 
 
-def cmd_bp_run(args: argparse.Namespace) -> int:
+def cmd_trace(args: argparse.Namespace) -> int:
+    """``bp run`` and ``approx``: per-iteration trace CSV, ratios for ``approx``."""
     inst = _load_instance(args.instance)
     horizon = _horizon(inst, args.iters)
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            _write_trace(inst, horizon, fh, with_ratio=False)
+            _write_trace(inst, horizon, fh, with_ratio=args.with_ratio)
     else:
-        _write_trace(inst, horizon, sys.stdout, with_ratio=False)
+        _write_trace(inst, horizon, sys.stdout, with_ratio=args.with_ratio)
     return 0
 
 
@@ -127,17 +128,6 @@ def cmd_bp_converge(args: argparse.Namespace) -> int:
     reference = _reference_matching(inst)
     t = engine.convergence_time(inst, reference, horizon)
     print(f"converged at t={t} (horizon {horizon})")
-    return 0
-
-
-def cmd_approx(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance)
-    horizon = _horizon(inst, args.iters)
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            _write_trace(inst, horizon, fh, with_ratio=True)
-    else:
-        _write_trace(inst, horizon, sys.stdout, with_ratio=True)
     return 0
 
 
@@ -327,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--iters", type=int, default=None)
     p.add_argument("--csv", default=None)
-    p.set_defaults(func=cmd_bp_run)
+    p.set_defaults(func=cmd_trace, with_ratio=False)
     p = bp_sub.add_parser("converge", help="measure convergence time")
     p.add_argument("--instance", required=True)
     p.add_argument("--horizon", type=int, default=None)
@@ -337,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--iters", type=int, default=None)
     p.add_argument("--csv", default=None)
-    p.set_defaults(func=cmd_approx)
+    p.set_defaults(func=cmd_trace, with_ratio=True)
 
     exp = sub.add_parser("exp", help="experiment sweeps")
     exp_sub = exp.add_subparsers(dest="exp_cmd", required=True)

@@ -86,10 +86,6 @@ class PartialBpMatching:
     uncovered_right: tuple[int, ...]
 
 
-def _scaled_weights(inst: Instance) -> tuple[list[list[Optional[int]]], int]:
-    return inst.scaled_weights(), inst.scale
-
-
 def init_messages(inst: Instance) -> MessageState:
     """All-zero message tables at iteration 0."""
     zero = [
@@ -103,32 +99,32 @@ def init_messages(inst: Instance) -> MessageState:
     )
 
 
-def _top2_excluding(values: list[Optional[int]]) -> tuple[list[int], int, int]:
-    """Indices of present entries plus (best value, second-best value).
+def _top2_excluding(
+    values: list[Optional[int]],
+) -> tuple[int, Optional[int], Optional[int]]:
+    """Index of the best present entry, the best value and the second-best value.
 
     Callers exclude one index by substituting the second-best when the
     excluded index attains the maximum.
     """
     best = second = None
     best_idx = -1
-    idxs = []
     for idx, v in enumerate(values):
         if v is None:
             continue
-        idxs.append(idx)
         if best is None or v > best:
             second = best
             best = v
             best_idx = idx
         elif second is None or v > second:
             second = v
-    return idxs, best_idx, (best, second)  # type: ignore[return-value]
+    return best_idx, best, second
 
 
 def step(inst: Instance, state: MessageState, normalize: bool = True) -> MessageState:
     """One synchronous update round; returns the state at iteration t+1."""
     n = inst.n
-    w, scale = _scaled_weights(inst)
+    w, scale = inst.scaled_weights(), inst.scale
     if scale != state.scale:
         raise ParameterError("message state scale does not match the instance")
     new_right: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
@@ -137,7 +133,7 @@ def step(inst: Instance, state: MessageState, normalize: bool = True) -> Message
     # to_right'[i][j] = w_ij - max_{l != j} to_left[i][l]
     for i in range(n):
         row = state.to_left[i]
-        _, best_idx, (best, second) = _top2_excluding(row)
+        best_idx, best, second = _top2_excluding(row)
         out = new_right[i]
         wrow = w[i]
         for j in range(n):
@@ -152,7 +148,7 @@ def step(inst: Instance, state: MessageState, normalize: bool = True) -> Message
     # to_left'[i][j] = w_ij - max_{k != i} to_right[k][j]
     for j in range(n):
         col = [state.to_right[k][j] for k in range(n)]
-        _, best_idx, (best, second) = _top2_excluding(col)
+        best_idx, best, second = _top2_excluding(col)
         for i in range(n):
             if w[i][j] is None:
                 continue

@@ -1,9 +1,13 @@
 """Ground-truth maximum weight matching oracles and the uniqueness gap.
 
-Two independent routes are provided: factorial enumeration for small
-instances and an exact-rational Hungarian method for anything larger.
-Both are deterministic; enumeration breaks ties toward the
-lexicographically smallest permutation.
+The oracle is one Hungarian method run on the instance's scaled integer
+weights; `Fraction` appears only in the returned weights.  The uniqueness
+gap comes from the same solve: every other perfect matching is the optimum
+with partners permuted along disjoint exchange cycles, each of nonnegative
+cost, so the second-best matching differs from the best by one cheapest
+exchange cycle (Murty 1968).  Factorial enumeration is kept as an
+independent small-n reference; it breaks ties toward the lexicographically
+smallest permutation.
 """
 
 from __future__ import annotations
@@ -52,47 +56,41 @@ def mwm_bruteforce(inst: Instance) -> tuple[Matching, Fraction]:
     return Matching.of(enumerate(best_perm)), best_weight
 
 
-def _forbidden_weight(inst: Instance) -> Fraction:
-    # Low enough that any matching using a forbidden edge loses to any
-    # matching that avoids all of them (below -2n*w_max with margin).
-    return -(4 * inst.n) * (inst.max_abs_weight + 1)
-
-
 def mwm_hungarian(inst: Instance) -> tuple[Matching, Fraction]:
-    """Maximum-weight perfect matching via the exact Hungarian method.
+    """Maximum-weight perfect matching via the Hungarian method on integers.
 
     Absent edges are modeled with a prohibitively negative weight and
     rejected afterwards, so the result never uses one when avoidable.
     """
     n = inst.n
-    sentinel = _forbidden_weight(inst)
-    cost = [
-        [-(w if w is not None else sentinel) for w in row] for row in inst.weights
-    ]
-    assignment = _min_cost_assignment(cost)
-    pairs = list(enumerate(assignment))
-    if any(inst.weights[i][j] is None for i, j in pairs):
+    rows = inst.scaled_weights()
+    # Low enough that any matching using an absent edge loses to any
+    # matching that avoids all of them (below -2n*w_max with margin).
+    sentinel = -(4 * n) * int((inst.max_abs_weight + 1) * inst.scale)
+    cost = [[-(w if w is not None else sentinel) for w in row] for row in rows]
+    pairs = list(enumerate(_min_cost_assignment(cost)))
+    if any(rows[i][j] is None for i, j in pairs):
         raise ParameterError("instance has no perfect matching on present edges")
     m = Matching.of(pairs)
     return m, matching_weight(inst, m)
 
 
-def _min_cost_assignment(cost: list[list[Fraction]]) -> list[int]:
+def _min_cost_assignment(cost: list[list[int]]) -> list[int]:
     """Exact O(n^3) assignment minimizing total cost; returns column per row."""
     n = len(cost)
-    u = [Fraction(0)] * (n + 1)
-    v = [Fraction(0)] * (n + 1)
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
     p = [0] * (n + 1)  # p[j]: row (1-based) currently matched to column j
     way = [0] * (n + 1)
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv: list[Optional[Fraction]] = [None] * (n + 1)
+        minv: list[Optional[int]] = [None] * (n + 1)
         used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
-            delta: Optional[Fraction] = None
+            delta: Optional[int] = None
             j1 = 0
             for j in range(1, n + 1):
                 if used[j]:
@@ -123,50 +121,49 @@ def _min_cost_assignment(cost: list[list[Fraction]]) -> list[int]:
     return result
 
 
-def _solve(inst: Instance) -> tuple[Matching, Fraction]:
-    if inst.n <= BRUTE_FORCE_CAP:
-        return mwm_bruteforce(inst)
-    return mwm_hungarian(inst)
+def _best_and_gap(inst: Instance) -> tuple[Fraction, Fraction]:
+    """Optimum weight and the cost of the cheapest exchange cycle around it.
+
+    Row i may take row k's optimal partner when that edge is present, at
+    integer cost w[i][M(i)] - w[i][M(k)].  The cheapest directed cycle of
+    this digraph is found by Floyd-Warshall with an open diagonal; the
+    optimality of M rules out negative cycles.
+    """
+    best, best_weight = mwm_hungarian(inst)
+    n = inst.n
+    w = inst.scaled_weights()
+    partner = best.partner_of_left()
+    inf = float("inf")
+    d = [
+        [
+            inf if k == i or w[i][partner[k]] is None
+            else w[i][partner[i]] - w[i][partner[k]]
+            for k in range(n)
+        ]
+        for i in range(n)
+    ]
+    for via in range(n):
+        d_via = d[via]
+        for di in d:
+            to_via = di[via]
+            if to_via == inf:
+                continue
+            for k in range(n):
+                if to_via + d_via[k] < di[k]:
+                    di[k] = to_via + d_via[k]
+    cheapest = min(d[i][i] for i in range(n))
+    if cheapest == inf:
+        raise ParameterError("fewer than two perfect matchings exist")
+    assert cheapest >= 0, "Hungarian optimum admits an improving exchange cycle"
+    return best_weight, Fraction(cheapest, inst.scale)
 
 
 def second_best_weight(inst: Instance) -> Fraction:
     """Weight of the second-best perfect matching (distinct edge set)."""
-    n = inst.n
-    if n == 1:
-        raise ParameterError("n=1 has a single perfect matching")
-    if n <= 7:
-        weights = sorted(
-            (
-                matching_weight(inst, m)
-                for m in _enumerate_present(inst)
-            ),
-            reverse=True,
-        )
-        if len(weights) < 2:
-            raise ParameterError("fewer than two perfect matchings exist")
-        return weights[1]
-    # Forbid one optimal edge at a time and re-solve: any second-best
-    # matching omits at least one edge of the optimum.
-    best, _ = mwm_hungarian(inst)
-    sentinel = _forbidden_weight(inst)
-    best_second: Optional[Fraction] = None
-    for i, j in best.sorted_pairs():
-        rows = [list(row) for row in inst.weights]
-        rows[i][j] = sentinel
-        _, w = mwm_hungarian(Instance(rows))
-        if best_second is None or w > best_second:
-            best_second = w
-    assert best_second is not None
-    return best_second
-
-
-def _enumerate_present(inst: Instance):
-    for perm in permutations(range(inst.n)):
-        if all(inst.weights[i][j] is not None for i, j in enumerate(perm)):
-            yield Matching.of(enumerate(perm))
+    best, gap = _best_and_gap(inst)
+    return best - gap
 
 
 def uniqueness_gap(inst: Instance) -> Fraction:
     """W(best) - W(second best) over perfect matchings; 0 means non-unique."""
-    _, best = _solve(inst)
-    return best - second_best_weight(inst)
+    return _best_and_gap(inst)[1]

@@ -185,6 +185,17 @@ def test_oracle_gap(tmp_path, capsys):
     assert out.strip() == "3/5"
 
 
+def test_oracle_gap_single_matching_exit_code(tmp_path, capsys):
+    n = 8
+    inst = Instance([[F(i + 1) if i == j else None for j in range(n)] for i in range(n)])
+    path = tmp_path / "diag.json"
+    path.write_text(inst.to_json())
+    code, out, err = run(["oracle", "gap", "--instance", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "fewer than two perfect matchings" in err
+
+
 def test_oracle_cap_exit_code(tmp_path, capsys):
     inst = generators.gen_multicycle(16, F(8), F(1, 100), c=2)
     path = tmp_path / "big.json"

@@ -3,10 +3,18 @@
 import random
 from fractions import Fraction as F
 
+import networkx as nx
 import pytest
 
 from bpmatching import generators
-from bpmatching.core import Instance, Matching, OracleCapExceeded, ParameterError, matching_weight
+from bpmatching.core import (
+    Instance,
+    Matching,
+    OracleCapExceeded,
+    ParameterError,
+    all_perfect_matchings,
+    matching_weight,
+)
 from bpmatching.oracles import (
     mwm_bruteforce,
     mwm_hungarian,
@@ -94,8 +102,9 @@ def test_second_best_small_enumeration():
 
 
 def test_second_best_forbid_edge_route_matches_enumeration():
-    # Same instance solved by both routes must agree; n=7 enumerates,
-    # an 8th padded row/column forces the forbid-edge route.
+    # Padding a 7x7 instance with a heavy diagonal 8th pair and light
+    # cross edges keeps the optimum's exchange cycles inside the 7x7 block,
+    # so the second-best weight shifts by exactly the heavy weight.
     rng = random.Random(5)
     for _ in range(10):
         inst = random_instance(rng, 7)
@@ -104,6 +113,79 @@ def test_second_best_forbid_edge_route_matches_enumeration():
         rows.append([F(-50)] * 7 + [F(100)])
         padded = Instance(rows)
         assert second_best_weight(padded) == by_enum + F(100)
+
+
+def _present_weights_desc(inst):
+    """Weights of every perfect matching on present edges, best first."""
+    rows = inst.scaled_weights()
+    totals = []
+    for m in all_perfect_matchings(inst.n):
+        cells = [rows[i][j] for i, j in m.pairs]
+        if None not in cells:
+            totals.append(F(sum(cells), inst.scale))
+    return sorted(totals, reverse=True)
+
+
+def test_second_best_matches_full_enumeration():
+    rng = random.Random(314)
+    draws = [
+        lambda: F(rng.randint(-9, 9)),  # dense
+        lambda: F(rng.randint(-9, 9)) if rng.random() < 0.6 else None,  # sparse
+        lambda: F(rng.randint(0, 2)),  # small-integer ties
+        lambda: F(rng.randint(-200, 200), rng.randint(1, 9)),  # rational
+    ]
+    ties = 0
+    for k in range(300):
+        n = 2 + k % 6
+        draw = draws[k % len(draws)]
+        inst = Instance([[draw() for _ in range(n)] for _ in range(n)])
+        weights = _present_weights_desc(inst)
+        if not weights:
+            with pytest.raises(ParameterError):
+                uniqueness_gap(inst)
+        elif len(weights) == 1:
+            with pytest.raises(ParameterError):
+                second_best_weight(inst)
+            with pytest.raises(ParameterError):
+                uniqueness_gap(inst)
+        else:
+            assert second_best_weight(inst) == weights[1]
+            assert uniqueness_gap(inst) == weights[0] - weights[1]
+            ties += weights[0] == weights[1]
+    assert ties > 0  # the tied draws do reach gap 0
+
+
+@pytest.mark.parametrize("n, upper", [(7, False), (8, False), (9, True)])
+def test_gap_needs_two_perfect_matchings(n, upper):
+    # A diagonal or upper-triangular support admits only the identity.
+    inst = Instance(
+        [
+            [F(i - 2 * j) if j == i or (upper and j > i) else None for j in range(n)]
+            for i in range(n)
+        ]
+    )
+    with pytest.raises(ParameterError):
+        second_best_weight(inst)
+    with pytest.raises(ParameterError):
+        uniqueness_gap(inst)
+
+
+@pytest.mark.parametrize("n", [9, 20, 40])
+def test_hungarian_matches_networkx(n):
+    rng = random.Random(1000 + n)
+    inst = Instance(
+        [[F(rng.randint(-1000, 1000), rng.randint(1, 12)) for _ in range(n)] for _ in range(n)]
+    )
+    rows = inst.scaled_weights()
+    g = nx.Graph()
+    g.add_weighted_edges_from(
+        (("a", i), ("b", j), rows[i][j]) for i in range(n) for j in range(n)
+    )
+    mate = nx.max_weight_matching(g, maxcardinality=True)
+    assert len(mate) == n
+    total = sum(g.edges[u, v]["weight"] for u, v in mate)
+    _, wh = mwm_hungarian(inst)
+    assert wh == F(total, inst.scale)
 
 
 def test_uniqueness_gap_on_cycle_family():
