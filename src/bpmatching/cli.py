@@ -53,11 +53,18 @@ def _reference_matching(inst: Instance):
 
 
 def _horizon(inst: Instance, explicit: Optional[int], cap: int = 10**6) -> int:
+    """The explicit horizon, else the certified one if it is at most ``cap``."""
     if explicit is not None:
         if explicit < 1:
             raise ParameterError("horizon must be >= 1")
         return explicit
-    return min(engine.certified_horizon(inst), cap)
+    horizon = engine.certified_horizon(inst)
+    if horizon > cap:
+        raise HorizonExhausted(
+            f"certified horizon {horizon} exceeds the cap {cap}; "
+            "pass an explicit horizon"
+        )
+    return horizon
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class ParameterError(ValueError):
@@ -78,6 +79,34 @@ class Matching:
         return {j: i for i, j in self.pairs}
 
 
+@dataclass(frozen=True)
+class Side:
+    """Incidence lists of one side's nodes, neighbours in ascending order.
+
+    ``nbrs[u]`` holds the neighbours of node u on the other side, ``w[u]``
+    the aligned scaled weights, ``slot[u][s]`` the position of u in the
+    list of its neighbour ``nbrs[u][s]``, and ``heavy[u]`` the largest
+    weight of u, or ``None`` when u has fewer than two edges.
+    """
+
+    nbrs: list[list[int]]
+    w: list[list[int]]
+    slot: list[list[int]]
+    heavy: list[Optional[int]]
+
+
+def _incidence(
+    rows: Sequence[Sequence[Optional[int]]],
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Present neighbours of each row's node and their aligned weights."""
+    nbrs = [[v for v, x in enumerate(row) if x is not None] for row in rows]
+    return nbrs, [[row[v] for v in nb] for row, nb in zip(rows, nbrs)]
+
+
+def _heavy(w: list[list[int]]) -> list[Optional[int]]:
+    return [max(ws) if len(ws) > 1 else None for ws in w]
+
+
 class Instance:
     """A weighted K_{n,n}, possibly restricted to a subset of its edges.
 
@@ -101,6 +130,7 @@ class Instance:
         self.meta = meta
         self._scale: Optional[int] = None
         self._scaled_rows: Optional[list[list[Optional[int]]]] = None
+        self._sides: Optional[tuple[Side, Side]] = None
 
     def weight(self, i: int, j: int) -> Fraction:
         if not (0 <= i < self.n and 0 <= j < self.n):
@@ -143,6 +173,25 @@ class Instance:
             ]
         return self._scaled_rows
 
+    def adjacency(self) -> tuple[Side, Side]:
+        """Incidence lists of the left and the right side (cached).
+
+        Raises ``ParameterError`` when the instance has no edge at all.
+        """
+        if self._sides is None:
+            rows = self.scaled_weights()
+            lnb, lw = _incidence(rows)
+            rnb, rw = _incidence(list(zip(*rows)))
+            if not any(lnb):
+                raise ParameterError("instance has no edges")
+            self._sides = (
+                Side(lnb, lw, [[bisect_left(rnb[j], i) for j in nb]
+                               for i, nb in enumerate(lnb)], _heavy(lw)),
+                Side(rnb, rw, [[bisect_left(lnb[i], j) for i in nb]
+                               for j, nb in enumerate(rnb)], _heavy(rw)),
+            )
+        return self._sides
+
     # -- graph view with node ids 0..2n-1 (left: 0..n-1, right: n..2n-1) --
 
     def node_count(self) -> int:
@@ -175,16 +224,31 @@ class Instance:
 
     @classmethod
     def from_json(cls, text: str) -> "Instance":
-        doc = json.loads(text)
-        scale = int(doc["scale"])
-        if scale < 1:
+        """Parse ``to_json`` output; malformed documents raise ParameterError."""
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise ParameterError(f"instance is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ParameterError("instance document must be a JSON object")
+        missing = [key for key in ("n", "scale", "weights") if key not in doc]
+        if missing:
+            raise ParameterError(f"instance document lacks {', '.join(missing)}")
+        n, scale, rows = doc["n"], doc["scale"], doc["weights"]
+        # ``type(...) is int`` rejects JSON true/false, which load as bools.
+        if type(scale) is not int or scale < 1:
             raise ParameterError("scale must be a positive integer")
+        if type(n) is not int:
+            raise ParameterError("n must be an integer")
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ParameterError("weights must be a list of rows")
+        if any(w is not None and type(w) is not int for row in rows for w in row):
+            raise ParameterError("weight cells must be integers or null")
         weights = [
-            [None if w is None else Fraction(int(w), scale) for w in row]
-            for row in doc["weights"]
+            [None if w is None else Fraction(w, scale) for w in row] for row in rows
         ]
         inst = cls(weights, meta=doc.get("meta"))
-        if inst.n != int(doc["n"]):
+        if inst.n != n:
             raise ParameterError("declared n does not match the weight matrix")
         return inst
 

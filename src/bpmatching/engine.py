@@ -13,49 +13,91 @@ in the depth-t computation tree (see the trees module, which is the
 independent oracle for this equivalence).
 
 Messages are stored as integers relative to the instance's common
-denominator, so every comparison is exact.  Optional normalization
-subtracts, per direction, one uniform constant (the maximum message of
-that direction) each round.  A shift that is uniform across a whole side
-propagates as a uniform shift and never changes any arg-max, so the
-normalized and unnormalized belief sequences are identical; a shift that
-varies per node (e.g. zeroing each node's own incoming maximum) does not
-have this property and would corrupt the exclusion maxima.
+denominator, so every comparison is exact.  They live in per-node incoming
+lists aligned with ``Instance.adjacency()``, so one step costs O(|E|): each
+sender's top-2 incoming message (slot k, best, second) is found once per
+state, and it sends w - best on every edge but slot k, which gets
+w - second.  Optional normalization subtracts, per direction, one uniform
+constant (the maximum message of that direction) each round; it is found
+from the senders' top-2 before the update and folded into it.  A shift that
+is uniform across a whole side propagates as a uniform shift and never
+changes any arg-max, so the normalized and unnormalized belief sequences
+are identical; a shift that varies per node (e.g. zeroing each node's own
+incoming maximum) does not have this property and would corrupt the
+exclusion maxima.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import sub
 from typing import Iterator, Optional
 
-from .core import HorizonExhausted, Instance, Matching, ParameterError
+from .core import HorizonExhausted, Instance, Matching, ParameterError, Side
+
+
+#: Per node of one side: slot of the first maximum incoming message (-1
+#: with none), the maximum (0 with none) and the largest other incoming
+#: message (None with none; a tied maximum repeats).
+Tops = tuple[list[int], list[int], list[Optional[int]]]
+
+
+def _tops(rows: list[list[int]]) -> Tops:
+    ks: list[int] = []
+    bests: list[int] = []
+    seconds: list[Optional[int]] = []
+    for row in rows:
+        k, best, second = -1, 0, None
+        if row:
+            best = max(row)
+            k = row.index(best)
+            if len(row) > 1:
+                row[k] = row[k - 1]  # another slot's value: max is now the runner-up
+                second = max(row)
+                row[k] = best
+        ks.append(k)
+        bests.append(best)
+        seconds.append(second)
+    return ks, bests, seconds
 
 
 @dataclass
 class MessageState:
-    """Directed message tables at one iteration.
+    """Incoming message lists at one iteration.
 
-    ``to_right[i][j]`` is the message from alpha_i to beta_j and
-    ``to_left[i][j]`` the message from beta_j to alpha_i, both stored as
-    integer numerators over ``scale``.  Absent edges hold ``None``.
+    ``to_left[i][s]`` is the message into alpha_i from beta_j, j =
+    ``sides[0].nbrs[i][s]``; ``to_right[j][s]`` is the message into beta_j
+    from alpha_i, i = ``sides[1].nbrs[j][s]``.  Both are integer numerators
+    over ``scale``.  ``left_top`` and ``right_top`` hold the ``Tops`` of
+    the incoming messages of each side.
     """
 
-    to_right: list[list[Optional[int]]]
-    to_left: list[list[Optional[int]]]
+    to_right: list[list[int]]
+    to_left: list[list[int]]
     iteration: int
     scale: int
+    sides: tuple[Side, Side] = field(repr=False, compare=False)
+    left_top: Tops = field(init=False, repr=False, compare=False)
+    right_top: Tops = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.left_top = _tops(self.to_left)
+        self.right_top = _tops(self.to_right)
+
+    def _slots(self, i: int, j: int) -> tuple[int, int]:
+        """Positions of edge (i, j) in alpha_i's and in beta_j's lists."""
+        nbrs = self.sides[0].nbrs[i]
+        if j not in nbrs:
+            raise ParameterError(f"edge ({i},{j}) is absent")
+        s = nbrs.index(j)
+        return s, self.sides[0].slot[i][s]
 
     def message_to_right(self, i: int, j: int) -> Fraction:
-        v = self.to_right[i][j]
-        if v is None:
-            raise ParameterError(f"edge ({i},{j}) is absent")
-        return Fraction(v, self.scale)
+        return Fraction(self.to_right[j][self._slots(i, j)[1]], self.scale)
 
     def message_to_left(self, i: int, j: int) -> Fraction:
-        v = self.to_left[i][j]
-        if v is None:
-            raise ParameterError(f"edge ({i},{j}) is absent")
-        return Fraction(v, self.scale)
+        return Fraction(self.to_left[i][self._slots(i, j)[0]], self.scale)
 
 
 @dataclass(frozen=True)
@@ -87,114 +129,72 @@ class PartialBpMatching:
 
 
 def init_messages(inst: Instance) -> MessageState:
-    """All-zero message tables at iteration 0."""
-    zero = [
-        [None if w is None else 0 for w in row] for row in inst.weights
-    ]
+    """All-zero message lists at iteration 0."""
+    left, right = sides = inst.adjacency()
     return MessageState(
-        to_right=[list(row) for row in zero],
-        to_left=[list(row) for row in zero],
+        to_right=[[0] * len(nb) for nb in right.nbrs],
+        to_left=[[0] * len(nb) for nb in left.nbrs],
         iteration=0,
         scale=inst.scale,
+        sides=sides,
     )
 
 
-def _top2_excluding(
-    values: list[Optional[int]],
-) -> tuple[int, Optional[int], Optional[int]]:
-    """Index of the best present entry, the best value and the second-best value.
+def _send(snd: Side, rcv: Side, tops: Tops, normalize: bool) -> list[list[int]]:
+    """Messages into every node of ``rcv`` from its neighbours in ``snd``.
 
-    Callers exclude one index by substituting the second-best when the
-    excluded index attains the maximum.
+    Sender u sends w - best_u on every edge but its argmax slot k, which
+    gets w - second_u; a missing second counts as 0.  With ``normalize``
+    the largest message z of the direction is found first and subtracted
+    in the same pass.  u's largest message is w_k alone, or with another
+    edge max(w_k - second_u, heavy_u - best_u): w_k - best_u <= w_k - second_u.
     """
-    best = second = None
-    best_idx = -1
-    for idx, v in enumerate(values):
-        if v is None:
-            continue
-        if best is None or v > best:
-            second = best
-            best = v
-            best_idx = idx
-        elif second is None or v > second:
-            second = v
-    return best_idx, best, second
+    ks, bests, seconds = tops
+    z = 0
+    if normalize:
+        sent = []
+        for k, best, second, w, heavy in zip(ks, bests, seconds, snd.w, snd.heavy):
+            if k >= 0:
+                m = w[k] - (second or 0)
+                sent.append(m if heavy is None or heavy - best < m else heavy - best)
+        z = max(sent)
+    shift = [best + z for best in bests].__getitem__
+    out = [list(map(sub, w, map(shift, nb))) for w, nb in zip(rcv.w, rcv.nbrs)]
+    for k, second, w, nb, slot in zip(ks, seconds, snd.w, snd.nbrs, snd.slot):
+        if k >= 0:
+            out[nb[k]][slot[k]] = w[k] - (second or 0) - z
+    return out
 
 
 def step(inst: Instance, state: MessageState, normalize: bool = True) -> MessageState:
     """One synchronous update round; returns the state at iteration t+1."""
-    n = inst.n
-    w, scale = inst.scaled_weights(), inst.scale
-    if scale != state.scale:
+    if inst.scale != state.scale:
         raise ParameterError("message state scale does not match the instance")
-    new_right: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
-    new_left: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
-
-    # to_right'[i][j] = w_ij - max_{l != j} to_left[i][l]
-    for i in range(n):
-        row = state.to_left[i]
-        best_idx, best, second = _top2_excluding(row)
-        out = new_right[i]
-        wrow = w[i]
-        for j in range(n):
-            if wrow[j] is None:
-                continue
-            if j == best_idx:
-                excl = second
-            else:
-                excl = best
-            out[j] = wrow[j] - (excl if excl is not None else 0)
-
-    # to_left'[i][j] = w_ij - max_{k != i} to_right[k][j]
-    for j in range(n):
-        col = [state.to_right[k][j] for k in range(n)]
-        best_idx, best, second = _top2_excluding(col)
-        for i in range(n):
-            if w[i][j] is None:
-                continue
-            if i == best_idx:
-                excl = second
-            else:
-                excl = best
-            new_left[i][j] = w[i][j] - (excl if excl is not None else 0)
-
-    if normalize:
-        # One uniform constant per direction keeps magnitudes bounded
-        # without touching any within-node comparison.
-        for table in (new_right, new_left):
-            z = max(v for row in table for v in row if v is not None)
-            for row in table:
-                for j in range(n):
-                    if row[j] is not None:
-                        row[j] -= z
-
-    return MessageState(new_right, new_left, state.iteration + 1, scale)
+    left, right = sides = inst.adjacency()
+    return MessageState(
+        _send(left, right, state.left_top, normalize),
+        _send(right, left, state.right_top, normalize),
+        state.iteration + 1,
+        state.scale,
+        sides,
+    )
 
 
-def _argmax_unique(values: list[Optional[int]]) -> Optional[int]:
-    best = None
-    best_idx: Optional[int] = None
-    ties = False
-    for idx, v in enumerate(values):
-        if v is None:
-            continue
-        if best is None or v > best:
-            best = v
-            best_idx = idx
-            ties = False
-        elif v == best:
-            ties = True
-    return None if ties else best_idx
+def _side_beliefs(tops: Tops, nbrs: list[list[int]]) -> tuple[Optional[int], ...]:
+    return tuple(
+        None if k < 0 or second == best else nb[k]
+        for k, best, second, nb in zip(*tops, nbrs)
+    )
 
 
 def beliefs(inst: Instance, state: MessageState) -> BeliefSnapshot:
     """Arg-max of incoming messages per node; None when the arg-max ties."""
-    n = inst.n
-    left = tuple(_argmax_unique(state.to_left[i]) for i in range(n))
-    right = tuple(
-        _argmax_unique([state.to_right[i][j] for i in range(n)]) for j in range(n)
+    left, right = inst.adjacency()
+    return BeliefSnapshot(
+        _side_beliefs(state.left_top, left.nbrs),
+        _side_beliefs(state.right_top, right.nbrs),
+        state.iteration,
     )
-    return BeliefSnapshot(left, right, state.iteration)
 
 
 def partial_bp_matching(b: BeliefSnapshot) -> PartialBpMatching:

@@ -37,10 +37,10 @@ def mwm_bruteforce(inst: Instance) -> tuple[Matching, Fraction]:
     if n > BRUTE_FORCE_CAP:
         raise OracleCapExceeded(f"brute force limited to n <= {BRUTE_FORCE_CAP}")
     best_perm: Optional[tuple[int, ...]] = None
-    best_weight = Fraction(0)
-    rows = inst.weights
+    best_weight = 0
+    rows = inst.scaled_weights()
     for perm in permutations(range(n)):
-        total = Fraction(0)
+        total = 0
         ok = True
         for i, j in enumerate(perm):
             w = rows[i][j]
@@ -53,7 +53,7 @@ def mwm_bruteforce(inst: Instance) -> tuple[Matching, Fraction]:
             best_weight = total
     if best_perm is None:
         raise ParameterError("instance has no perfect matching on present edges")
-    return Matching.of(enumerate(best_perm)), best_weight
+    return Matching.of(enumerate(best_perm)), Fraction(best_weight, inst.scale)
 
 
 def mwm_hungarian(inst: Instance) -> tuple[Matching, Fraction]:

@@ -4,7 +4,9 @@ import csv
 import json
 from fractions import Fraction as F
 
-from bpmatching import generators
+import pytest
+
+from bpmatching import engine, generators
 from bpmatching.cli import main
 from bpmatching.core import Instance
 
@@ -78,6 +80,31 @@ def test_bp_converge_horizon_exhausted(tmp_path, capsys):
     )
     assert code == 3
     assert "horizon" in err
+
+
+@pytest.mark.parametrize("command", [["bp", "converge"], ["bp", "run"]])
+def test_certified_horizon_above_cap_exits_before_any_step(
+    tmp_path, capsys, monkeypatch, command
+):
+    # 2n * w_max / eps = 2 * 3 * 8 * 10^5 = 4.8 * 10^6 steps, above the cap.
+    path = gen_cycle_file(tmp_path, capsys, eps="1/100000")
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(engine, "step", no_step)
+    code, out, err = run(command + ["--instance", str(path)], capsys)
+    assert code == 3
+    assert "4800000" in err and "1000000" in err
+    assert "converged" not in out
+
+
+def test_malformed_instance_exit_code(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 1, "scale": 1, "weights": [[1.7]]}')
+    code, _, err = run(["bp", "converge", "--instance", str(path)], capsys)
+    assert code == 2
+    assert "integers" in err
 
 
 def test_approx_trace_ratios_are_exact(tmp_path, capsys):

@@ -100,11 +100,28 @@ def test_json_roundtrip_and_hash():
     assert again.content_hash() == inst.content_hash()
 
 
+BAD_DOCUMENTS = [
+    '{"n": 1, "scale": 0, "weights": [[1]], "meta": null}',
+    '{"n": 2, "scale": 1, "weights": [[1]], "meta": null}',
+    "[1, 2]",  # not an object
+    '{"scale": 1, "weights": [[1]]}',  # missing n
+    '{"n": 1, "weights": [[1]]}',  # missing scale
+    '{"n": 1, "scale": 1}',  # missing weights
+    '{"n": 1, "scale": 1, "weights": [[1.7]]}',  # float cell
+    '{"n": 1, "scale": 1, "weights": [[true]]}',  # bool cell
+    '{"n": 1, "scale": 1, "weights": [["3"]]}',  # string cell
+    '{"n": 2, "scale": 1, "weights": [[1, 2], [3]]}',  # ragged rows
+    '{"n": 2, "scale": 1, "weights": [[1, 2], 3]}',  # row is not a list
+    '{"n": "1", "scale": 1, "weights": [[1]]}',  # string n
+    '{"n": 1, "scale": 1.0, "weights": [[1]]}',  # float scale
+    '{"n": 1, "scale": 1, "weights": [[1]]',  # not JSON
+]
+
+
 def test_from_json_rejects_bad_documents():
-    with pytest.raises(ParameterError):
-        Instance.from_json('{"n": 1, "scale": 0, "weights": [[1]], "meta": null}')
-    with pytest.raises(ParameterError):
-        Instance.from_json('{"n": 2, "scale": 1, "weights": [[1]], "meta": null}')
+    for text in BAD_DOCUMENTS:
+        with pytest.raises(ParameterError):
+            Instance.from_json(text)
 
 
 def test_matching_weight():

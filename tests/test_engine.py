@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bpmatching import generators
 from bpmatching.core import HorizonExhausted, Instance, Matching, ParameterError
@@ -169,3 +171,97 @@ def test_step_rejects_foreign_state():
     state = init_messages(other)
     with pytest.raises(ParameterError):
         step(inst, state)
+
+
+def test_instance_without_edges_is_rejected():
+    inst = Instance([[None, None], [None, None]])
+    with pytest.raises(ParameterError):
+        init_messages(inst)
+    with pytest.raises(ParameterError):
+        list(run_to_horizon(inst, 1))
+
+
+# -- formula-level reference: the update rule, literally, on n x n tables --
+
+
+def reference_step(w, to_right, to_left, normalize):
+    """m[alpha_i -> beta_j] = w_ij - max_{l != j} m[beta_l -> alpha_i], and
+    m[beta_j -> alpha_i] = w_ij - max_{k != i} m[alpha_k -> beta_j]; the
+    maximum over an empty set is 0.  ``to_right[i][j]`` is alpha_i -> beta_j,
+    ``to_left[i][j]`` is beta_j -> alpha_i, ``None`` on absent edges."""
+    n = len(w)
+    new_right = [[None] * n for _ in range(n)]
+    new_left = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if w[i][j] is None:
+                continue
+            new_right[i][j] = w[i][j] - max(
+                (to_left[i][l] for l in range(n) if l != j and w[i][l] is not None),
+                default=0,
+            )
+            new_left[i][j] = w[i][j] - max(
+                (to_right[k][j] for k in range(n) if k != i and w[k][j] is not None),
+                default=0,
+            )
+    if normalize:
+        for table in (new_right, new_left):
+            z = max(v for row in table for v in row if v is not None)
+            for row in table:
+                row[:] = [None if v is None else v - z for v in row]
+    return new_right, new_left
+
+
+def reference_belief(values):
+    """Index of the unique maximum of the present values, else None."""
+    present = [v for v in values if v is not None]
+    if not present or present.count(max(present)) > 1:
+        return None
+    return values.index(max(present))
+
+
+@st.composite
+def weight_tables(draw):
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["dense", "sparse", "tied", "rational"]))
+    cell = {
+        "dense": st.integers(-9, 9).map(F),
+        "sparse": st.one_of(st.none(), st.integers(-9, 9).map(F)),
+        "tied": st.integers(0, 2).map(F),
+        "rational": st.builds(F, st.integers(-20, 20), st.integers(1, 6)),
+    }[kind]
+    rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+    if all(w is None for row in rows for w in row):
+        rows[0][0] = F(1)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(weight_tables())
+# alpha_1 and beta_1 have degree 0, alpha_3 and beta_3 degree 1.
+@example([[None, None, None], [None, F(2), F(-1)], [None, F(5), None]])
+# Negative weights on degree-1 nodes: their only message must not be
+# shifted by their incoming maximum.
+@example([[F(-3), None], [None, F(-7)]])
+def test_step_and_beliefs_match_formula_reference(rows):
+    inst = Instance(rows)
+    n = inst.n
+    for normalize in (True, False):
+        state = init_messages(inst)
+        ref_right = [[None if w is None else F(0) for w in row] for row in rows]
+        ref_left = [list(row) for row in ref_right]
+        for t in range(1, 31):
+            state = step(inst, state, normalize=normalize)
+            ref_right, ref_left = reference_step(rows, ref_right, ref_left, normalize)
+            for i in range(n):
+                for j in range(n):
+                    if rows[i][j] is None:
+                        continue
+                    assert state.message_to_right(i, j) == ref_right[i][j]
+                    assert state.message_to_left(i, j) == ref_left[i][j]
+            snap = beliefs(inst, state)
+            assert snap.iteration == t
+            assert snap.left_belief == tuple(reference_belief(row) for row in ref_left)
+            assert snap.right_belief == tuple(
+                reference_belief([ref_right[i][j] for i in range(n)]) for j in range(n)
+            )
