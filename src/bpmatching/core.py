@@ -1,6 +1,8 @@
 """Exact weighted bipartite instances, matchings, and JSON serialization.
 
-All weights are `fractions.Fraction` values; arithmetic is exact everywhere.
+Weights enter and leave as `fractions.Fraction` values; inside, the engine
+and the oracles work on integer numerators over one common scale
+(``Instance.scaled_weights()``, ``Instance.adjacency()``), exact everywhere.
 An instance is a complete bipartite graph K_{n,n} given as a dense n x n
 weight matrix.  Entries may be ``None`` for graphs restricted to a subset of
 the edges (e.g. a bare weighted cycle); such edges simply do not exist.

@@ -22,9 +22,10 @@ constant (the maximum message of that direction) each round; it is found
 from the senders' top-2 before the update and folded into it.  A shift that
 is uniform across a whole side propagates as a uniform shift and never
 changes any arg-max, so the normalized and unnormalized belief sequences
-are identical; a shift that varies per node (e.g. zeroing each node's own
-incoming maximum) does not have this property and would corrupt the
-exclusion maxima.
+are identical.  That needs the empty maximum of a degree-1 sender to stay
+the true 0, so the state keeps each direction's accumulated shift; a shift
+that varies per node (e.g. zeroing each node's own incoming maximum) does
+not have this property and would corrupt the exclusion maxima.
 """
 
 from __future__ import annotations
@@ -69,8 +70,9 @@ class MessageState:
     ``to_left[i][s]`` is the message into alpha_i from beta_j, j =
     ``sides[0].nbrs[i][s]``; ``to_right[j][s]`` is the message into beta_j
     from alpha_i, i = ``sides[1].nbrs[j][s]``.  Both are integer numerators
-    over ``scale``.  ``left_top`` and ``right_top`` hold the ``Tops`` of
-    the incoming messages of each side.
+    over ``scale``, less the uniform shift ``offset_right`` / ``offset_left``
+    that normalization has left on that direction.  ``left_top`` and
+    ``right_top`` hold the ``Tops`` of the incoming messages of each side.
     """
 
     to_right: list[list[int]]
@@ -78,6 +80,8 @@ class MessageState:
     iteration: int
     scale: int
     sides: tuple[Side, Side] = field(repr=False, compare=False)
+    offset_right: int = 0
+    offset_left: int = 0
     left_top: Tops = field(init=False, repr=False, compare=False)
     right_top: Tops = field(init=False, repr=False, compare=False)
 
@@ -140,14 +144,18 @@ def init_messages(inst: Instance) -> MessageState:
     )
 
 
-def _send(snd: Side, rcv: Side, tops: Tops, normalize: bool) -> list[list[int]]:
-    """Messages into every node of ``rcv`` from its neighbours in ``snd``.
+def _send(
+    snd: Side, rcv: Side, tops: Tops, offset: int, normalize: bool
+) -> tuple[list[list[int]], int]:
+    """Messages into every node of ``rcv`` from its neighbours in ``snd``,
+    and the offset they are stored less (see ``MessageState``).
 
     Sender u sends w - best_u on every edge but its argmax slot k, which
-    gets w - second_u; a missing second counts as 0.  With ``normalize``
-    the largest message z of the direction is found first and subtracted
-    in the same pass.  u's largest message is w_k alone, or with another
-    edge max(w_k - second_u, heavy_u - best_u): w_k - best_u <= w_k - second_u.
+    gets w - second_u; a missing second (an empty maximum) is a true 0,
+    which is -``offset`` in the stored values.  With ``normalize`` the
+    largest message z of the direction is found first and subtracted in the
+    same pass.  u's largest message is w_k alone, or with another edge
+    max(w_k - second_u, heavy_u - best_u): w_k - best_u <= w_k - second_u.
     """
     ks, bests, seconds = tops
     z = 0
@@ -155,15 +163,15 @@ def _send(snd: Side, rcv: Side, tops: Tops, normalize: bool) -> list[list[int]]:
         sent = []
         for k, best, second, w, heavy in zip(ks, bests, seconds, snd.w, snd.heavy):
             if k >= 0:
-                m = w[k] - (second or 0)
+                m = w[k] + offset if second is None else w[k] - second
                 sent.append(m if heavy is None or heavy - best < m else heavy - best)
         z = max(sent)
     shift = [best + z for best in bests].__getitem__
     out = [list(map(sub, w, map(shift, nb))) for w, nb in zip(rcv.w, rcv.nbrs)]
     for k, second, w, nb, slot in zip(ks, seconds, snd.w, snd.nbrs, snd.slot):
         if k >= 0:
-            out[nb[k]][slot[k]] = w[k] - (second or 0) - z
-    return out
+            out[nb[k]][slot[k]] = (w[k] + offset if second is None else w[k] - second) - z
+    return out, z - offset
 
 
 def step(inst: Instance, state: MessageState, normalize: bool = True) -> MessageState:
@@ -171,12 +179,10 @@ def step(inst: Instance, state: MessageState, normalize: bool = True) -> Message
     if inst.scale != state.scale:
         raise ParameterError("message state scale does not match the instance")
     left, right = sides = inst.adjacency()
+    to_right, off_right = _send(left, right, state.left_top, state.offset_left, normalize)
+    to_left, off_left = _send(right, left, state.right_top, state.offset_right, normalize)
     return MessageState(
-        _send(left, right, state.left_top, normalize),
-        _send(right, left, state.right_top, normalize),
-        state.iteration + 1,
-        state.scale,
-        sides,
+        to_right, to_left, state.iteration + 1, state.scale, sides, off_right, off_left
     )
 
 
@@ -230,10 +236,14 @@ def convergence_time(inst: Instance, reference: Matching, horizon: int) -> int:
     """Smallest T with beliefs(t) == reference for every T <= t <= horizon."""
     if horizon < 1:
         raise ParameterError("horizon must be >= 1")
+    left, right = reference.partner_of_left(), reference.partner_of_right()
+    want = (tuple(map(left.get, range(inst.n))), tuple(map(right.get, range(inst.n))))
+    # A partial reference leaves None slots: no snapshot encodes it.
+    want = None if None in want[0] + want[1] else want
     last_bad = 0
     any_good = False
     for snap in run_to_horizon(inst, horizon):
-        if snap.encodes(reference):
+        if (snap.left_belief, snap.right_belief) == want:
             any_good = True
         else:
             last_bad = snap.iteration

@@ -7,7 +7,10 @@ covering every inner (non-leaf) node.  The root edge of a maximum weight
 T-matching is the independent ground truth for the BP belief at iteration t.
 
 Graph nodes are addressed by ids 0..2n-1: left node alpha_{i+1} has id i,
-right node beta_{j+1} has id n+j (see Instance.node_neighbors).
+right node beta_{j+1} has id n+j.  Unrolling walks ``Instance.adjacency()``,
+the incidence lists the engine walks too, and the tree and its DP hold
+scaled integer weights over ``inst.scale``; ``Fraction`` appears only in
+what the module returns (T-matching weights, tree edges, class totals).
 
 For cycle-restricted instances every tree is a path (each non-root node has
 exactly one child), so unrolling stays linear in t.
@@ -15,6 +18,7 @@ exactly one child), so unrolling stays linear in t.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -39,14 +43,16 @@ class ComputationTree:
 
     ``labels[k]`` is the original-graph node id of tree node k, ``parent[k]``
     its tree parent (-1 for the root) and ``weight_up[k]`` the weight of the
-    edge to its parent.  Nodes are stored in BFS order.
+    edge to its parent as an integer numerator over ``scale``.  Nodes are
+    stored in BFS order, so the children of a node are contiguous.
     """
 
     root: int
     depth: int
     labels: list[int]
     parent: list[int]
-    weight_up: list[Optional[Fraction]]
+    weight_up: list[Optional[int]]
+    scale: int
 
     def node_count(self) -> int:
         return len(self.labels)
@@ -54,7 +60,8 @@ class ComputationTree:
     def edges(self) -> list[tuple[int, int, Fraction]]:
         """Tree edges as (label, parent label, weight) triples."""
         return [
-            (self.labels[k], self.labels[self.parent[k]], self.weight_up[k])
+            (self.labels[k], self.labels[self.parent[k]],
+             Fraction(self.weight_up[k], self.scale))
             for k in range(1, len(self.labels))
         ]
 
@@ -65,29 +72,31 @@ def unroll(inst: Instance, v: int, t: int, cap: int = DEFAULT_NODE_CAP) -> Compu
         raise ParameterError(f"node id {v} out of range")
     if t < 0:
         raise ParameterError("depth must be >= 0")
+    left, right = inst.adjacency()
+    n = inst.n
+    nbrs = [[n + j for j in nb] for nb in left.nbrs] + right.nbrs
+    ws = left.w + right.w
     labels = [v]
     parent = [-1]
-    weight_up: list[Optional[Fraction]] = [None]
-    frontier = [0]
+    weight_up: list[Optional[int]] = [None]
+    lo = 0
     for _ in range(t):
-        nxt = []
-        for k in frontier:
+        hi = len(labels)
+        for k in range(lo, hi):
             u = labels[k]
-            p_label = labels[parent[k]] if parent[k] >= 0 else -1
-            for nb, w in inst.node_neighbors(u):
-                if nb == p_label:
-                    continue
-                if len(labels) >= cap:
-                    raise OracleCapExceeded(
-                        f"computation tree exceeds cap of {cap} nodes"
-                    )
-                labels.append(nb)
-                parent.append(k)
-                weight_up.append(w)
-                nxt.append(len(labels) - 1)
-        frontier = nxt
+            p_label = labels[parent[k]] if k else -1
+            for nb, w in zip(nbrs[u], ws[u]):
+                if nb != p_label:
+                    labels.append(nb)
+                    parent.append(k)
+                    weight_up.append(w)
+            if len(labels) > cap:
+                raise OracleCapExceeded(
+                    f"computation tree exceeds cap of {cap} nodes"
+                )
+        lo = hi
     return ComputationTree(root=v, depth=t, labels=labels, parent=parent,
-                           weight_up=weight_up)
+                           weight_up=weight_up, scale=inst.scale)
 
 
 def max_t_matching(
@@ -98,35 +107,31 @@ def max_t_matching(
     Per node u the DP tracks A(u), the best subtree weight when u is matched
     upward (edge weight counted at the parent), and B(u), the best weight
     when u is matched to one of its children.  Leaves may stay unmatched
-    (A = B = 0); inner nodes are covered structurally.  Returns TIE when
+    (A = B = 0); inner nodes are covered structurally, so A(u) is the sum
+    of B over u's children (``below``) and B(u) = A(u) + ``best``(u), the
+    best child score w(c) + A(c) - B(c) = w(c) - best(c).  Returns TIE when
     several optima disagree on the root edge.
     """
     if tree.depth < 1:
         raise ParameterError("T-matchings need depth >= 1")
     m = tree.node_count()
-    children: list[list[int]] = [[] for _ in range(m)]
-    for k in range(1, m):
-        children[tree.parent[k]].append(k)
-    zero = Fraction(0)
-    A = [zero] * m
-    B = [zero] * m
-    for k in range(m - 1, 0, -1):
-        ch = children[k]
-        if not ch:
-            continue
-        sum_b = sum((B[c] for c in ch), start=zero)
-        A[k] = sum_b
-        B[k] = sum_b + max(tree.weight_up[c] + A[c] - B[c] for c in ch)
-    root_children = children[0]
-    if not root_children:
+    if m == 1:
         raise ParameterError("root has no incident edge")
-    scores = [tree.weight_up[c] + A[c] - B[c] for c in root_children]
-    best = max(scores)
-    total = sum((B[c] for c in root_children), start=zero) + best
-    winners = [c for c, s in zip(root_children, scores) if s == best]
-    if len(winners) > 1:
+    parent, w = tree.parent, tree.weight_up
+    best: list[Optional[int]] = [None] * m
+    below = [0] * m
+    for k in range(m - 1, 0, -1):
+        p, b = parent[k], best[k] or 0  # a leaf has no child: A = B = 0
+        s = w[k] - b
+        below[p] += below[k] + b
+        if best[p] is None or s > best[p]:
+            best[p] = s
+    top = best[0]
+    root_scores = [w[k] - (best[k] or 0) for k in range(1, bisect_right(parent, 0))]
+    total = Fraction(below[0] + top, tree.scale)
+    if root_scores.count(top) > 1:
         return total, TIE
-    return total, (tree.root, tree.labels[winners[0]])
+    return total, (tree.root, tree.labels[1 + root_scores.index(top)])
 
 
 def oracle_belief(
@@ -171,32 +176,6 @@ def nibbling_delta(n: int, w_max: Fraction, eps: Fraction, l: int) -> Fraction:
     return w_max * Fraction(n - l, 2 * (n - 1)) - eps * Fraction(l - 1, n - 1)
 
 
-def _path_edge_sequence(tree: ComputationTree) -> list[tuple[int, int, Fraction]]:
-    """Leaf-to-leaf edge sequence of a path-shaped computation tree."""
-    m = tree.node_count()
-    children: list[list[int]] = [[] for _ in range(m)]
-    for k in range(1, m):
-        children[tree.parent[k]].append(k)
-    if any(len(ch) > 1 for k, ch in enumerate(children) if k != 0) or len(children[0]) > 2:
-        raise ParameterError("computation tree is not a path")
-
-    def arm(start: int) -> list[tuple[int, int, Fraction]]:
-        out = []
-        k = start
-        while True:
-            out.append((tree.labels[tree.parent[k]], tree.labels[k], tree.weight_up[k]))
-            ch = children[k]
-            if not ch:
-                return out
-            k = ch[0]
-
-    arms = [arm(c) for c in children[0]]
-    if len(arms) == 1:
-        return arms[0]
-    first = [(b, a, w) for a, b, w in reversed(arms[0])]
-    return first + arms[1]
-
-
 def heavy_tail_tree(inst: Instance, k: int, l: int) -> tuple[ComputationTree, int]:
     """A cycle computation tree whose 2l-edge tail contains the heavy edge.
 
@@ -215,13 +194,17 @@ def heavy_tail_tree(inst: Instance, k: int, l: int) -> tuple[ComputationTree, in
     if not (1 <= l <= n - 1):
         raise ParameterError("l must satisfy 1 <= l <= n-1")
     t = k * n + l
+    cycle = _cycle_view(inst)
     for v in range(2 * n):
-        tree = unroll(_cycle_view(inst), v, t)
-        seq = _path_edge_sequence(tree)
-        tail_windows = (seq[-2 * l:], seq[: 2 * l])
-        if any(
-            {a, b} == heavy_pair for window in tail_windows for a, b, _ in window
-        ):
+        tree = unroll(cycle, v, t)
+        m = tree.node_count()
+        # A cycle's tree is a path with two arms, which alternate in BFS
+        # order: the odd nodes form one, the even nodes after the root the other.
+        if m < 3 or tree.parent != [-1, 0, 0] + list(range(1, m - 2)):
+            raise ParameterError("computation tree is not a path")
+        path = [tree.labels[x] for x in [*range(1, m, 2)][::-1] + [*range(0, m, 2)]]
+        seq = list(zip(path, path[1:]))  # leaf-to-leaf edges as label pairs
+        if any({a, b} == heavy_pair for a, b in seq[-2 * l:] + seq[:2 * l]):
             return tree, v
     raise ParameterError("no heavy-tail root found (malformed cycle instance)")
 

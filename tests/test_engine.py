@@ -133,6 +133,16 @@ def test_convergence_time_horizon_exhausted():
     wrong = Matching.of([(0, 1), (1, 0), (2, 2)])
     with pytest.raises(HorizonExhausted):
         convergence_time(inst, wrong, 100)
+    # Nor does a partial reference, even one the beliefs agree with on the
+    # nodes it covers from t=20 on.
+    partial = Matching.of(reference.sorted_pairs()[:2])
+    with pytest.raises(HorizonExhausted):
+        convergence_time(inst, partial, 100)
+    # On an all-tied K_{2,2} every belief stays Unresolved; the empty
+    # reference leaves every node uncovered, and must not count as met.
+    tied = Instance([[F(1), F(1)], [F(1), F(1)]])
+    with pytest.raises(HorizonExhausted):
+        convergence_time(tied, Matching.of([]), 20)
 
 
 def test_certified_horizon():
@@ -184,7 +194,7 @@ def test_instance_without_edges_is_rejected():
 # -- formula-level reference: the update rule, literally, on n x n tables --
 
 
-def reference_step(w, to_right, to_left, normalize):
+def reference_step(w, to_right, to_left):
     """m[alpha_i -> beta_j] = w_ij - max_{l != j} m[beta_l -> alpha_i], and
     m[beta_j -> alpha_i] = w_ij - max_{k != i} m[alpha_k -> beta_j]; the
     maximum over an empty set is 0.  ``to_right[i][j]`` is alpha_i -> beta_j,
@@ -204,12 +214,15 @@ def reference_step(w, to_right, to_left, normalize):
                 (to_right[k][j] for k in range(n) if k != i and w[k][j] is not None),
                 default=0,
             )
-    if normalize:
-        for table in (new_right, new_left):
-            z = max(v for row in table for v in row if v is not None)
-            for row in table:
-                row[:] = [None if v is None else v - z for v in row]
     return new_right, new_left
+
+
+def normalized(table):
+    """The table less its largest present value.  Normalization shifts each
+    direction uniformly, so it must leave exactly this; the maximum over an
+    empty set stays the true 0, not 0 after the shift."""
+    z = max(v for row in table for v in row if v is not None)
+    return [[None if v is None else v - z for v in row] for row in table]
 
 
 def reference_belief(values):
@@ -252,13 +265,18 @@ def test_step_and_beliefs_match_formula_reference(rows):
         ref_left = [list(row) for row in ref_right]
         for t in range(1, 31):
             state = step(inst, state, normalize=normalize)
-            ref_right, ref_left = reference_step(rows, ref_right, ref_left, normalize)
+            ref_right, ref_left = reference_step(rows, ref_right, ref_left)
+            want_right, want_left = (
+                (normalized(ref_right), normalized(ref_left)) if normalize
+                else (ref_right, ref_left)
+            )
             for i in range(n):
                 for j in range(n):
                     if rows[i][j] is None:
                         continue
-                    assert state.message_to_right(i, j) == ref_right[i][j]
-                    assert state.message_to_left(i, j) == ref_left[i][j]
+                    assert state.message_to_right(i, j) == want_right[i][j]
+                    assert state.message_to_left(i, j) == want_left[i][j]
+            # Beliefs come from the unshifted tables in both runs.
             snap = beliefs(inst, state)
             assert snap.iteration == t
             assert snap.left_belief == tuple(reference_belief(row) for row in ref_left)

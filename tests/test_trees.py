@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bpmatching import generators
 from bpmatching.core import Instance, OracleCapExceeded, ParameterError
@@ -158,3 +160,129 @@ def test_class_weight_split_counts_light_edges():
     assert split["opt"] == F(4)
     assert split["sub"] == F(8)
     assert split["light"] == F(-16)
+
+
+# -- references: the unrolling and the A/B DP on Fraction weights --
+
+
+def graph_weight(inst, a, b):
+    """Exact weight of the graph edge between node ids a and b."""
+    i, j = (a, b - inst.n) if a < inst.n else (b, a - inst.n)
+    return inst.weight(i, j)
+
+
+def reference_unroll(inst, v, t):
+    """(labels, parent) of the depth-t tree in BFS order, from node_neighbors."""
+    labels, parent, frontier = [v], [-1], [0]
+    for _ in range(t):
+        nxt = []
+        for k in frontier:
+            p_label = labels[parent[k]] if parent[k] >= 0 else -1
+            for nb, _ in inst.node_neighbors(labels[k]):
+                if nb != p_label:
+                    labels.append(nb)
+                    parent.append(k)
+                    nxt.append(len(labels) - 1)
+        frontier = nxt
+    return labels, parent
+
+
+def reference_max_t_matching(inst, tree):
+    """Per node u, A(u) (u matched upward) and B(u) (u matched to a child)
+    on Fraction weights; leaves have A = B = 0.  Returns the optimal weight
+    and the root edge, or TIE when several optima disagree on it."""
+    m = tree.node_count()
+    children = [[] for _ in range(m)]
+    for k in range(1, m):
+        children[tree.parent[k]].append(k)
+    w = [None] + [graph_weight(inst, tree.labels[k], tree.labels[tree.parent[k]])
+                  for k in range(1, m)]
+    A = [F(0)] * m
+    B = [F(0)] * m
+    for k in range(m - 1, 0, -1):
+        ch = children[k]
+        if not ch:
+            continue
+        sum_b = sum((B[c] for c in ch), start=F(0))
+        A[k] = sum_b
+        B[k] = sum_b + max(w[c] + A[c] - B[c] for c in ch)
+    root_children = children[0]
+    scores = [w[c] + A[c] - B[c] for c in root_children]
+    best = max(scores)
+    total = sum((B[c] for c in root_children), start=F(0)) + best
+    winners = [c for c, s in zip(root_children, scores) if s == best]
+    if len(winners) > 1:
+        return total, TIE
+    return total, (tree.root, tree.labels[winners[0]])
+
+
+def random_rows(rng, n, kind):
+    cell = {
+        "dense": lambda: F(rng.randint(-9, 9)),
+        "sparse": lambda: None if rng.random() < 0.4 else F(rng.randint(-9, 9)),
+        "tied": lambda: None if rng.random() < 0.2 else F(rng.randint(0, 2)),
+        "rational": lambda: F(rng.randint(-20, 20), rng.randint(1, 6)),
+    }[kind]
+    rows = [[cell() for _ in range(n)] for _ in range(n)]
+    if all(w is None for row in rows for w in row):
+        rows[0][0] = F(1)
+    return rows
+
+
+def test_integer_dp_matches_fraction_reference():
+    rng = random.Random(5)
+    compared = ties = 0
+    for kind in ("dense", "sparse", "tied", "rational"):
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            inst = Instance(random_rows(rng, n, kind))
+            for v in range(2 * n):
+                for t in range(1, 6):
+                    tree = unroll(inst, v, t)
+                    assert (tree.labels, tree.parent) == reference_unroll(inst, v, t)
+                    for a, b, w in tree.edges():
+                        assert type(w) is F and w == graph_weight(inst, a, b)
+                    if tree.node_count() == 1:
+                        with pytest.raises(ParameterError):
+                            max_t_matching(tree)
+                        continue
+                    weight, edge = max_t_matching(tree)
+                    ref_weight, ref_edge = reference_max_t_matching(inst, tree)
+                    assert type(weight) is F and weight == ref_weight
+                    assert edge is TIE if ref_edge is TIE else edge == ref_edge
+                    compared += 1
+                    ties += ref_edge is TIE
+    assert compared > 2000 and ties > 100
+
+
+@st.composite
+def sparse_tables(draw):
+    n = draw(st.integers(1, 4))
+    cell = st.one_of(
+        st.none(),
+        st.integers(0, 3).map(F),
+        st.builds(F, st.integers(-6, 6), st.integers(1, 4)),
+    )
+    rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+    if all(w is None for row in rows for w in row):
+        rows[0][0] = F(1)
+    return rows
+
+
+@settings(max_examples=250, deadline=None)
+@given(sparse_tables())
+# alpha_1 and beta_1 have degree 0, alpha_3 and beta_3 degree 1.
+@example([[None, None, None], [None, F(2), F(2)], [None, F(2), None]])
+# An all-tied K_{2,2}: every belief is Unresolved at every t.
+@example([[F(1), F(1)], [F(1), F(1)]])
+def test_engine_matches_tree_oracle_on_sparse_and_tied(rows):
+    inst = Instance(rows)
+    n = inst.n
+    for snap in run_to_horizon(inst, 5):
+        engine_row = snap.left_belief + snap.right_belief
+        for v in range(2 * n):
+            if not inst.node_neighbors(v):
+                assert engine_row[v] is None
+                continue
+            expect = oracle_belief(inst, v, snap.iteration)
+            assert engine_row[v] == (None if expect is TIE else expect)
