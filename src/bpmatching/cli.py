@@ -230,6 +230,7 @@ def cmd_exp_approx(args: argparse.Namespace) -> int:
     window = generators.failure_window(args.n, c, w_max, eps)
     _, opt_weight = oracles.mwm_hungarian(inst)
     horizon = args.iters if args.iters else int(window)
+    digest = inst.content_hash()[:16]
     rows = []
     for snap in engine.run_to_horizon(inst, horizon):
         partial = partial_bp_matching(snap)
@@ -239,7 +240,7 @@ def cmd_exp_approx(args: argparse.Namespace) -> int:
         ratio = approximation_ratio(inst, complete(inst, snap), opt_weight)
         rows.append(
             {
-                "instance": inst.content_hash()[:16],
+                "instance": digest,
                 "t": snap.iteration,
                 "pairs": len(partial.pairs),
                 "unresolved": unresolved,

@@ -216,12 +216,8 @@ class Instance:
     # -- serialization --
 
     def to_json(self) -> str:
-        scale = self.scale
-        rows = [
-            [None if w is None else int(w * scale) for w in row]
-            for row in self.weights
-        ]
-        doc = {"n": self.n, "scale": scale, "weights": rows, "meta": self.meta}
+        doc = {"n": self.n, "scale": self.scale, "weights": self.scaled_weights(),
+               "meta": self.meta}
         return json.dumps(doc, ensure_ascii=False, separators=(",", ":"))
 
     @classmethod

@@ -26,13 +26,33 @@ are identical.  That needs the empty maximum of a degree-1 sender to stay
 the true 0, so the state keeps each direction's accumulated shift; a shift
 that varies per node (e.g. zeroing each node's own incoming maximum) does
 not have this property and would corrupt the exclusion maxima.
+
+``convergence_time`` steps without normalization, so the lists hold the
+true messages x(t), and jumps over drift regimes x(t+p) = x(t) + d, which
+orbits of this monotone min-max map end in (Cochet-Terrasson, Gaubert and
+Gunawardena 1999).  A node's selection, an argmax slot k and a runner-up
+slot k2, makes its sends affine: w - x[k], and w - x[k2] on slot k, exact
+while x[k] >= every x[v] and x[k2] >= every other x[v], ties included.
+Nodes with at most two incoming messages send the same whatever it is.  A
+candidate p repeats the wider nodes' argmax slots and the drift of a random
+linear fingerprint over two windows.  The proof steps one window from y
+with d = y - x(p steps earlier), carrying d through each step's linear
+part (y's selections on zero weights), and needs d and y + d back.  Then
+x(a + k*p + s) = y_s + k*d_s until a selection comparison a + k*b turns
+negative; per offset s the k with beliefs equal to the reference form an
+interval.  The run judges those iterations unvisited, jumps to the last
+whole window before the event or the horizon, and steps on, holding O(1)
+states plus two ints per stepped iteration since the last jump.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import random
+from array import array
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from operator import sub
+from itertools import chain, compress
+from operator import add, mul, sub
 from typing import Iterator, Optional
 
 from .core import HorizonExhausted, Instance, Matching, ParameterError, Side
@@ -42,6 +62,9 @@ from .core import HorizonExhausted, Instance, Matching, ParameterError, Side
 #: with none), the maximum (0 with none) and the largest other incoming
 #: message (None with none; a tied maximum repeats).
 Tops = tuple[list[int], list[int], list[Optional[int]]]
+
+#: Modulus of the regime fingerprints (a Mersenne prime).
+_PRIME = 2**61 - 1
 
 
 def _tops(rows: list[list[int]]) -> Tops:
@@ -232,26 +255,152 @@ def run_to_horizon(
         yield beliefs(inst, state)
 
 
+def _rays(conds, hi: int) -> tuple[int, int]:
+    """Bounds lo..hi of the k in 0..hi with a + k*b >= 0 for every (a, b)."""
+    lo = 0
+    for a, b in conds:
+        if b > 0:
+            lo = max(lo, -(a // b))
+        elif b < 0:
+            hi = min(hi, a // -b)
+        elif a < 0:
+            return 1, 0
+    return lo, hi
+
+
+class _Run:
+    """One ``convergence_time`` call: its verdict so far, and the fingerprints
+    and selection hashes since the last jump, where regimes are looked for."""
+
+    def __init__(self, inst: Instance, reference: Matching, horizon: int) -> None:
+        self.inst, self.horizon, n = inst, horizon, inst.n
+        left, right = sides = inst.adjacency()
+        ref_l, ref_r = reference.partner_of_left(), reference.partner_of_right()
+        self.want = (tuple(map(ref_l.get, range(n))), tuple(map(ref_r.get, range(n))))
+        rows = right.nbrs + left.nbrs  # the rows of to_right + to_left
+        try:  # each row's slot of its reference partner
+            self.slots = [nb.index(v) for nb, v in zip(rows, self.want[1] + self.want[0])]
+        except ValueError:  # an uncovered node or a non-edge: never encoded
+            self.slots = None
+        self.zero = [replace(s, w=[[0] * len(w) for w in s.w]) for s in sides]
+        self.wide = [len(nb) > 2 for nb in rows]
+        rng = random.Random(0)
+        self.coeffs = [rng.getrandbits(31) for _ in chain.from_iterable(rows)]
+        self.last_bad, self.any_good = 0, False
+        self.reset()
+
+    def reset(self) -> None:
+        self.fps, self.sels, self.next_scan = array("q"), array("q"), 0
+
+    def see(self, state: MessageState) -> None:
+        if state.iteration:
+            snap = beliefs(self.inst, state)
+            if (snap.left_belief, snap.right_belief) == self.want:
+                self.any_good = True
+            else:
+                self.last_bad = state.iteration
+        flat = chain.from_iterable(state.to_right + state.to_left)
+        self.fps.append(sum(map(mul, self.coeffs, flat)) % _PRIME)
+        ks = state.right_top[0] + state.left_top[0]
+        self.sels.append(hash(tuple(compress(ks, self.wide))))
+
+    def advance(self, state: MessageState) -> MessageState:
+        state = step(self.inst, state, normalize=False)
+        self.see(state)
+        return state
+
+    def period(self) -> int:
+        """Smallest p whose last two p-step windows repeat the selections and
+        the fingerprint drift; 0 if none or no scan is due (amortized O(1))."""
+        fps, sels, i = self.fps, self.sels, len(self.fps) - 1
+        if i < self.next_scan:
+            return 0
+        self.next_scan = i + 1 + i // 64
+        for p in range(1, i // 2 + 1):
+            drift = fps[i] - 2 * fps[i - p] + fps[i - 2 * p]
+            if drift % _PRIME == 0 and sels[i - 2 * p : i - p] == sels[i - p : i]:
+                return p
+        return 0
+
+    def window_step(self, y: MessageState, ds: list[list[int]], kmax: int):
+        """At y with drift ds: the drift a step on, the largest k <= kmax keeping
+        y's selections at y + k*ds, and the k where its beliefs are the reference's."""
+        rows = y.to_right + y.to_left
+        ks, bests, seconds = (r + l for r, l in zip(y.right_top, y.left_top))
+        k2s = [-1 if c is None else row.index(b, k + 1) if c == b else row.index(c)
+               for row, k, b, c in zip(rows, ks, bests, seconds)]
+        keeps = []  # x[k] and then x[k2] stay maxima; ties send the same
+        for row, dr, k, k2 in zip(rows, ds, ks, k2s):
+            if len(row) > 2:
+                pairs = [(k, k2)] + [(k2, v) for v in range(len(row)) if v not in (k, k2)]
+                keeps += [(row[u] - row[v], dr[u] - dr[v]) for u, v in pairs]
+        good = _rays(((row[q] - row[v] - 1, dr[q] - dr[v])
+                      for row, dr, q in zip(rows, ds, self.slots)
+                      for v in range(len(row)) if v != q), self.horizon)
+        # The linear part of the step: y's selections on zero weights.
+        best = [dr[k] if k >= 0 else 0 for dr, k in zip(ds, ks)]
+        second = [dr[k2] if k2 >= 0 else None for dr, k2 in zip(ds, k2s)]
+        n, (zl, zr) = len(y.to_right), self.zero
+        d_left = _send(zr, zl, (ks[:n], best[:n], second[:n]), 0, False)[0]
+        d_right = _send(zl, zr, (ks[n:], best[n:], second[n:]), 0, False)[0]
+        return d_right + d_left, _rays(keeps, kmax)[1], good
+
+    def regime(self, state: MessageState, p: int) -> MessageState:
+        """Steps two p-step windows; if they prove a regime, judges the beliefs
+        of its whole windows and jumps to the last that starts by the horizon."""
+        start = state.to_right + state.to_left
+        for _ in range(p):
+            state = self.advance(state)
+        a, y0 = state.iteration, state.to_right + state.to_left
+        d = ds = [list(map(sub, u, v)) for u, v in zip(y0, start)]
+        kmax, goods = self.horizon, []
+        for _ in range(p):
+            ds, kmax, good = self.window_step(state, ds, kmax)
+            goods.append(good)
+            state = self.advance(state)
+        k = min(kmax + 1, (self.horizon - a) // p)
+        y1 = [list(map(add, u, v)) for u, v in zip(y0, d)]
+        if ds != d or state.to_right + state.to_left != y1 or k < 2:
+            return state
+        for s, (lo, hi) in enumerate(goods):  # at a + j*p + s, j = 1..k-1
+            lo, hi = max(lo, 1), min(hi, k - 1)
+            self.any_good |= lo <= hi
+            bad = k - 1 if lo > hi or hi < k - 1 else lo - 1
+            self.last_bad = max(self.last_bad, a + bad * p + s if bad else 0)
+        n, rows = self.inst.n, [[u + k * v for u, v in zip(*rr)] for rr in zip(y0, d)]
+        state = MessageState(rows[:n], rows[n:], a + k * p, state.scale, state.sides)
+        self.reset()
+        self.see(state)
+        return state
+
+
 def convergence_time(inst: Instance, reference: Matching, horizon: int) -> int:
-    """Smallest T with beliefs(t) == reference for every T <= t <= horizon."""
+    """Smallest T with beliefs(t) == reference for every T <= t <= horizon.
+
+    The T, or ``HorizonExhausted``, of stepping every iteration, with proved
+    drift regimes jumped over (see the module docstring).
+    """
     if horizon < 1:
         raise ParameterError("horizon must be >= 1")
-    left, right = reference.partner_of_left(), reference.partner_of_right()
-    want = (tuple(map(left.get, range(inst.n))), tuple(map(right.get, range(inst.n))))
-    # A partial reference leaves None slots: no snapshot encodes it.
-    want = None if None in want[0] + want[1] else want
-    last_bad = 0
-    any_good = False
-    for snap in run_to_horizon(inst, horizon):
-        if (snap.left_belief, snap.right_belief) == want:
-            any_good = True
-        else:
-            last_bad = snap.iteration
-    if not any_good or last_bad == horizon:
-        raise HorizonExhausted(
-            f"beliefs do not settle on the reference within horizon={horizon}"
-        )
-    return last_bad + 1
+    state = init_messages(inst)
+    run = _Run(inst, reference, horizon)
+    if run.slots is not None:
+        run.see(state)
+        while state.iteration < horizon:
+            p = run.period()
+            if p and state.iteration + 2 * p <= horizon:
+                state = run.regime(state, p)
+            else:
+                state = run.advance(state)
+    if not run.any_good:
+        raise HorizonExhausted(f"no snapshot in t=1..{horizon} matches the reference")
+    if run.last_bad == horizon:
+        (left, right), snap = run.want, beliefs(inst, state)
+        nodes = [f"a{i + 1}" for i, b in enumerate(snap.left_belief) if b != left[i]]
+        nodes += [f"b{j + 1}" for j, b in enumerate(snap.right_belief) if b != right[j]]
+        raise HorizonExhausted(f"beliefs at t={horizon}, the horizon, differ from "
+                               f"the reference at {', '.join(nodes)}")
+    return run.last_bad + 1
 
 
 def certified_horizon(inst: Instance) -> int:

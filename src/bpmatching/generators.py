@@ -99,15 +99,16 @@ def select_primes(n: int, c: int) -> PrimeSelection:
     Availability is checked by an actual sieve of the interval rather than
     assumed from asymptotic counting bounds.
     """
-    from sympy import primerange
-
     if c < 1 or n < 1:
         raise ParameterError("n and c must be positive")
     lo = Fraction(n, 2 * c)
     hi = Fraction(n, c)
-    start = math.floor(lo) + 1
-    stop = math.ceil(hi)
-    primes = [p for p in primerange(start, stop) if lo < p < hi]
+    start, stop = max(2, math.floor(lo) + 1), math.ceil(hi)
+    composite = bytearray(max(0, stop - start))
+    for q in range(2, math.isqrt(stop - 1) + 1):
+        first = max(q * q, -(-start // q) * q)
+        composite[first - start :: q] = b"\1" * len(range(first, stop, q))
+    primes = [p for p in range(start, stop) if not composite[p - start] and lo < p < hi]
     if len(primes) < c:
         raise ParameterError(
             f"only {len(primes)} primes in ({lo}, {hi}); need {c}"

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,7 @@ from bpmatching.engine import (
     run_to_horizon,
     step,
 )
+from bpmatching.oracles import mwm_hungarian
 
 
 def small_cycle():
@@ -127,21 +129,29 @@ def test_convergence_time_exact():
 def test_convergence_time_horizon_exhausted():
     inst = generators.gen_cycle(generators.CycleParams(3, F(8), F(3, 5)))
     reference = generators.optimal_matching(inst)
-    with pytest.raises(HorizonExhausted):
+    # The beliefs match the reference at some t <= 10 but not at t = 10;
+    # the message names that iteration and the nodes that differ there.
+    assert reference_convergence_time(inst, reference, 10) is HorizonExhausted
+    snap, pairs = list(run_to_horizon(inst, 10))[-1], reference.pairs
+    differ = [f"a{i + 1}" for i, j in enumerate(snap.left_belief) if (i, j) not in pairs]
+    differ += [f"b{j + 1}" for j, i in enumerate(snap.right_belief)
+               if (i, j) not in pairs]
+    assert differ
+    with pytest.raises(HorizonExhausted, match=rf"t=10\b.* at {', '.join(differ)}$"):
         convergence_time(inst, reference, 10)
     # A wrong reference never settles either.
     wrong = Matching.of([(0, 1), (1, 0), (2, 2)])
-    with pytest.raises(HorizonExhausted):
+    with pytest.raises(HorizonExhausted, match="no snapshot in t=1..100"):
         convergence_time(inst, wrong, 100)
     # Nor does a partial reference, even one the beliefs agree with on the
     # nodes it covers from t=20 on.
     partial = Matching.of(reference.sorted_pairs()[:2])
-    with pytest.raises(HorizonExhausted):
+    with pytest.raises(HorizonExhausted, match="no snapshot"):
         convergence_time(inst, partial, 100)
     # On an all-tied K_{2,2} every belief stays Unresolved; the empty
     # reference leaves every node uncovered, and must not count as met.
     tied = Instance([[F(1), F(1)], [F(1), F(1)]])
-    with pytest.raises(HorizonExhausted):
+    with pytest.raises(HorizonExhausted, match="no snapshot"):
         convergence_time(tied, Matching.of([]), 20)
 
 
@@ -283,3 +293,159 @@ def test_step_and_beliefs_match_formula_reference(rows):
             assert snap.right_belief == tuple(
                 reference_belief([ref_right[i][j] for i in range(n)]) for j in range(n)
             )
+
+
+# -- convergence_time against the loop that steps every iteration --
+
+
+def reference_convergence_time(inst, reference, horizon):
+    """Smallest T with beliefs(t) == reference for T <= t <= horizon, by
+    stepping every iteration; ``HorizonExhausted`` (the class) when there is
+    no good snapshot or the one at the horizon is bad."""
+    left, right = reference.partner_of_left(), reference.partner_of_right()
+    want = (tuple(map(left.get, range(inst.n))), tuple(map(right.get, range(inst.n))))
+    # A partial reference leaves None slots: no snapshot encodes it.
+    want = None if None in want[0] + want[1] else want
+    last_bad, any_good = 0, False
+    for snap in run_to_horizon(inst, horizon):
+        if (snap.left_belief, snap.right_belief) == want:
+            any_good = True
+        else:
+            last_bad = snap.iteration
+    if not any_good or last_bad == horizon:
+        return HorizonExhausted
+    return last_bad + 1
+
+
+def checked_jumps(inst, reference, horizon):
+    """``convergence_time`` (``HorizonExhausted``, the class, if it raises)
+    and its jumps as (landing iteration, period).  Every regime attempt
+    must leave exactly the messages that stepping every iteration without
+    normalization reaches."""
+    from bpmatching import engine
+
+    regime, jumps = engine._Run.regime, []
+
+    def spy(run, state, p):
+        start = state.iteration
+        out = regime(run, state, p)
+        stepped = init_messages(inst)
+        for _ in range(out.iteration):
+            stepped = step(inst, stepped, normalize=False)
+        assert (out.to_right, out.to_left) == (stepped.to_right, stepped.to_left)
+        if out.iteration > start + 2 * p:
+            jumps.append((out.iteration, p))
+        return out
+
+    with mock.patch.object(engine._Run, "regime", spy):
+        try:
+            return convergence_time(inst, reference, horizon), jumps
+        except HorizonExhausted:
+            return HorizonExhausted, jumps
+
+
+def fractions(rows):
+    return [[None if w is None else F(w) for w in row] for row in rows]
+
+
+#: Inputs on which a proved regime ends before the horizon (its first
+#: jump stops more than a window short of it) and stepping resumes, with
+#: the reference and the horizon.
+REGIME_ENDS = [
+    (
+        fractions([[7, F(-7, 3), F(5, 2), 12], [-5, 0, F(-1, 3), -16],
+                   [F(-9, 2), 2, 20, F(5, 3)], [F(13, 2), F(-17, 2), F(-15, 2), -7]]),
+        [(0, 3), (1, 1), (2, 2), (3, 0)],
+        300,
+    ),
+    (
+        fractions([[13, F(7, 2), F(-11, 3), F(5, 3)], [F(-11, 4), F(19, 2), -10, 1],
+                   [3, 7, F(17, 4), F(-11, 2)], [F(10, 3), F(16, 3), F(7, 3), -14]]),
+        [(0, 0), (1, 3), (2, 2), (3, 1)],
+        300,
+    ),
+    (
+        fractions([[9, 9, 6, None], [None, None, None, 12],
+                   [6, None, None, -6], [-6, 11, 10, None]]),
+        [(0, 1), (1, 3), (2, 0), (3, 2)],
+        300,
+    ),
+    (
+        fractions([[None, 3, 4], [None, None, -3], [3, 12, 12]]),
+        [(0, 1), (1, 2), (2, 0)],
+        300,
+    ),
+]
+
+
+def test_regime_ends_before_horizon():
+    # The event path: the first jump on each input stops at least a window
+    # short of the horizon, so a selection flips inside the ordinary
+    # engine; the states it lands on and T are still the stepped ones.
+    for rows, pairs, horizon in REGIME_ENDS:
+        inst, reference = Instance(rows), Matching.of(pairs)
+        t, jumps = checked_jumps(inst, reference, horizon)
+        assert t == reference_convergence_time(inst, reference, horizon)
+        assert jumps and jumps[0][0] + jumps[0][1] <= horizon
+
+
+@st.composite
+def convergence_cases(draw):
+    """Weights, a reference (the optimum or any permutation) and a horizon."""
+    rows = draw(weight_tables())
+    pairs = list(enumerate(draw(st.permutations(range(len(rows))))))
+    if draw(st.booleans()):
+        try:
+            pairs = mwm_hungarian(Instance(rows))[0].sorted_pairs()
+        except ParameterError:  # no perfect matching on the present edges
+            pass
+    return rows, pairs, draw(st.sampled_from([1, 2, 7, 40, 150, 300]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(convergence_cases())
+@example(REGIME_ENDS[0])
+@example(REGIME_ENDS[1])
+@example(REGIME_ENDS[2])
+@example(REGIME_ENDS[3])
+# A candidate whose state comes back as y + d while the drift carried
+# through the window does not come back as d: no regime, no jump.
+@example(([[F(-3), F(4), F(3)], [F(4), None, None], [F(-4), F(1), F(-1)]],
+          [(0, 2), (1, 0), (2, 1)], 40))
+# And one whose carried drift comes back as d while the state does not
+# come back as y + d.
+@example(([[F(-2), F(4), F(0)], [F(-1), F(4), None], [F(-1), None, F(6)]],
+          [(0, 1), (1, 0), (2, 2)], 40))
+# alpha_1 and beta_1 have degree 0, so no snapshot can encode the reference.
+@example(([[None, None, None], [None, F(2), F(-1)], [None, F(5), None]],
+          [(0, 0), (1, 1), (2, 2)], 40))
+# All tied: every belief stays Unresolved.
+@example(([[F(1), F(1)], [F(1), F(1)]], [(0, 0), (1, 1)], 40))
+def test_convergence_time_matches_stepping(case):
+    rows, pairs, horizon = case
+    inst, reference = Instance(rows), Matching.of(pairs)
+    t, _ = checked_jumps(inst, reference, horizon)
+    assert t == reference_convergence_time(inst, reference, horizon)
+
+
+@pytest.mark.parametrize("n", [3, 12])
+def test_bare_cycle_time_law_far_past_the_cap(n, monkeypatch):
+    # T = n*w_max/(2*eps) + 2 on the bare heavy cycle, at a certified
+    # horizon of 4.8e7 or more, in under 200 steps.
+    from bpmatching import engine
+
+    eps = F(1, 10**6)
+    inst = generators.gen_cycle(generators.CycleParams(n, F(8), eps))
+    horizon = certified_horizon(inst)
+    assert horizon >= 48 * 10**6
+    calls = []
+    real = engine.step
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "step", spy)
+    t = convergence_time(inst, generators.optimal_matching(inst), horizon)
+    assert t == n * F(8) / (2 * eps) + 2
+    assert len(calls) < 200

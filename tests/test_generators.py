@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from sympy import primepi
+from sympy import primepi, primerange
 
 from bpmatching import generators
 from bpmatching.core import ParameterError, matching_weight
@@ -76,6 +76,24 @@ def test_select_primes_open_interval_and_shortage():
         select_primes(9, 3)
     with pytest.raises(ParameterError):
         select_primes(0, 1)
+
+
+def test_select_primes_matches_sympy():
+    # The sieve against sympy's primes, shortages (ParameterError) included.
+    shortages = 0
+    for n in range(1, 300):
+        for c in range(1, 7):
+            lo, hi = F(n, 2 * c), F(n, c)
+            want = [p for p in primerange(1, n + 1) if lo < p < hi]
+            if len(want) < c:
+                shortages += 1
+                with pytest.raises(ParameterError):
+                    select_primes(n, c)
+            else:
+                sel = select_primes(n, c)
+                assert sel.primes == tuple(want[:c])
+                assert sel.interval == (lo, hi)
+    assert shortages
 
 
 def test_pi_bounds_bracket_true_counts():
