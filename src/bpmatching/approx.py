@@ -1,11 +1,20 @@
 """Completion of partial BP matchings via the conflict graph.
 
-Uncovered nodes and single-sided beliefs form a bipartite conflict graph in
-which every connected component has at most one cycle (each node believes
-in at most one edge).  Cyclic components are resolved by branching on one
-cycle edge being in or out of the matching; both residual forests are
-solved exactly by tree dynamic programming.  Nodes still unmatched
-afterwards are paired greedily in ascending index order.
+The conflict graph joins the uncovered nodes by the edges that exactly one
+uncovered endpoint believes in: an edge both endpoints believe in is
+mutual, hence covered.  Each node thus has at most one out-pointer, its
+belief, and the graph is functional.  Following pointers from a node
+either ends at a node without one, and the component is a tree, or enters
+the component's single cycle.  Cyclic components are resolved by
+branching on their lexicographically smallest cycle edge being in or out
+of the matching; both residual forests are solved exactly by tree dynamic
+programming.  Nodes still unmatched afterwards are paired greedily in
+ascending index order.
+
+Graph nodes carry the ids of the instance graph view: alpha_i is i and
+beta_j is n + j.  The dynamic programming runs on the integer numerators of
+``Instance.scaled_weights()``; ``Fraction`` appears only in the
+``BranchRecord`` weights and the approximation ratio.
 """
 
 from __future__ import annotations
@@ -46,6 +55,33 @@ class CompletionResult:
     greedy_pairs: tuple[tuple[int, int], ...]
 
 
+def _pointers(snap: BeliefSnapshot, partial: PartialBpMatching) -> list[int]:
+    """Out-pointer of every graph node in the conflict graph, -1 for none."""
+    n = len(snap.left_belief)
+    unc_left, unc_right = set(partial.uncovered_left), set(partial.uncovered_right)
+    ptr = [-1] * (2 * n)
+    for i in partial.uncovered_left:
+        j = snap.left_belief[i]
+        if j in unc_right:
+            ptr[i] = n + j
+    for j in partial.uncovered_right:
+        i = snap.right_belief[j]
+        if i in unc_left:
+            ptr[n + j] = i
+    return ptr
+
+
+def _edge(u: int, v: int, n: int) -> tuple[int, int]:
+    """(left index, right index) of the graph edge between ids u and v."""
+    return (u, v - n) if u < n else (v, u - n)
+
+
+def _edges(ptr: list[int]) -> list[tuple[int, int]]:
+    """The conflict edges, one per pointer, sorted."""
+    n = len(ptr) // 2
+    return sorted(_edge(u, v, n) for u, v in enumerate(ptr) if v >= 0)
+
+
 def build_conflict_graph(inst: Instance, snap: BeliefSnapshot) -> ConflictGraph:
     """Conflict graph of a belief snapshot.
 
@@ -53,53 +89,74 @@ def build_conflict_graph(inst: Instance, snap: BeliefSnapshot) -> ConflictGraph:
     endpoint is covered by the partial BP matching is dropped.
     """
     partial = partial_bp_matching(snap)
-    unc_left = set(partial.uncovered_left)
-    unc_right = set(partial.uncovered_right)
-    edges = set()
-    for i in unc_left:
-        j = snap.left_belief[i]
-        if j is not None and j in unc_right:
-            edges.add((i, j))
-    for j in unc_right:
-        i = snap.right_belief[j]
-        if i is not None and i in unc_left:
-            edges.add((i, j))
     return ConflictGraph(
         left_nodes=partial.uncovered_left,
         right_nodes=partial.uncovered_right,
-        edges=tuple(sorted(edges)),
+        edges=tuple(_edges(_pointers(snap, partial))),
     )
 
 
+def _components(ptr: list[int]) -> tuple[list[int], list[Optional[tuple[int, int]]]]:
+    """Component label of every graph node (-1 off every edge) and, per
+    label, the smallest edge of the component's cycle (None for a tree).
+
+    Each walk follows pointers until it meets a labelled node, runs out of
+    pointers (a tree's root) or meets its own path (the cycle); O(nodes).
+    """
+    n, on_path = len(ptr) // 2, -2
+    label = [-1] * len(ptr)
+    cycle_edge: list[Optional[tuple[int, int]]] = []
+    for start, nxt in enumerate(ptr):
+        if nxt < 0 or label[start] != -1:
+            continue
+        path, u = [], start
+        while u >= 0 and label[u] == -1:
+            label[u] = on_path
+            path.append(u)
+            u = ptr[u]
+        if u >= 0 and label[u] != on_path:
+            comp = label[u]
+        else:
+            comp = len(cycle_edge)
+            ring = path[path.index(u):] if u >= 0 else []
+            cycle_edge.append(min((_edge(v, ptr[v], n) for v in ring), default=None))
+        for v in path:
+            label[v] = comp
+    return label, cycle_edge
+
+
 def forest_mwm(
-    edges: Sequence[tuple[Hashable, Hashable, Fraction]],
-) -> tuple[Fraction, list[tuple[Hashable, Hashable]]]:
+    edges: Sequence[tuple[Hashable, Hashable, object]],
+) -> tuple[object, list[tuple[Hashable, Hashable]]]:
     """Maximum weight matching of a weighted forest (nodes optional).
 
-    Negative edges are only taken when they improve the total, which on a
-    forest with optional coverage means never.  Raises on cyclic input.
+    The weights may be any exactly ordered numbers (ints, ``Fraction``s);
+    the total is their sum, 0 for no edge.  Negative edges are only taken
+    when they improve the total, which on a forest with optional coverage
+    means never.  Raises on self-loops and on cyclic input, parallel edges
+    included.
     """
-    adj: dict[Hashable, list[tuple[Hashable, Fraction]]] = {}
+    adj: dict[Hashable, list[tuple[Hashable, object]]] = {}
     for u, v, w in edges:
         if u == v:
             raise ParameterError("self-loop in forest input")
-        adj.setdefault(u, []).append((v, Fraction(w)))
-        adj.setdefault(v, []).append((u, Fraction(w)))
-    if _has_cycle(adj):
-        raise ParameterError("cycle detected in forest input")
+        adj.setdefault(u, []).append((v, w))
+        adj.setdefault(v, []).append((u, w))
 
-    zero = Fraction(0)
-    total = zero
+    total = 0
     chosen: list[tuple[Hashable, Hashable]] = []
     visited: set[Hashable] = set()
     for root in adj:
         if root in visited:
             continue
-        # Iterative post-order over the tree containing root.
+        # Iterative pre-order over the tree containing root; a node reached
+        # twice closes a cycle.
         order: list[tuple[Hashable, Optional[Hashable]]] = []
         stack: list[tuple[Hashable, Optional[Hashable]]] = [(root, None)]
         while stack:
             u, p = stack.pop()
+            if u in visited:
+                raise ParameterError("cycle detected in forest input")
             visited.add(u)
             order.append((u, p))
             for v, _ in adj[u]:
@@ -107,109 +164,28 @@ def forest_mwm(
                     stack.append((v, u))
         # free[u]: best weight of u's subtree with u unmatched.
         # best[u]: best weight of u's subtree (u free or matched to a child).
-        free: dict[Hashable, Fraction] = {}
-        best: dict[Hashable, Fraction] = {}
-        pick: dict[Hashable, Optional[tuple[Hashable, Fraction]]] = {}
+        free: dict[Hashable, object] = {}
+        best: dict[Hashable, object] = {}
+        pick: dict[Hashable, Optional[Hashable]] = {}
         for u, p in reversed(order):
             kids = [(v, w) for v, w in adj[u] if v != p]
-            f = sum((best[v] for v, _ in kids), start=zero)
-            free[u] = f
-            best[u] = f
+            f = sum(best[v] for v, _ in kids)
+            free[u] = best[u] = f
             pick[u] = None
             for v, w in kids:
                 cand = f - best[v] + free[v] + w
                 if cand > best[u]:
                     best[u] = cand
-                    pick[u] = (v, w)
+                    pick[u] = v
         total += best[root]
-        # Top-down reconstruction.
-        state: dict[Hashable, bool] = {root: True}  # True: use best, False: forced free
-        for u, p in order:
-            use_best = state.get(u, True)
-            choice = pick[u] if use_best else None
-            if choice is not None:
-                chosen.append((u, choice[0]))
-            for v, _ in adj[u]:
-                if v == p:
-                    continue
-                state[v] = not (choice is not None and choice[0] == v)
+        # Top-down reconstruction: a node matched to its parent is free.
+        forced_free: set[Hashable] = set()
+        for u, _ in order:
+            v = None if u in forced_free else pick[u]
+            if v is not None:
+                chosen.append((u, v))
+                forced_free.add(v)
     return total, chosen
-
-
-def _has_cycle(adj: dict[Hashable, list[tuple[Hashable, Fraction]]]) -> bool:
-    parent_of: dict[Hashable, Hashable] = {}
-
-    def find(x: Hashable) -> Hashable:
-        while parent_of.get(x, x) != x:
-            parent_of[x] = parent_of.get(parent_of[x], parent_of[x])
-            x = parent_of[x]
-        return x
-
-    seen_pairs = set()
-    for u in adj:
-        for v, _ in adj[u]:
-            key = frozenset((u, v))
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return True
-            parent_of.setdefault(ru, ru)
-            parent_of[ru] = rv
-    return False
-
-
-def _components(
-    nodes: set[tuple[str, int]],
-    edges: Sequence[tuple[int, int]],
-) -> list[tuple[set[tuple[str, int]], list[tuple[int, int]]]]:
-    adj: dict[tuple[str, int], list[tuple[str, int]]] = {u: [] for u in nodes}
-    for i, j in edges:
-        adj[("L", i)].append(("R", j))
-        adj[("R", j)].append(("L", i))
-    seen: set[tuple[str, int]] = set()
-    comps = []
-    for start in sorted(nodes):
-        if start in seen:
-            continue
-        comp = set()
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            comp.add(u)
-            stack.extend(adj[u])
-        comp_edges = [
-            (i, j) for i, j in edges if ("L", i) in comp
-        ]
-        comps.append((comp, comp_edges))
-    return comps
-
-
-def _cycle_edges(
-    comp: set[tuple[str, int]], comp_edges: list[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """The unique cycle of a pseudoforest component ([] when acyclic)."""
-    degree: dict[tuple[str, int], int] = {u: 0 for u in comp}
-    live = set(comp_edges)
-    for i, j in live:
-        degree[("L", i)] += 1
-        degree[("R", j)] += 1
-    # Peel leaves until only the cycle (or nothing) remains.
-    changed = True
-    while changed:
-        changed = False
-        for e in sorted(live):
-            i, j = e
-            if degree[("L", i)] == 1 or degree[("R", j)] == 1:
-                live.discard(e)
-                degree[("L", i)] -= 1
-                degree[("R", j)] -= 1
-                changed = True
-    return sorted(live)
 
 
 def complete(inst: Instance, snap: BeliefSnapshot) -> CompletionResult:
@@ -219,51 +195,46 @@ def complete(inst: Instance, snap: BeliefSnapshot) -> CompletionResult:
     smallest cycle edge; the branch with the larger committed weight wins.
     Leftover nodes are paired greedily in ascending index order.
     """
+    n, rows, scale = inst.n, inst.scaled_weights(), inst.scale
     partial = partial_bp_matching(snap)
-    cg = build_conflict_graph(inst, snap)
+    ptr = _pointers(snap, partial)
+    edges = _edges(ptr)
+    label, cycle_edge = _components(ptr)
     pairs: set[tuple[int, int]] = set(partial.pairs.pairs)
     records: list[BranchRecord] = []
 
-    nodes = {("L", i) for i in cg.left_nodes} | {("R", j) for j in cg.right_nodes}
-    for comp, comp_edges in _components(nodes, cg.edges):
-        if not comp_edges:
-            continue
-        weighted = [(("L", i), ("R", j), inst.weight(i, j)) for i, j in comp_edges]
-        cyc = _cycle_edges(comp, comp_edges)
-        if cyc:
-            e = cyc[0]
+    # Sorted edges bucketed by component: components come in the order of
+    # their smallest left node, each with its edges sorted.
+    comps: dict[int, list[tuple[int, int, int]]] = {}
+    for i, j in edges:
+        w = rows[i][j]
+        if w is None:
+            raise MissingEdgeError(f"edge ({i},{j}) is absent")
+        comps.setdefault(label[i], []).append((i, n + j, w))
+    for comp, weighted in comps.items():
+        e = cycle_edge[comp]
+        if e is None:
+            _, committed = forest_mwm(weighted)
+        else:
             ei, ej = e
-            w_e = inst.weight(ei, ej)
-            case_a = [
-                (u, v, w)
-                for (u, v, w), raw in zip(weighted, comp_edges)
-                if raw[0] != ei and raw[1] != ej
-            ]
-            case_b = [
-                (u, v, w)
-                for (u, v, w), raw in zip(weighted, comp_edges)
-                if raw != e
-            ]
-            weight_a, matched_a = forest_mwm(case_a)
-            weight_b, matched_b = forest_mwm(case_b)
+            w_e = rows[ei][ej]
+            weight_a, matched_a = forest_mwm(
+                [x for x in weighted if x[0] != ei and x[1] != n + ej])
+            weight_b, matched_b = forest_mwm(
+                [x for x in weighted if x[:2] != (ei, n + ej)])
             chose_edge = weight_a + w_e > weight_b
             committed = matched_a if chose_edge else matched_b
             records.append(
                 BranchRecord(
                     cycle_edge=e,
-                    weight_with_edge=weight_a + w_e,
-                    weight_without_edge=weight_b,
+                    weight_with_edge=Fraction(weight_a + w_e, scale),
+                    weight_without_edge=Fraction(weight_b, scale),
                     chose_edge=chose_edge,
                 )
             )
             if chose_edge:
                 pairs.add(e)
-        else:
-            _, committed = forest_mwm(weighted)
-        for u, v in committed:
-            (i,) = [x[1] for x in (u, v) if x[0] == "L"]
-            (j,) = [x[1] for x in (u, v) if x[0] == "R"]
-            pairs.add((i, j))
+        pairs.update(_edge(u, v, n) for u, v in committed)
 
     covered_left = {i for i, _ in pairs}
     covered_right = {j for _, j in pairs}
@@ -271,14 +242,14 @@ def complete(inst: Instance, snap: BeliefSnapshot) -> CompletionResult:
     # Pair leftovers joined by a conflict edge first (the tree stage may
     # skip a negative believed edge); afterwards no conflict edge joins
     # the two remaining leftover sets.
-    for i, j in cg.edges:
+    for i, j in edges:
         if i not in covered_left and j not in covered_right:
             greedy.append((i, j))
             pairs.add((i, j))
             covered_left.add(i)
             covered_right.add(j)
-    leftover_left = sorted(i for i in range(inst.n) if i not in covered_left)
-    leftover_right = sorted(j for j in range(inst.n) if j not in covered_right)
+    leftover_left = sorted(i for i in range(n) if i not in covered_left)
+    leftover_right = sorted(j for j in range(n) if j not in covered_right)
     for i, j in zip(leftover_left, leftover_right):
         if not inst.has_edge(i, j):
             raise MissingEdgeError(

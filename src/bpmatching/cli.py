@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .core import (
     HorizonExhausted,
@@ -37,6 +37,17 @@ TRACE_HEADER = [
     "is_reference",
     "completion_ratio_num",
     "completion_ratio_den",
+]
+
+APPROX_HEADER = [
+    "instance",
+    "t",
+    "pairs",
+    "unresolved",
+    "in_window",
+    "failed_cycles",
+    "ratio_num",
+    "ratio_den",
 ]
 
 
@@ -82,39 +93,68 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Distinct belief snapshots whose rows ``_trace_rows`` keeps at a time; a
+#: belief sequence that cycles through more only costs recomputation.
+_ROW_CACHE = 4096
+
+
+def _trace_rows(
+    inst: Instance, horizon: int, opt_weight: Optional[Fraction]
+) -> Iterator[tuple[int, tuple]]:
+    """(t, row) for t = 1..horizon, where row holds what the beliefs at t
+    determine: mutual pairs, unresolved nodes, is_reference, cycles of
+    ``meta`` that the partial BP matching leaves imperfect, and the
+    completion ratio's numerator and denominator ("" without ``opt_weight``).
+
+    Each distinct snapshot is evaluated once and its row reused.
+    """
+    n, reference = inst.n, _reference_matching(inst)
+    ref_l, ref_r = reference.partner_of_left(), reference.partner_of_right()
+    want = (tuple(map(ref_l.get, range(n))), tuple(map(ref_r.get, range(n))))
+    if not reference.is_perfect(n):
+        want = None
+    cycles = [(c["offset"], c["offset"] + c["half_length"])
+              for c in (inst.meta or {}).get("cycles", ())]
+    seen: dict[tuple, tuple] = {}
+    for snap in engine.run_to_horizon(inst, horizon):
+        key = (snap.left_belief, snap.right_belief)
+        row = seen.get(key)
+        if row is None:
+            pairs = partial_bp_matching(snap).pairs.pairs
+            failed = sum(
+                sum(lo <= i < hi and lo <= j < hi for i, j in pairs) < hi - lo
+                for lo, hi in cycles
+            )
+            num = den = ""
+            if opt_weight is not None:
+                ratio = approximation_ratio(inst, complete(inst, snap), opt_weight)
+                num, den = ratio.numerator, ratio.denominator
+            if len(seen) == _ROW_CACHE:
+                seen.clear()
+            row = seen[key] = (
+                len(pairs), key[0].count(None) + key[1].count(None),
+                int(key == want), failed, num, den,
+            )
+        yield snap.iteration, row
+
+
 def _write_trace(
     inst: Instance,
     horizon: int,
     out,
     with_ratio: bool,
 ) -> None:
-    reference = _reference_matching(inst)
-    ratio_den: Optional[Fraction] = None
+    opt_weight: Optional[Fraction] = None
     if with_ratio:
         _, opt_weight = oracles.mwm_hungarian(inst)
         if opt_weight <= 0:
             raise ParameterError("approximation ratios need a positive optimum")
     writer = csv.writer(out)
     writer.writerow(TRACE_HEADER)
-    for snap in engine.run_to_horizon(inst, horizon):
-        partial = partial_bp_matching(snap)
-        unresolved = sum(1 for b in snap.left_belief if b is None) + sum(
-            1 for b in snap.right_belief if b is None
-        )
-        num = den = ""
-        if with_ratio:
-            ratio = approximation_ratio(inst, complete(inst, snap), opt_weight)
-            num, den = str(ratio.numerator), str(ratio.denominator)
-        writer.writerow(
-            [
-                snap.iteration,
-                len(partial.pairs),
-                unresolved,
-                int(snap.encodes(reference)),
-                num,
-                den,
-            ]
-        )
+    for t, (pairs, unresolved, is_reference, _, num, den) in _trace_rows(
+        inst, horizon, opt_weight
+    ):
+        writer.writerow([t, pairs, unresolved, is_reference, num, den])
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -205,21 +245,6 @@ def cmd_exp_convergence(args: argparse.Namespace) -> int:
     return 0 if not failures else 3
 
 
-def _failed_cycles(inst: Instance, snap) -> int:
-    """Cycles whose restriction of the partial BP matching is not perfect."""
-    partial = partial_bp_matching(snap)
-    pairs = partial.pairs.pairs
-    failed = 0
-    for cyc in (inst.meta or {}).get("cycles", ()):
-        off, half = cyc["offset"], cyc["half_length"]
-        covered = {
-            i for i, j in pairs if off <= i < off + half and off <= j < off + half
-        }
-        if len(covered) < half:
-            failed += 1
-    return failed
-
-
 def cmd_exp_approx(args: argparse.Namespace) -> int:
     """Completion-ratio curve on a multi-cycle instance."""
     w_max = parse_rational(args.wmax)
@@ -228,32 +253,20 @@ def cmd_exp_approx(args: argparse.Namespace) -> int:
     meta = inst.meta or {}
     c = meta["c"]
     window = generators.failure_window(args.n, c, w_max, eps)
+    horizon = _horizon(inst, int(window) if args.iters is None else args.iters)
     _, opt_weight = oracles.mwm_hungarian(inst)
-    horizon = args.iters if args.iters else int(window)
     digest = inst.content_hash()[:16]
-    rows = []
-    for snap in engine.run_to_horizon(inst, horizon):
-        partial = partial_bp_matching(snap)
-        unresolved = sum(1 for b in snap.left_belief if b is None) + sum(
-            1 for b in snap.right_belief if b is None
-        )
-        ratio = approximation_ratio(inst, complete(inst, snap), opt_weight)
-        rows.append(
-            {
-                "instance": digest,
-                "t": snap.iteration,
-                "pairs": len(partial.pairs),
-                "unresolved": unresolved,
-                "in_window": int(snap.iteration <= window),
-                "failed_cycles": _failed_cycles(inst, snap),
-                "ratio_num": ratio.numerator,
-                "ratio_den": ratio.denominator,
-            }
-        )
+    count = 0
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(APPROX_HEADER)
+        for t, (pairs, unresolved, _, failed, num, den) in _trace_rows(
+            inst, horizon, opt_weight
+        ):
+            writer.writerow(
+                [digest, t, pairs, unresolved, int(t <= window), failed, num, den]
+            )
+            count += 1
     if args.manifest:
         _manifest(
             args.manifest,
@@ -268,7 +281,7 @@ def cmd_exp_approx(args: argparse.Namespace) -> int:
             [inst],
             {"window": format_rational(window), "opt_weight": format_rational(opt_weight)},
         )
-    print(f"{len(rows)} iterations written to {args.output}")
+    print(f"{count} iterations written to {args.output}")
     return 0
 
 

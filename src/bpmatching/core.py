@@ -199,20 +199,6 @@ class Instance:
     def node_count(self) -> int:
         return 2 * self.n
 
-    def node_neighbors(self, u: int) -> list[tuple[int, Fraction]]:
-        """Neighbors of graph node ``u`` with edge weights."""
-        n = self.n
-        if u < n:
-            return [
-                (n + j, w) for j, w in enumerate(self.weights[u]) if w is not None
-            ]
-        j = u - n
-        return [
-            (i, self.weights[i][j])
-            for i in range(n)
-            if self.weights[i][j] is not None
-        ]
-
     # -- serialization --
 
     def to_json(self) -> str:
@@ -255,8 +241,16 @@ class Instance:
 
 
 def matching_weight(inst: Instance, m: Matching) -> Fraction:
-    """Exact total weight of the matching's edges in the instance."""
-    return sum((inst.weight(i, j) for i, j in m.pairs), start=Fraction(0))
+    """Exact total weight of the matching's edges in the instance.
+
+    Sums the scaled integer weights; an out-of-range or absent edge raises
+    as in ``Instance.weight``.
+    """
+    rows = inst.scaled_weights()
+    for i, j in m.pairs:
+        if not inst.has_edge(i, j):
+            inst.weight(i, j)  # raises ParameterError or MissingEdgeError
+    return Fraction(sum(rows[i][j] for i, j in m.pairs), inst.scale)
 
 
 def relabel(inst: Instance, left_perm: list[int], right_perm: list[int]) -> Instance:

@@ -116,16 +116,6 @@ def select_primes(n: int, c: int) -> PrimeSelection:
     return PrimeSelection(n=n, c=c, primes=tuple(primes[:c]), interval=(lo, hi))
 
 
-def pi_bounds(n: int) -> tuple[Fraction, Fraction]:
-    """Dusart's bracketing of the prime-counting function for n >= 599."""
-    if n < 599:
-        raise ParameterError("the bounds require n >= 599")
-    log_n = math.log(n)
-    lower = (n / log_n) * (1 + 1 / log_n)
-    upper = (n / log_n) * (1 + 1.2762 / log_n)
-    return Fraction(lower), Fraction(upper)
-
-
 def default_cycle_count(n: int) -> int:
     """floor((1/2) * sqrt(n / log n))."""
     if n < 3:
@@ -207,15 +197,6 @@ def failure_window(n: int, c: int, w_max: Fraction, eps: Fraction) -> Fraction:
     while m * m * power.denominator > power.numerator:
         m -= 1
     return min(w_max / (8 * c * eps), Fraction(m))
-
-
-def shift_weights(inst: Instance, delta: Fraction) -> Instance:
-    """All present weights increased by delta; arg-max matching unchanged."""
-    delta = Fraction(delta)
-    rows = [
-        [None if w is None else w + delta for w in row] for row in inst.weights
-    ]
-    return Instance(rows, meta=inst.meta)
 
 
 def optimal_matching(inst: Instance) -> Matching:

@@ -150,15 +150,6 @@ def oracle_belief(
     return other - n if other >= n else other
 
 
-def tail_decompose(n: int, t: int) -> tuple[int, int]:
-    """Split t = k*n + l with 0 <= l <= n-1 (cycle copies plus tail)."""
-    if t < 0:
-        raise ParameterError("t must be >= 0")
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    return divmod(t, n)
-
-
 def nibbling_delta(n: int, w_max: Fraction, eps: Fraction, l: int) -> Fraction:
     """Suboptimal advantage of a heavy tail of half-length l.
 

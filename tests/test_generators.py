@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from sympy import primepi, primerange
+from sympy import primerange
 
 from bpmatching import generators
 from bpmatching.core import ParameterError, matching_weight
@@ -14,9 +14,7 @@ from bpmatching.generators import (
     gen_cycle,
     gen_multicycle,
     optimal_matching,
-    pi_bounds,
     select_primes,
-    shift_weights,
     suboptimal_matching,
 )
 from bpmatching.oracles import mwm_hungarian
@@ -96,15 +94,6 @@ def test_select_primes_matches_sympy():
     assert shortages
 
 
-def test_pi_bounds_bracket_true_counts():
-    for n in (599, 1000, 10**4):
-        lower, upper = pi_bounds(n)
-        true_count = int(primepi(n))
-        assert lower <= true_count <= upper
-    with pytest.raises(ParameterError):
-        pi_bounds(598)
-
-
 def test_default_cycle_count():
     assert default_cycle_count(16) == 1
     assert default_cycle_count(400) == 4
@@ -152,16 +141,6 @@ def test_failure_window_values():
     assert failure_window(30, 2, F(8), F(1, 10**6)) == 7
     with pytest.raises(ParameterError):
         failure_window(16, 2, F(8), F(0))
-
-
-def test_shift_weights_preserves_argmax():
-    inst = gen_cycle(CycleParams(3, F(8), F(1, 2)), embed=True)
-    shifted = shift_weights(inst, F(100))
-    m1, w1 = mwm_hungarian(inst)
-    m2, w2 = mwm_hungarian(shifted)
-    assert m1.pairs == m2.pairs
-    assert w2 == w1 + 3 * 100
-    assert shifted.weights[0][1] == inst.weights[0][1] + 100
 
 
 def test_matching_helpers_require_metadata():

@@ -17,9 +17,9 @@ from bpmatching.trees import (
     max_t_matching,
     nibbling_delta,
     oracle_belief,
-    tail_decompose,
     unroll,
 )
+from reference import node_neighbors
 
 
 def test_unroll_shapes_on_dense_graph():
@@ -97,18 +97,6 @@ def test_oracle_agrees_with_engine_on_random_instances():
                 assert snap.right_belief[j] == (None if expect is TIE else expect)
 
 
-def test_tail_decompose():
-    # (n, t) -> (k, l) with t = k*n + l and 0 <= l < n.
-    assert tail_decompose(3, 25) == (8, 1)
-    assert tail_decompose(5, 0) == (0, 0)
-    assert tail_decompose(7, 7) == (1, 0)
-    assert tail_decompose(5, 13) == (2, 3)
-    with pytest.raises(ParameterError):
-        tail_decompose(3, -1)
-    with pytest.raises(ParameterError):
-        tail_decompose(0, 3)
-
-
 def test_nibbling_delta_values():
     # n=3, w_max=8: the 2-edge tail advantage is the half heavy weight.
     assert nibbling_delta(3, F(8), F(1, 2), 1) == F(4)
@@ -178,7 +166,7 @@ def reference_unroll(inst, v, t):
         nxt = []
         for k in frontier:
             p_label = labels[parent[k]] if parent[k] >= 0 else -1
-            for nb, _ in inst.node_neighbors(labels[k]):
+            for nb, _ in node_neighbors(inst, labels[k]):
                 if nb != p_label:
                     labels.append(nb)
                     parent.append(k)
@@ -281,7 +269,7 @@ def test_engine_matches_tree_oracle_on_sparse_and_tied(rows):
     for snap in run_to_horizon(inst, 5):
         engine_row = snap.left_belief + snap.right_belief
         for v in range(2 * n):
-            if not inst.node_neighbors(v):
+            if not node_neighbors(inst, v):
                 assert engine_row[v] is None
                 continue
             expect = oracle_belief(inst, v, snap.iteration)
