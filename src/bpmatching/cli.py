@@ -19,6 +19,7 @@ from typing import Iterator, Optional
 from .core import (
     HorizonExhausted,
     Instance,
+    Matching,
     MissingEdgeError,
     OracleCapExceeded,
     ParameterError,
@@ -55,25 +56,29 @@ def _load_instance(path: str) -> Instance:
     return Instance.from_json(Path(path).read_text(encoding="utf-8"))
 
 
-def _reference_matching(inst: Instance):
-    meta = inst.meta or {}
-    if meta.get("edges"):
+def _reference_matching(inst: Instance, optimum: Optional[tuple] = None) -> Matching:
+    """The generator's optimal matching when ``meta`` lists edges, else the
+    Hungarian one; ``optimum`` is a ``mwm_hungarian`` result already at hand."""
+    if (inst.meta or {}).get("edges"):
         return generators.optimal_matching(inst)
-    m, _ = oracles.mwm_hungarian(inst)
-    return m
+    return (optimum or oracles.mwm_hungarian(inst))[0]
 
 
-def _horizon(inst: Instance, explicit: Optional[int], cap: int = 10**6) -> int:
-    """The explicit horizon, else the certified one if it is at most ``cap``."""
+#: The largest certified horizon a run steps through.
+_HORIZON_CAP = 10**6
+
+
+def _horizon(inst: Instance, explicit: Optional[int]) -> int:
+    """The explicit horizon, else the certified one if it is at most the cap."""
     if explicit is not None:
         if explicit < 1:
             raise ParameterError("horizon must be >= 1")
         return explicit
     horizon = engine.certified_horizon(inst)
-    if horizon > cap:
+    if horizon > _HORIZON_CAP:
         raise HorizonExhausted(
-            f"certified horizon {horizon} exceeds the cap {cap}; "
-            "pass an explicit horizon"
+            f"certified horizon {horizon} exceeds the cap {_HORIZON_CAP} "
+            "(an explicit horizon is not capped)"
         )
     return horizon
 
@@ -99,7 +104,7 @@ _ROW_CACHE = 4096
 
 
 def _trace_rows(
-    inst: Instance, horizon: int, opt_weight: Optional[Fraction]
+    inst: Instance, horizon: int, reference: Matching, opt_weight: Optional[Fraction]
 ) -> Iterator[tuple[int, tuple]]:
     """(t, row) for t = 1..horizon, where row holds what the beliefs at t
     determine: mutual pairs, unresolved nodes, is_reference, cycles of
@@ -108,11 +113,7 @@ def _trace_rows(
 
     Each distinct snapshot is evaluated once and its row reused.
     """
-    n, reference = inst.n, _reference_matching(inst)
-    ref_l, ref_r = reference.partner_of_left(), reference.partner_of_right()
-    want = (tuple(map(ref_l.get, range(n))), tuple(map(ref_r.get, range(n))))
-    if not reference.is_perfect(n):
-        want = None
+    want = engine.reference_beliefs(reference, inst.n)
     cycles = [(c["offset"], c["offset"] + c["half_length"])
               for c in (inst.meta or {}).get("cycles", ())]
     seen: dict[tuple, tuple] = {}
@@ -144,15 +145,16 @@ def _write_trace(
     out,
     with_ratio: bool,
 ) -> None:
-    opt_weight: Optional[Fraction] = None
+    optimum = opt_weight = None
     if with_ratio:
-        _, opt_weight = oracles.mwm_hungarian(inst)
+        optimum = oracles.mwm_hungarian(inst)
+        opt_weight = optimum[1]
         if opt_weight <= 0:
             raise ParameterError("approximation ratios need a positive optimum")
     writer = csv.writer(out)
     writer.writerow(TRACE_HEADER)
     for t, (pairs, unresolved, is_reference, _, num, den) in _trace_rows(
-        inst, horizon, opt_weight
+        inst, horizon, _reference_matching(inst, optimum), opt_weight
     ):
         writer.writerow([t, pairs, unresolved, is_reference, num, den])
 
@@ -201,11 +203,7 @@ def cmd_exp_convergence(args: argparse.Namespace) -> int:
         instances.append(inst)
         lower = Fraction(args.n) * w_max / (2 * eps)
         upper = Fraction(2 * args.n) * w_max / eps
-        horizon = engine.certified_horizon(inst)
-        if horizon > args.max_horizon:
-            raise HorizonExhausted(
-                f"certified horizon {horizon} exceeds --max-horizon {args.max_horizon}"
-            )
+        horizon = _horizon(inst, None)
         t = engine.convergence_time(inst, generators.optimal_matching(inst), horizon)
         verdict = (lower - args.n <= t) and (Fraction(t) <= upper)
         rows.append(
@@ -254,14 +252,15 @@ def cmd_exp_approx(args: argparse.Namespace) -> int:
     c = meta["c"]
     window = generators.failure_window(args.n, c, w_max, eps)
     horizon = _horizon(inst, int(window) if args.iters is None else args.iters)
-    _, opt_weight = oracles.mwm_hungarian(inst)
+    optimum = oracles.mwm_hungarian(inst)
+    opt_weight = optimum[1]
     digest = inst.content_hash()[:16]
     count = 0
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(APPROX_HEADER)
         for t, (pairs, unresolved, _, failed, num, den) in _trace_rows(
-            inst, horizon, opt_weight
+            inst, horizon, _reference_matching(inst, optimum), opt_weight
         ):
             writer.writerow(
                 [digest, t, pairs, unresolved, int(t <= window), failed, num, den]
@@ -357,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wmax", required=True)
     p.add_argument("--eps", nargs="+", required=True)
     p.add_argument("--embed", action="store_true")
-    p.add_argument("--max-horizon", type=int, default=10**6)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--manifest", default=None)
     p.set_defaults(func=cmd_exp_convergence)

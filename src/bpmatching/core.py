@@ -86,15 +86,13 @@ class Side:
     """Incidence lists of one side's nodes, neighbours in ascending order.
 
     ``nbrs[u]`` holds the neighbours of node u on the other side, ``w[u]``
-    the aligned scaled weights, ``slot[u][s]`` the position of u in the
-    list of its neighbour ``nbrs[u][s]``, and ``heavy[u]`` the largest
-    weight of u, or ``None`` when u has fewer than two edges.
+    the aligned scaled weights, and ``slot[u][s]`` the position of u in the
+    list of its neighbour ``nbrs[u][s]``.
     """
 
     nbrs: list[list[int]]
     w: list[list[int]]
     slot: list[list[int]]
-    heavy: list[Optional[int]]
 
 
 def _incidence(
@@ -103,10 +101,6 @@ def _incidence(
     """Present neighbours of each row's node and their aligned weights."""
     nbrs = [[v for v, x in enumerate(row) if x is not None] for row in rows]
     return nbrs, [[row[v] for v in nb] for row, nb in zip(rows, nbrs)]
-
-
-def _heavy(w: list[list[int]]) -> list[Optional[int]]:
-    return [max(ws) if len(ws) > 1 else None for ws in w]
 
 
 class Instance:
@@ -188,9 +182,9 @@ class Instance:
                 raise ParameterError("instance has no edges")
             self._sides = (
                 Side(lnb, lw, [[bisect_left(rnb[j], i) for j in nb]
-                               for i, nb in enumerate(lnb)], _heavy(lw)),
+                               for i, nb in enumerate(lnb)]),
                 Side(rnb, rw, [[bisect_left(lnb[i], j) for i in nb]
-                               for j, nb in enumerate(rnb)], _heavy(rw)),
+                               for j, nb in enumerate(rnb)]),
             )
         return self._sides
 

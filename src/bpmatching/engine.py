@@ -12,23 +12,15 @@ at iteration t coincide with the root edge of a maximum weight T-matching
 in the depth-t computation tree (see the trees module, which is the
 independent oracle for this equivalence).
 
-Messages are stored as integers relative to the instance's common
-denominator, so every comparison is exact.  They live in per-node incoming
-lists aligned with ``Instance.adjacency()``, so one step costs O(|E|): each
-sender's top-2 incoming message (slot k, best, second) is found once per
-state, and it sends w - best on every edge but slot k, which gets
-w - second.  Optional normalization subtracts, per direction, one uniform
-constant (the maximum message of that direction) each round; it is found
-from the senders' top-2 before the update and folded into it.  A shift that
-is uniform across a whole side propagates as a uniform shift and never
-changes any arg-max, so the normalized and unnormalized belief sequences
-are identical.  That needs the empty maximum of a degree-1 sender to stay
-the true 0, so the state keeps each direction's accumulated shift; a shift
-that varies per node (e.g. zeroing each node's own incoming maximum) does
-not have this property and would corrupt the exclusion maxima.
+Messages are the true values x(t), stored as integer numerators over the
+instance's common denominator, so every comparison is exact.  They grow
+at most linearly, |x(t)| <= t * max|w| (in scaled units), and Python ints
+are unbounded.  They live in per-node incoming lists aligned with
+``Instance.adjacency()``, so one step costs O(|E|): each sender's top-2
+incoming message (slot k, best, second) is found once per state, and it
+sends w - best on every edge but slot k, which gets w - second.
 
-``convergence_time`` steps without normalization, so the lists hold the
-true messages x(t), and jumps over drift regimes x(t+p) = x(t) + d, which
+``convergence_time`` jumps over drift regimes x(t+p) = x(t) + d, which
 orbits of this monotone min-max map end in (Cochet-Terrasson, Gaubert and
 Gunawardena 1999).  A node's selection, an argmax slot k and a runner-up
 slot k2, makes its sends affine: w - x[k], and w - x[k2] on slot k, exact
@@ -92,10 +84,9 @@ class MessageState:
 
     ``to_left[i][s]`` is the message into alpha_i from beta_j, j =
     ``sides[0].nbrs[i][s]``; ``to_right[j][s]`` is the message into beta_j
-    from alpha_i, i = ``sides[1].nbrs[j][s]``.  Both are integer numerators
-    over ``scale``, less the uniform shift ``offset_right`` / ``offset_left``
-    that normalization has left on that direction.  ``left_top`` and
-    ``right_top`` hold the ``Tops`` of the incoming messages of each side.
+    from alpha_i, i = ``sides[1].nbrs[j][s]``.  Both are the true messages
+    as integer numerators over ``scale``.  ``left_top`` and ``right_top``
+    hold the ``Tops`` of the incoming messages of each side.
     """
 
     to_right: list[list[int]]
@@ -103,8 +94,6 @@ class MessageState:
     iteration: int
     scale: int
     sides: tuple[Side, Side] = field(repr=False, compare=False)
-    offset_right: int = 0
-    offset_left: int = 0
     left_top: Tops = field(init=False, repr=False, compare=False)
     right_top: Tops = field(init=False, repr=False, compare=False)
 
@@ -135,16 +124,6 @@ class BeliefSnapshot:
     right_belief: tuple[Optional[int], ...]
     iteration: int
 
-    def encodes(self, reference: Matching) -> bool:
-        """True iff every node is resolved and mutual per the reference."""
-        left = reference.partner_of_left()
-        right = reference.partner_of_right()
-        if len(left) != len(self.left_belief):
-            return False
-        return all(
-            self.left_belief[i] == left[i] for i in left
-        ) and all(self.right_belief[j] == right[j] for j in right)
-
 
 @dataclass(frozen=True)
 class PartialBpMatching:
@@ -167,45 +146,28 @@ def init_messages(inst: Instance) -> MessageState:
     )
 
 
-def _send(
-    snd: Side, rcv: Side, tops: Tops, offset: int, normalize: bool
-) -> tuple[list[list[int]], int]:
-    """Messages into every node of ``rcv`` from its neighbours in ``snd``,
-    and the offset they are stored less (see ``MessageState``).
+def _send(snd: Side, rcv: Side, tops: Tops) -> list[list[int]]:
+    """Messages into every node of ``rcv`` from its neighbours in ``snd``.
 
     Sender u sends w - best_u on every edge but its argmax slot k, which
-    gets w - second_u; a missing second (an empty maximum) is a true 0,
-    which is -``offset`` in the stored values.  With ``normalize`` the
-    largest message z of the direction is found first and subtracted in the
-    same pass.  u's largest message is w_k alone, or with another edge
-    max(w_k - second_u, heavy_u - best_u): w_k - best_u <= w_k - second_u.
+    gets w - second_u; a missing second (an empty maximum) is 0.
     """
     ks, bests, seconds = tops
-    z = 0
-    if normalize:
-        sent = []
-        for k, best, second, w, heavy in zip(ks, bests, seconds, snd.w, snd.heavy):
-            if k >= 0:
-                m = w[k] + offset if second is None else w[k] - second
-                sent.append(m if heavy is None or heavy - best < m else heavy - best)
-        z = max(sent)
-    shift = [best + z for best in bests].__getitem__
-    out = [list(map(sub, w, map(shift, nb))) for w, nb in zip(rcv.w, rcv.nbrs)]
+    out = [list(map(sub, w, map(bests.__getitem__, nb))) for w, nb in zip(rcv.w, rcv.nbrs)]
     for k, second, w, nb, slot in zip(ks, seconds, snd.w, snd.nbrs, snd.slot):
         if k >= 0:
-            out[nb[k]][slot[k]] = (w[k] + offset if second is None else w[k] - second) - z
-    return out, z - offset
+            out[nb[k]][slot[k]] = w[k] if second is None else w[k] - second
+    return out
 
 
-def step(inst: Instance, state: MessageState, normalize: bool = True) -> MessageState:
+def step(inst: Instance, state: MessageState) -> MessageState:
     """One synchronous update round; returns the state at iteration t+1."""
     if inst.scale != state.scale:
         raise ParameterError("message state scale does not match the instance")
     left, right = sides = inst.adjacency()
-    to_right, off_right = _send(left, right, state.left_top, state.offset_left, normalize)
-    to_left, off_left = _send(right, left, state.right_top, state.offset_right, normalize)
     return MessageState(
-        to_right, to_left, state.iteration + 1, state.scale, sides, off_right, off_left
+        _send(left, right, state.left_top), _send(right, left, state.right_top),
+        state.iteration + 1, state.scale, sides,
     )
 
 
@@ -243,15 +205,23 @@ def partial_bp_matching(b: BeliefSnapshot) -> PartialBpMatching:
     )
 
 
-def run_to_horizon(
-    inst: Instance, horizon: int, normalize: bool = True
-) -> Iterator[BeliefSnapshot]:
+def reference_beliefs(
+    reference: Matching, n: int
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (left, right) beliefs of a snapshot that encodes ``reference``,
+    or None when it leaves a node uncovered: then no snapshot encodes it."""
+    left, right = reference.partner_of_left(), reference.partner_of_right()
+    want = (tuple(map(left.get, range(n))), tuple(map(right.get, range(n))))
+    return None if None in want[0] + want[1] else want
+
+
+def run_to_horizon(inst: Instance, horizon: int) -> Iterator[BeliefSnapshot]:
     """Belief snapshots for t = 1..horizon (streaming)."""
     if horizon < 1:
         raise ParameterError("horizon must be >= 1")
     state = init_messages(inst)
     for _ in range(horizon):
-        state = step(inst, state, normalize=normalize)
+        state = step(inst, state)
         yield beliefs(inst, state)
 
 
@@ -273,14 +243,13 @@ class _Run:
     and selection hashes since the last jump, where regimes are looked for."""
 
     def __init__(self, inst: Instance, reference: Matching, horizon: int) -> None:
-        self.inst, self.horizon, n = inst, horizon, inst.n
+        self.inst, self.horizon = inst, horizon
         left, right = sides = inst.adjacency()
-        ref_l, ref_r = reference.partner_of_left(), reference.partner_of_right()
-        self.want = (tuple(map(ref_l.get, range(n))), tuple(map(ref_r.get, range(n))))
+        want = self.want = reference_beliefs(reference, inst.n)
         rows = right.nbrs + left.nbrs  # the rows of to_right + to_left
-        try:  # each row's slot of its reference partner
-            self.slots = [nb.index(v) for nb, v in zip(rows, self.want[1] + self.want[0])]
-        except ValueError:  # an uncovered node or a non-edge: never encoded
+        try:  # each row's slot of its reference partner, None if never encoded
+            self.slots = want and [nb.index(v) for nb, v in zip(rows, want[1] + want[0])]
+        except ValueError:  # a non-edge: never encoded
             self.slots = None
         self.zero = [replace(s, w=[[0] * len(w) for w in s.w]) for s in sides]
         self.wide = [len(nb) > 2 for nb in rows]
@@ -305,7 +274,7 @@ class _Run:
         self.sels.append(hash(tuple(compress(ks, self.wide))))
 
     def advance(self, state: MessageState) -> MessageState:
-        state = step(self.inst, state, normalize=False)
+        state = step(self.inst, state)
         self.see(state)
         return state
 
@@ -341,8 +310,8 @@ class _Run:
         best = [dr[k] if k >= 0 else 0 for dr, k in zip(ds, ks)]
         second = [dr[k2] if k2 >= 0 else None for dr, k2 in zip(ds, k2s)]
         n, (zl, zr) = len(y.to_right), self.zero
-        d_left = _send(zr, zl, (ks[:n], best[:n], second[:n]), 0, False)[0]
-        d_right = _send(zl, zr, (ks[n:], best[n:], second[n:]), 0, False)[0]
+        d_left = _send(zr, zl, (ks[:n], best[:n], second[:n]))
+        d_right = _send(zl, zr, (ks[n:], best[n:], second[n:]))
         return d_right + d_left, _rays(keeps, kmax)[1], good
 
     def regime(self, state: MessageState, p: int) -> MessageState:

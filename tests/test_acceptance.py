@@ -340,6 +340,9 @@ def test_criterion_8_structural_suites():
 def test_criterion_9_asymptotics_covered_by_instantiations():
     # The asymptotic growth statements are not measurable at desk scale;
     # their finite instantiations are what criteria 2, 3, and 7 check.
+    # The bare-cycle law T = n*w_max/(2*eps) + 2 is pinned far past the
+    # cap, n up to 101 and eps down to 10^-9, by
+    # tests/test_engine.py::test_bare_cycle_time_law_far_past_the_cap.
     # This criterion records that coverage decision.
     report(9, True, "growth-rate claims covered by the finite checks (2, 3, 7)")
     assert True

@@ -14,6 +14,7 @@ from bpmatching.approx import approximation_ratio, complete
 from bpmatching.cli import main
 from bpmatching.core import Instance
 from bpmatching.engine import partial_bp_matching
+from reference import encodes
 
 
 def run(argv, capsys):
@@ -87,21 +88,29 @@ def test_bp_converge_horizon_exhausted(tmp_path, capsys):
     assert "horizon" in err
 
 
-@pytest.mark.parametrize("command", [["bp", "converge"], ["bp", "run"]])
+@pytest.mark.parametrize("command", [
+    ["bp", "converge", "--instance", "{inst}"],
+    ["bp", "run", "--instance", "{inst}"],
+    ["exp", "convergence", "--n", "3", "--wmax", "8", "--eps", "1/100000",
+     "-o", "{out}"],
+])
 def test_certified_horizon_above_cap_exits_before_any_step(
     tmp_path, capsys, monkeypatch, command
 ):
     # 2n * w_max / eps = 2 * 3 * 8 * 10^5 = 4.8 * 10^6 steps, above the cap.
     path = gen_cycle_file(tmp_path, capsys, eps="1/100000")
+    out_csv = tmp_path / "sweep.csv"
 
     def no_step(*args, **kwargs):
         raise AssertionError("a step ran")
 
     monkeypatch.setattr(engine, "step", no_step)
-    code, out, err = run(command + ["--instance", str(path)], capsys)
+    argv = [a.format(inst=path, out=out_csv) for a in command]
+    code, out, err = run(argv, capsys)
     assert code == 3
     assert "4800000" in err and "1000000" in err
     assert "converged" not in out
+    assert not out_csv.exists()
 
 
 def test_malformed_instance_exit_code(tmp_path, capsys):
@@ -231,7 +240,7 @@ def reference_trace(inst, horizon, with_ratio):
             ratio = approximation_ratio(inst, complete(inst, snap), opt_weight)
             num, den = str(ratio.numerator), str(ratio.denominator)
         writer.writerow([snap.iteration, len(partial.pairs), unresolved,
-                         int(snap.encodes(reference)), num, den])
+                         int(encodes(snap, reference)), num, den])
     return out.getvalue()
 
 
@@ -301,6 +310,28 @@ def test_trace_csvs_match_per_iteration_reference(tmp_path, capsys, case):
         assert code == 0, err
         loaded = Instance.from_json(path.read_text())
         assert out_csv.read_bytes() == reference_trace(loaded, iters, with_ratio).encode()
+
+
+def test_approx_solves_the_hungarian_oracle_once(tmp_path, capsys, monkeypatch):
+    # Without generator metadata the reference matching and the optimum
+    # weight come from one Hungarian solve.
+    inst = random_dense_instance(5, 5)
+    path = tmp_path / "inst.json"
+    path.write_text(inst.to_json())
+    calls, real = [], oracles.mwm_hungarian
+
+    def counted(inst):
+        calls.append(1)
+        return real(inst)
+
+    monkeypatch.setattr(oracles, "mwm_hungarian", counted)
+    out_csv = tmp_path / "trace.csv"
+    code, _, err = run(["approx", "--instance", str(path), "--iters", "40",
+                        "--csv", str(out_csv)], capsys)
+    assert code == 0, err
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert out_csv.read_bytes() == reference_trace(inst, 40, True).encode()
 
 
 def test_full_row_cache_is_emptied_without_changing_rows(tmp_path, capsys, monkeypatch):
