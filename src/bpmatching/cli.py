@@ -56,14 +56,6 @@ def _load_instance(path: str) -> Instance:
     return Instance.from_json(Path(path).read_text(encoding="utf-8"))
 
 
-def _reference_matching(inst: Instance, optimum: Optional[tuple] = None) -> Matching:
-    """The generator's optimal matching when ``meta`` lists edges, else the
-    Hungarian one; ``optimum`` is a ``mwm_hungarian`` result already at hand."""
-    if (inst.meta or {}).get("edges"):
-        return generators.optimal_matching(inst)
-    return (optimum or oracles.mwm_hungarian(inst))[0]
-
-
 #: The largest certified horizon a run steps through.
 _HORIZON_CAP = 10**6
 
@@ -104,18 +96,18 @@ _ROW_CACHE = 4096
 
 
 def _trace_rows(
-    inst: Instance, horizon: int, reference: Matching, opt_weight: Optional[Fraction]
+    inst: Instance, horizon: int, reference: Matching, opt_weight: Optional[Fraction],
+    cycles: list[tuple[int, int]],
 ) -> Iterator[tuple[int, tuple]]:
     """(t, row) for t = 1..horizon, where row holds what the beliefs at t
-    determine: mutual pairs, unresolved nodes, is_reference, cycles of
-    ``meta`` that the partial BP matching leaves imperfect, and the
-    completion ratio's numerator and denominator ("" without ``opt_weight``).
+    determine: mutual pairs, unresolved nodes, is_reference, the ``cycles``
+    (index ranges lo..hi-1) that the partial BP matching leaves imperfect,
+    and the completion ratio's numerator and denominator ("" without
+    ``opt_weight``).
 
     Each distinct snapshot is evaluated once and its row reused.
     """
     want = engine.reference_beliefs(reference, inst.n)
-    cycles = [(c["offset"], c["offset"] + c["half_length"])
-              for c in (inst.meta or {}).get("cycles", ())]
     seen: dict[tuple, tuple] = {}
     for snap in engine.run_to_horizon(inst, horizon):
         key = (snap.left_belief, snap.right_belief)
@@ -139,22 +131,16 @@ def _trace_rows(
         yield snap.iteration, row
 
 
-def _write_trace(
-    inst: Instance,
-    horizon: int,
-    out,
-    with_ratio: bool,
-) -> None:
-    optimum = opt_weight = None
-    if with_ratio:
-        optimum = oracles.mwm_hungarian(inst)
-        opt_weight = optimum[1]
-        if opt_weight <= 0:
-            raise ParameterError("approximation ratios need a positive optimum")
+def _write_trace(inst: Instance, horizon: int, out, with_ratio: bool) -> None:
+    reference, opt_weight = oracles.mwm_hungarian(inst)
+    if not with_ratio:
+        opt_weight = None
+    elif opt_weight <= 0:
+        raise ParameterError("approximation ratios need a positive optimum")
     writer = csv.writer(out)
     writer.writerow(TRACE_HEADER)
     for t, (pairs, unresolved, is_reference, _, num, den) in _trace_rows(
-        inst, horizon, _reference_matching(inst, optimum), opt_weight
+        inst, horizon, reference, opt_weight, []
     ):
         writer.writerow([t, pairs, unresolved, is_reference, num, den])
 
@@ -174,7 +160,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_bp_converge(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     horizon = _horizon(inst, args.horizon)
-    reference = _reference_matching(inst)
+    reference, _ = oracles.mwm_hungarian(inst)
     t = engine.convergence_time(inst, reference, horizon)
     print(f"converged at t={t} (horizon {horizon})")
     return 0
@@ -204,7 +190,8 @@ def cmd_exp_convergence(args: argparse.Namespace) -> int:
         lower = Fraction(args.n) * w_max / (2 * eps)
         upper = Fraction(2 * args.n) * w_max / eps
         horizon = _horizon(inst, None)
-        t = engine.convergence_time(inst, generators.optimal_matching(inst), horizon)
+        reference, _ = oracles.mwm_hungarian(inst)
+        t = engine.convergence_time(inst, reference, horizon)
         verdict = (lower - args.n <= t) and (Fraction(t) <= upper)
         rows.append(
             {
@@ -252,15 +239,15 @@ def cmd_exp_approx(args: argparse.Namespace) -> int:
     c = meta["c"]
     window = generators.failure_window(args.n, c, w_max, eps)
     horizon = _horizon(inst, int(window) if args.iters is None else args.iters)
-    optimum = oracles.mwm_hungarian(inst)
-    opt_weight = optimum[1]
+    reference, opt_weight = oracles.mwm_hungarian(inst)
+    cycles = [(b["offset"], b["offset"] + b["half_length"]) for b in meta["cycles"]]
     digest = inst.content_hash()[:16]
     count = 0
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(APPROX_HEADER)
         for t, (pairs, unresolved, _, failed, num, den) in _trace_rows(
-            inst, horizon, _reference_matching(inst, optimum), opt_weight
+            inst, horizon, reference, opt_weight, cycles
         ):
             writer.writerow(
                 [digest, t, pairs, unresolved, int(t <= window), failed, num, den]

@@ -1,11 +1,13 @@
 """Exact weighted bipartite instances, matchings, and JSON serialization.
 
-Weights enter and leave as `fractions.Fraction` values; inside, the engine
-and the oracles work on integer numerators over one common scale
-(``Instance.scaled_weights()``, ``Instance.adjacency()``), exact everywhere.
-An instance is a complete bipartite graph K_{n,n} given as a dense n x n
-weight matrix.  Entries may be ``None`` for graphs restricted to a subset of
-the edges (e.g. a bare weighted cycle); such edges simply do not exist.
+An instance is K_{n,n} given as a dense n x n weight matrix; entries may be
+``None`` for graphs restricted to a subset of the edges (e.g. a bare
+weighted cycle), and such edges simply do not exist.  Weights enter and
+leave as `fractions.Fraction` values; inside, the engine, the oracles and
+the tree DP work on integer numerators over one common scale
+(``Instance.scaled_weights()``).  The one graph view is
+``Instance.adjacency()``: per graph node, ids 0..2n-1 with alpha_i = i and
+beta_j = n + j, the list of its neighbours and their scaled weights.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 
 class ParameterError(ValueError):
@@ -82,25 +84,17 @@ class Matching:
 
 
 @dataclass(frozen=True)
-class Side:
-    """Incidence lists of one side's nodes, neighbours in ascending order.
+class Adjacency:
+    """Incidence lists over the graph ids 0..2n-1 (alpha_i is i, beta_j n + j).
 
-    ``nbrs[u]`` holds the neighbours of node u on the other side, ``w[u]``
-    the aligned scaled weights, and ``slot[u][s]`` the position of u in the
+    ``nbrs[u]`` holds u's neighbour ids in ascending order, ``w[u]`` the
+    aligned scaled weights, and ``slot[u][s]`` the position of u in the
     list of its neighbour ``nbrs[u][s]``.
     """
 
     nbrs: list[list[int]]
     w: list[list[int]]
     slot: list[list[int]]
-
-
-def _incidence(
-    rows: Sequence[Sequence[Optional[int]]],
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Present neighbours of each row's node and their aligned weights."""
-    nbrs = [[v for v, x in enumerate(row) if x is not None] for row in rows]
-    return nbrs, [[row[v] for v in nb] for row, nb in zip(rows, nbrs)]
 
 
 class Instance:
@@ -126,7 +120,7 @@ class Instance:
         self.meta = meta
         self._scale: Optional[int] = None
         self._scaled_rows: Optional[list[list[Optional[int]]]] = None
-        self._sides: Optional[tuple[Side, Side]] = None
+        self._adj: Optional[Adjacency] = None
 
     def weight(self, i: int, j: int) -> Fraction:
         if not (0 <= i < self.n and 0 <= j < self.n):
@@ -169,29 +163,23 @@ class Instance:
             ]
         return self._scaled_rows
 
-    def adjacency(self) -> tuple[Side, Side]:
-        """Incidence lists of the left and the right side (cached).
+    def adjacency(self) -> Adjacency:
+        """The incidence lists of every graph node (cached).
 
         Raises ``ParameterError`` when the instance has no edge at all.
         """
-        if self._sides is None:
-            rows = self.scaled_weights()
-            lnb, lw = _incidence(rows)
-            rnb, rw = _incidence(list(zip(*rows)))
-            if not any(lnb):
+        if self._adj is None:
+            n, rows = self.n, self.scaled_weights()
+            nbrs = [[n + j for j, x in enumerate(row) if x is not None] for row in rows]
+            nbrs += [[i for i, x in enumerate(col) if x is not None] for col in zip(*rows)]
+            if not any(nbrs):
                 raise ParameterError("instance has no edges")
-            self._sides = (
-                Side(lnb, lw, [[bisect_left(rnb[j], i) for j in nb]
-                               for i, nb in enumerate(lnb)]),
-                Side(rnb, rw, [[bisect_left(lnb[i], j) for i in nb]
-                               for j, nb in enumerate(rnb)]),
+            self._adj = Adjacency(
+                nbrs,
+                [[rows[min(u, v)][max(u, v) - n] for v in nb] for u, nb in enumerate(nbrs)],
+                [[bisect_left(nbrs[v], u) for v in nb] for u, nb in enumerate(nbrs)],
             )
-        return self._sides
-
-    # -- graph view with node ids 0..2n-1 (left: 0..n-1, right: n..2n-1) --
-
-    def node_count(self) -> int:
-        return 2 * self.n
+        return self._adj
 
     # -- serialization --
 
@@ -222,6 +210,8 @@ class Instance:
             raise ParameterError("weights must be a list of rows")
         if any(w is not None and type(w) is not int for row in rows for w in row):
             raise ParameterError("weight cells must be integers or null")
+        if doc.get("meta") is not None and not isinstance(doc["meta"], dict):
+            raise ParameterError("meta must be a JSON object or null")
         weights = [
             [None if w is None else Fraction(w, scale) for w in row] for row in rows
         ]

@@ -1,9 +1,10 @@
 """Synchronous max-sum message passing with exact scaled-integer arithmetic.
 
-Update rule (iteration counter starts at t=1, all messages zero at t=0):
+Update rule on the graph nodes (ids 0..2n-1, alpha_i = i and beta_j =
+n + j), for every edge {u, v}; the iteration counter starts at t=1, and all
+messages are zero at t=0:
 
-    m^t[alpha_i -> beta_j] = w_ij - max_{l != j} m^{t-1}[beta_l -> alpha_i]
-    m^t[beta_j -> alpha_i] = w_ij - max_{k != i} m^{t-1}[alpha_k -> beta_j]
+    m^t[u -> v] = w_uv - max_{l != v} m^{t-1}[l -> u]
 
 The maximum over an empty set (degree-1 nodes) is 0.  The belief of a node
 at iteration t is the unique arg-max over its incoming messages at t, or
@@ -15,10 +16,11 @@ independent oracle for this equivalence).
 Messages are the true values x(t), stored as integer numerators over the
 instance's common denominator, so every comparison is exact.  They grow
 at most linearly, |x(t)| <= t * max|w| (in scaled units), and Python ints
-are unbounded.  They live in per-node incoming lists aligned with
-``Instance.adjacency()``, so one step costs O(|E|): each sender's top-2
-incoming message (slot k, best, second) is found once per state, and it
-sends w - best on every edge but slot k, which gets w - second.
+are unbounded.  Each graph node u holds one list of its incoming messages,
+aligned with ``Instance.adjacency().nbrs[u]``, so one step costs O(|E|):
+each node's top-2 incoming message (slot k, best, second) is found once
+per state, and it sends w - best on every edge but slot k, which gets
+w - second.
 
 ``convergence_time`` jumps over drift regimes x(t+p) = x(t) + d, which
 orbits of this monotone min-max map end in (Cochet-Terrasson, Gaubert and
@@ -47,10 +49,11 @@ from itertools import chain, compress
 from operator import add, mul, sub
 from typing import Iterator, Optional
 
-from .core import HorizonExhausted, Instance, Matching, ParameterError, Side
+from .core import (Adjacency, HorizonExhausted, Instance, Matching, ParameterError,
+                   parse_rational)
 
 
-#: Per node of one side: slot of the first maximum incoming message (-1
+#: Per graph node: slot of the first maximum incoming message (-1
 #: with none), the maximum (0 with none) and the largest other incoming
 #: message (None with none; a tied maximum repeats).
 Tops = tuple[list[int], list[int], list[Optional[int]]]
@@ -80,40 +83,45 @@ def _tops(rows: list[list[int]]) -> Tops:
 
 @dataclass
 class MessageState:
-    """Incoming message lists at one iteration.
+    """Incoming message lists of every graph node at one iteration.
 
-    ``to_left[i][s]`` is the message into alpha_i from beta_j, j =
-    ``sides[0].nbrs[i][s]``; ``to_right[j][s]`` is the message into beta_j
-    from alpha_i, i = ``sides[1].nbrs[j][s]``.  Both are the true messages
-    as integer numerators over ``scale``.  ``left_top`` and ``right_top``
-    hold the ``Tops`` of the incoming messages of each side.
+    ``rows[u][s]`` is the true message into graph node u from
+    ``adj.nbrs[u][s]``, an integer numerator over ``scale``, and ``top``
+    holds the ``Tops`` of the rows.  ``to_left`` (alpha_i's rows) and
+    ``to_right`` (beta_j's rows) are read-only slices of ``rows``.
     """
 
-    to_right: list[list[int]]
-    to_left: list[list[int]]
+    rows: list[list[int]]
     iteration: int
     scale: int
-    sides: tuple[Side, Side] = field(repr=False, compare=False)
-    left_top: Tops = field(init=False, repr=False, compare=False)
-    right_top: Tops = field(init=False, repr=False, compare=False)
+    adj: Adjacency = field(repr=False, compare=False)
+    top: Tops = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.left_top = _tops(self.to_left)
-        self.right_top = _tops(self.to_right)
+        self.top = _tops(self.rows)
 
-    def _slots(self, i: int, j: int) -> tuple[int, int]:
-        """Positions of edge (i, j) in alpha_i's and in beta_j's lists."""
-        nbrs = self.sides[0].nbrs[i]
-        if j not in nbrs:
+    @property
+    def to_left(self) -> list[list[int]]:
+        return self.rows[: len(self.rows) // 2]
+
+    @property
+    def to_right(self) -> list[list[int]]:
+        return self.rows[len(self.rows) // 2 :]
+
+    def _message(self, i: int, j: int, into_right: bool) -> Fraction:
+        """The message on edge (i, j) into beta_j, or else into alpha_i."""
+        n = len(self.rows) // 2
+        u, v = (n + j, i) if into_right else (i, n + j)
+        nbrs = self.adj.nbrs[u]
+        if v not in nbrs:
             raise ParameterError(f"edge ({i},{j}) is absent")
-        s = nbrs.index(j)
-        return s, self.sides[0].slot[i][s]
+        return Fraction(self.rows[u][nbrs.index(v)], self.scale)
 
     def message_to_right(self, i: int, j: int) -> Fraction:
-        return Fraction(self.to_right[j][self._slots(i, j)[1]], self.scale)
+        return self._message(i, j, True)
 
     def message_to_left(self, i: int, j: int) -> Fraction:
-        return Fraction(self.to_left[i][self._slots(i, j)[0]], self.scale)
+        return self._message(i, j, False)
 
 
 @dataclass(frozen=True)
@@ -136,25 +144,20 @@ class PartialBpMatching:
 
 def init_messages(inst: Instance) -> MessageState:
     """All-zero message lists at iteration 0."""
-    left, right = sides = inst.adjacency()
-    return MessageState(
-        to_right=[[0] * len(nb) for nb in right.nbrs],
-        to_left=[[0] * len(nb) for nb in left.nbrs],
-        iteration=0,
-        scale=inst.scale,
-        sides=sides,
-    )
+    adj = inst.adjacency()
+    return MessageState([[0] * len(nb) for nb in adj.nbrs], 0, inst.scale, adj)
 
 
-def _send(snd: Side, rcv: Side, tops: Tops) -> list[list[int]]:
-    """Messages into every node of ``rcv`` from its neighbours in ``snd``.
+def _send(adj: Adjacency, tops: Tops) -> list[list[int]]:
+    """The incoming message lists of every graph node one step on.
 
-    Sender u sends w - best_u on every edge but its argmax slot k, which
-    gets w - second_u; a missing second (an empty maximum) is 0.
+    Node u with ``tops`` (k, best, second) sends w - best on every edge but
+    its argmax slot k, which gets w - second; a missing second (an empty
+    maximum) is 0.
     """
     ks, bests, seconds = tops
-    out = [list(map(sub, w, map(bests.__getitem__, nb))) for w, nb in zip(rcv.w, rcv.nbrs)]
-    for k, second, w, nb, slot in zip(ks, seconds, snd.w, snd.nbrs, snd.slot):
+    out = [list(map(sub, w, map(bests.__getitem__, nb))) for w, nb in zip(adj.w, adj.nbrs)]
+    for k, second, w, nb, slot in zip(ks, seconds, adj.w, adj.nbrs, adj.slot):
         if k >= 0:
             out[nb[k]][slot[k]] = w[k] if second is None else w[k] - second
     return out
@@ -164,28 +167,16 @@ def step(inst: Instance, state: MessageState) -> MessageState:
     """One synchronous update round; returns the state at iteration t+1."""
     if inst.scale != state.scale:
         raise ParameterError("message state scale does not match the instance")
-    left, right = sides = inst.adjacency()
-    return MessageState(
-        _send(left, right, state.left_top), _send(right, left, state.right_top),
-        state.iteration + 1, state.scale, sides,
-    )
-
-
-def _side_beliefs(tops: Tops, nbrs: list[list[int]]) -> tuple[Optional[int], ...]:
-    return tuple(
-        None if k < 0 or second == best else nb[k]
-        for k, best, second, nb in zip(*tops, nbrs)
-    )
+    adj = inst.adjacency()
+    return MessageState(_send(adj, state.top), state.iteration + 1, state.scale, adj)
 
 
 def beliefs(inst: Instance, state: MessageState) -> BeliefSnapshot:
     """Arg-max of incoming messages per node; None when the arg-max ties."""
-    left, right = inst.adjacency()
-    return BeliefSnapshot(
-        _side_beliefs(state.left_top, left.nbrs),
-        _side_beliefs(state.right_top, right.nbrs),
-        state.iteration,
-    )
+    n = inst.n
+    ids = [None if k < 0 or second == best else nb[k] % n
+           for k, best, second, nb in zip(*state.top, inst.adjacency().nbrs)]
+    return BeliefSnapshot(tuple(ids[:n]), tuple(ids[n:]), state.iteration)
 
 
 def partial_bp_matching(b: BeliefSnapshot) -> PartialBpMatching:
@@ -244,17 +235,17 @@ class _Run:
 
     def __init__(self, inst: Instance, reference: Matching, horizon: int) -> None:
         self.inst, self.horizon = inst, horizon
-        left, right = sides = inst.adjacency()
-        want = self.want = reference_beliefs(reference, inst.n)
-        rows = right.nbrs + left.nbrs  # the rows of to_right + to_left
+        adj, n = inst.adjacency(), inst.n
+        want = self.want = reference_beliefs(reference, n)
         try:  # each row's slot of its reference partner, None if never encoded
-            self.slots = want and [nb.index(v) for nb, v in zip(rows, want[1] + want[0])]
+            self.slots = want and [nb.index(v) for nb, v in
+                                   zip(adj.nbrs, [n + j for j in want[0]] + list(want[1]))]
         except ValueError:  # a non-edge: never encoded
             self.slots = None
-        self.zero = [replace(s, w=[[0] * len(w) for w in s.w]) for s in sides]
-        self.wide = [len(nb) > 2 for nb in rows]
+        self.zero = replace(adj, w=[[0] * len(w) for w in adj.w])
+        self.wide = [len(nb) > 2 for nb in adj.nbrs]
         rng = random.Random(0)
-        self.coeffs = [rng.getrandbits(31) for _ in chain.from_iterable(rows)]
+        self.coeffs = [rng.getrandbits(31) for _ in chain.from_iterable(adj.nbrs)]
         self.last_bad, self.any_good = 0, False
         self.reset()
 
@@ -268,10 +259,9 @@ class _Run:
                 self.any_good = True
             else:
                 self.last_bad = state.iteration
-        flat = chain.from_iterable(state.to_right + state.to_left)
+        flat = chain.from_iterable(state.rows)
         self.fps.append(sum(map(mul, self.coeffs, flat)) % _PRIME)
-        ks = state.right_top[0] + state.left_top[0]
-        self.sels.append(hash(tuple(compress(ks, self.wide))))
+        self.sels.append(hash(tuple(compress(state.top[0], self.wide))))
 
     def advance(self, state: MessageState) -> MessageState:
         state = step(self.inst, state)
@@ -294,8 +284,7 @@ class _Run:
     def window_step(self, y: MessageState, ds: list[list[int]], kmax: int):
         """At y with drift ds: the drift a step on, the largest k <= kmax keeping
         y's selections at y + k*ds, and the k where its beliefs are the reference's."""
-        rows = y.to_right + y.to_left
-        ks, bests, seconds = (r + l for r, l in zip(y.right_top, y.left_top))
+        rows, (ks, bests, seconds) = y.rows, y.top
         k2s = [-1 if c is None else row.index(b, k + 1) if c == b else row.index(c)
                for row, k, b, c in zip(rows, ks, bests, seconds)]
         keeps = []  # x[k] and then x[k2] stay maxima; ties send the same
@@ -309,18 +298,15 @@ class _Run:
         # The linear part of the step: y's selections on zero weights.
         best = [dr[k] if k >= 0 else 0 for dr, k in zip(ds, ks)]
         second = [dr[k2] if k2 >= 0 else None for dr, k2 in zip(ds, k2s)]
-        n, (zl, zr) = len(y.to_right), self.zero
-        d_left = _send(zr, zl, (ks[:n], best[:n], second[:n]))
-        d_right = _send(zl, zr, (ks[n:], best[n:], second[n:]))
-        return d_right + d_left, _rays(keeps, kmax)[1], good
+        return _send(self.zero, (ks, best, second)), _rays(keeps, kmax)[1], good
 
     def regime(self, state: MessageState, p: int) -> MessageState:
         """Steps two p-step windows; if they prove a regime, judges the beliefs
         of its whole windows and jumps to the last that starts by the horizon."""
-        start = state.to_right + state.to_left
+        start = state.rows
         for _ in range(p):
             state = self.advance(state)
-        a, y0 = state.iteration, state.to_right + state.to_left
+        a, y0 = state.iteration, state.rows
         d = ds = [list(map(sub, u, v)) for u, v in zip(y0, start)]
         kmax, goods = self.horizon, []
         for _ in range(p):
@@ -329,15 +315,15 @@ class _Run:
             state = self.advance(state)
         k = min(kmax + 1, (self.horizon - a) // p)
         y1 = [list(map(add, u, v)) for u, v in zip(y0, d)]
-        if ds != d or state.to_right + state.to_left != y1 or k < 2:
+        if ds != d or state.rows != y1 or k < 2:
             return state
         for s, (lo, hi) in enumerate(goods):  # at a + j*p + s, j = 1..k-1
             lo, hi = max(lo, 1), min(hi, k - 1)
             self.any_good |= lo <= hi
             bad = k - 1 if lo > hi or hi < k - 1 else lo - 1
             self.last_bad = max(self.last_bad, a + bad * p + s if bad else 0)
-        n, rows = self.inst.n, [[u + k * v for u, v in zip(*rr)] for rr in zip(y0, d)]
-        state = MessageState(rows[:n], rows[n:], a + k * p, state.scale, state.sides)
+        rows = [[u + k * v for u, v in zip(*rr)] for rr in zip(y0, d)]
+        state = MessageState(rows, a + k * p, state.scale, state.adj)
         self.reset()
         self.see(state)
         return state
@@ -373,11 +359,23 @@ def convergence_time(inst: Instance, reference: Matching, horizon: int) -> int:
 
 
 def certified_horizon(inst: Instance) -> int:
-    """ceil(2n*w_max/eps) from generator metadata (Theorem-certified bound)."""
+    """ceil(2n*w_max/eps) from generator metadata (Theorem-certified bound);
+    ``w_max`` and ``eps`` must be positive rational strings."""
     meta = inst.meta
     if not meta or "w_max" not in meta or "eps" not in meta:
         raise ParameterError("instance lacks generator metadata for a certified horizon")
-    w_max = Fraction(meta["w_max"])
-    eps = Fraction(meta["eps"])
+    w_max, eps = (_positive_rational(meta, key) for key in ("w_max", "eps"))
     bound = Fraction(2 * inst.n) * w_max / eps
     return -(-bound.numerator // bound.denominator)
+
+
+def _positive_rational(meta: dict, key: str) -> Fraction:
+    """``meta[key]`` parsed as a positive rational string, else ParameterError."""
+    text = meta[key]
+    try:
+        q = parse_rational(text) if isinstance(text, str) else 0
+    except ParameterError:
+        q = 0
+    if q <= 0:
+        raise ParameterError(f"meta {key} must be a positive rational string, not {text!r}")
+    return q

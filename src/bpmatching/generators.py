@@ -32,7 +32,7 @@ class CycleParams:
         if self.w_max <= 0:
             raise ParameterError("w_max must be positive")
         if not (0 < self.eps < self.w_max / (4 * (self.n - 2))):
-            raise ParameterError("eps must satisfy 0 < eps < w_max/(4(n-2))")
+            raise ParameterError(f"eps must satisfy 0 < eps < w_max/(4(n-2)) at n={self.n}")
 
     @property
     def w_opt(self) -> Fraction:
@@ -54,12 +54,21 @@ class PrimeSelection:
     interval: tuple[Fraction, Fraction]
 
 
-def _cycle_edge_classes(n: int, offset: int = 0) -> dict[str, list[list[int]]]:
-    """Edge classes of one 2n-cycle occupying indices offset..offset+n-1."""
-    opt = [[offset + i, offset + i] for i in range(n)]
-    sub = [[offset + i + 1, offset + i] for i in range(n - 1)]
-    heavy = [[offset, offset + n - 1]]
-    return {"opt": opt, "sub": sub, "heavy": heavy}
+def _place_cycle(
+    rows: list[list[Optional[Fraction]]], params: CycleParams, offset: int = 0
+) -> dict[str, list[list[int]]]:
+    """Writes the opt, sub and heavy weights of one 2n-cycle occupying
+    indices offset..offset+n-1 into ``rows``; returns its edge classes."""
+    n = params.n
+    classes = {
+        "opt": [[offset + i, offset + i] for i in range(n)],
+        "sub": [[offset + i + 1, offset + i] for i in range(n - 1)],
+        "heavy": [[offset, offset + n - 1]],
+    }
+    for cls, w in ("opt", params.w_opt), ("sub", params.w_sub), ("heavy", params.w_max):
+        for i, j in classes[cls]:
+            rows[i][j] = w
+    return classes
 
 
 def gen_cycle(params: CycleParams, embed: bool = False) -> Instance:
@@ -74,13 +83,7 @@ def gen_cycle(params: CycleParams, embed: bool = False) -> Instance:
     rows: list[list[Optional[Fraction]]] = [
         [light if embed else None] * n for _ in range(n)
     ]
-    classes = _cycle_edge_classes(n)
-    for i, j in classes["opt"]:
-        rows[i][j] = params.w_opt
-    for i, j in classes["sub"]:
-        rows[i][j] = params.w_sub
-    for i, j in classes["heavy"]:
-        rows[i][j] = params.w_max
+    classes = _place_cycle(rows, params)
     meta = {
         "family": "cycle",
         "n": n,
@@ -134,32 +137,20 @@ def gen_multicycle(
     Cycle blocks occupy the lowest indices in prime order; the remaining
     n - sum(n_i) index pairs are pad edges of weight w_max/2; every other
     edge weighs -2*w_max.  Each cycle satisfies the single-cycle parameter
-    constraint with its own half-length.
+    constraint with its own half-length, so the largest prime bounds eps.
     """
     w_max = Fraction(w_max)
     eps = Fraction(eps)
     if c is None:
         c = default_cycle_count(n)
     selection = select_primes(n, c)
-    largest = selection.primes[-1]
-    if not (0 < eps < w_max / (4 * (largest - 2))):
-        raise ParameterError(
-            "eps must satisfy 0 < eps < w_max/(4(n_c-2)) for the largest prime"
-        )
     light = -2 * w_max
     rows: list[list[Optional[Fraction]]] = [[light] * n for _ in range(n)]
     classes: dict[str, list[list[int]]] = {"opt": [], "sub": [], "heavy": [], "pad": []}
     cycles = []
     offset = 0
     for n_i in selection.primes:
-        params = CycleParams(n=n_i, w_max=w_max, eps=eps)
-        block = _cycle_edge_classes(n_i, offset)
-        for i, j in block["opt"]:
-            rows[i][j] = params.w_opt
-        for i, j in block["sub"]:
-            rows[i][j] = params.w_sub
-        for i, j in block["heavy"]:
-            rows[i][j] = w_max
+        block = _place_cycle(rows, CycleParams(n=n_i, w_max=w_max, eps=eps), offset)
         for cls in ("opt", "sub", "heavy"):
             classes[cls].extend(block[cls])
         cycles.append({"offset": offset, "half_length": n_i})
@@ -190,12 +181,8 @@ def failure_window(n: int, c: int, w_max: Fraction, eps: Fraction) -> Fraction:
     eps = Fraction(eps)
     if eps <= 0:
         raise ParameterError("eps must be positive")
-    power = Fraction(n, 2 * c) ** c
-    m = math.isqrt(power.numerator // power.denominator)
-    while (m + 1) * (m + 1) * power.denominator <= power.numerator:
-        m += 1
-    while m * m * power.denominator > power.numerator:
-        m -= 1
+    # m*m <= x iff m*m <= floor(x) for an integer m.
+    m = math.isqrt(math.floor(Fraction(n, 2 * c) ** c))
     return min(w_max / (8 * c * eps), Fraction(m))
 
 

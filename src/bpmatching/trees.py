@@ -7,9 +7,10 @@ covering every inner (non-leaf) node.  The root edge of a maximum weight
 T-matching is the independent ground truth for the BP belief at iteration t.
 
 Graph nodes are addressed by ids 0..2n-1: left node alpha_{i+1} has id i,
-right node beta_{j+1} has id n+j.  Unrolling walks ``Instance.adjacency()``,
-the incidence lists the engine walks too, and the tree and its DP hold
-scaled integer weights over ``inst.scale``; ``Fraction`` appears only in
+right node beta_{j+1} has id n+j.  Unrolling walks the neighbour list of
+each graph node in ``Instance.adjacency()``, the lists whose messages the
+engine steps, and the tree and its DP hold scaled integer weights over
+``inst.scale``; ``Fraction`` appears only in
 what the module returns (T-matching weights, tree edges, class totals).
 
 For cycle-restricted instances every tree is a path (each non-root node has
@@ -68,14 +69,11 @@ class ComputationTree:
 
 def unroll(inst: Instance, v: int, t: int, cap: int = DEFAULT_NODE_CAP) -> ComputationTree:
     """Depth-t computation tree of graph node ``v``."""
-    if not (0 <= v < inst.node_count()):
+    if not (0 <= v < 2 * inst.n):
         raise ParameterError(f"node id {v} out of range")
     if t < 0:
         raise ParameterError("depth must be >= 0")
-    left, right = inst.adjacency()
-    n = inst.n
-    nbrs = [[n + j for j in nb] for nb in left.nbrs] + right.nbrs
-    ws = left.w + right.w
+    adj = inst.adjacency()
     labels = [v]
     parent = [-1]
     weight_up: list[Optional[int]] = [None]
@@ -85,7 +83,7 @@ def unroll(inst: Instance, v: int, t: int, cap: int = DEFAULT_NODE_CAP) -> Compu
         for k in range(lo, hi):
             u = labels[k]
             p_label = labels[parent[k]] if k else -1
-            for nb, w in zip(nbrs[u], ws[u]):
+            for nb, w in zip(adj.nbrs[u], adj.w[u]):
                 if nb != p_label:
                     labels.append(nb)
                     parent.append(k)

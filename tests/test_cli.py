@@ -121,6 +121,51 @@ def test_malformed_instance_exit_code(tmp_path, capsys):
     assert "integers" in err
 
 
+@pytest.mark.parametrize("command, meta", [
+    ("converge", {"w_max": "abc"}),
+    ("converge", {"w_max": [1]}),
+    ("converge", {"eps": "0"}),
+    ("run", [1, 2]),
+])
+def test_malformed_metadata_exit_code(tmp_path, capsys, command, meta):
+    path = gen_cycle_file(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    doc["meta"] = {**doc["meta"], **meta} if isinstance(meta, dict) else meta
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["bp", command, "--instance", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: meta")
+
+
+def test_bp_converge_ignores_wrong_optimum_in_metadata(tmp_path, capsys):
+    # The metadata names the suboptimal edges as the optimum; the reference
+    # is the Hungarian optimum, so BP still converges at t=20.
+    path = gen_cycle_file(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    edges = doc["meta"]["edges"]
+    edges["opt"], edges["sub"], edges["heavy"] = (
+        edges["sub"] + edges["heavy"], edges["opt"][1:], edges["opt"][:1])
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["bp", "converge", "--instance", str(path)], capsys)
+    assert code == 0, err
+    assert "t=20" in out
+
+
+def test_bp_run_solves_the_hungarian_oracle_once(tmp_path, capsys, monkeypatch):
+    path = gen_cycle_file(tmp_path, capsys)
+    calls, real = [], oracles.mwm_hungarian
+
+    def counted(inst):
+        calls.append(1)
+        return real(inst)
+
+    monkeypatch.setattr(oracles, "mwm_hungarian", counted)
+    code, _, err = run(["bp", "run", "--instance", str(path), "--iters", "30"], capsys)
+    assert code == 0, err
+    assert len(calls) == 1
+
+
 def test_approx_trace_ratios_are_exact(tmp_path, capsys):
     path = gen_cycle_file(tmp_path, capsys, n=5, wmax="8", eps="1/2")
     out_csv = tmp_path / "ratios.csv"
@@ -224,7 +269,7 @@ def test_exp_approx_rejects_nonpositive_iters(tmp_path, capsys, iters):
 
 def reference_trace(inst, horizon, with_ratio):
     """``bp run`` / ``approx`` CSV text, every row computed from scratch."""
-    reference = cli._reference_matching(inst)
+    reference, _ = oracles.mwm_hungarian(inst)
     if with_ratio:
         _, opt_weight = oracles.mwm_hungarian(inst)
     out = io.StringIO()

@@ -1,8 +1,11 @@
 """Tests for instances, matchings, and serialization."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpmatching.core import (
     Instance,
@@ -116,6 +119,8 @@ BAD_DOCUMENTS = [
     '{"n": "1", "scale": 1, "weights": [[1]]}',  # string n
     '{"n": 1, "scale": 1.0, "weights": [[1]]}',  # float scale
     '{"n": 1, "scale": 1, "weights": [[1]]',  # not JSON
+    '{"n": 1, "scale": 1, "weights": [[1]], "meta": [1, 2]}',  # list meta
+    '{"n": 1, "scale": 1, "weights": [[1]], "meta": "cycle"}',  # string meta
 ]
 
 
@@ -123,6 +128,33 @@ def test_from_json_rejects_bad_documents():
     for text in BAD_DOCUMENTS:
         with pytest.raises(ParameterError):
             Instance.from_json(text)
+
+
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(
+        st.one_of(st.none(), st.builds(F, st.integers(-30, 30), st.integers(1, 12))),
+        min_size=n, max_size=n), min_size=n, max_size=n)),
+    st.one_of(st.none(), st.dictionaries(st.text(max_size=4), st.one_of(
+        JSON_VALUES, st.lists(JSON_VALUES, max_size=3)), max_size=3)),
+    st.integers(2, 9),
+)
+def test_json_roundtrip_is_exact_and_hash_stable(rows, meta, k):
+    inst = Instance(rows, meta=meta)
+    text = inst.to_json()
+    back = Instance.from_json(text)
+    assert back.weights == inst.weights
+    assert back.meta == inst.meta
+    assert back.to_json() == text
+    assert back.content_hash() == inst.content_hash()
+    # The same weights over a k times larger scale load to the same bytes.
+    doc = json.loads(text)
+    doc["scale"] *= k
+    doc["weights"] = [[None if w is None else k * w for w in row] for row in doc["weights"]]
+    assert Instance.from_json(json.dumps(doc)).content_hash() == inst.content_hash()
 
 
 def test_matching_weight():

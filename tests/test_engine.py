@@ -19,7 +19,7 @@ from bpmatching.engine import (
     step,
 )
 from bpmatching.oracles import mwm_hungarian
-from reference import encodes
+from reference import encodes, node_neighbors
 
 
 def small_cycle():
@@ -141,6 +141,17 @@ def test_convergence_time_horizon_exhausted():
     tied = Instance([[F(1), F(1)], [F(1), F(1)]])
     with pytest.raises(HorizonExhausted, match="no snapshot"):
         convergence_time(tied, Matching.of([]), 20)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("w_max", "abc"), ("w_max", [1]), ("w_max", 8), ("w_max", "-8"),
+    ("eps", "0"), ("eps", "1/0"), ("eps", None),
+])
+def test_certified_horizon_rejects_malformed_metadata(key, value):
+    inst = small_cycle()
+    inst.meta = {**inst.meta, key: value}
+    with pytest.raises(ParameterError, match=key):
+        certified_horizon(inst)
 
 
 def test_certified_horizon():
@@ -267,6 +278,24 @@ def test_step_and_beliefs_match_formula_reference(rows):
         assert snap.right_belief == tuple(
             reference_belief([ref_right[i][j] for i in range(n)]) for j in range(n)
         )
+
+
+@settings(max_examples=150, deadline=None)
+@given(weight_tables())
+# alpha_1 and beta_1 have degree 0, alpha_3 and beta_3 degree 1.
+@example([[None, None, None], [None, F(2), F(-1)], [None, F(5), None]])
+def test_adjacency_lists_every_edge_once_from_both_ends(rows):
+    inst = Instance(rows)
+    n, adj, scaled = inst.n, inst.adjacency(), inst.scaled_weights()
+    assert len(adj.nbrs) == len(adj.w) == len(adj.slot) == 2 * n
+    for u, nb in enumerate(adj.nbrs):
+        assert nb == sorted(set(nb))
+        assert all(n <= v < 2 * n if u < n else 0 <= v < n for v in nb)
+        assert nb == [v for v, _ in node_neighbors(inst, u)]
+        for s, v in enumerate(nb):
+            back = adj.slot[u][s]
+            assert adj.nbrs[v][back] == u
+            assert adj.w[u][s] == adj.w[v][back] == scaled[min(u, v)][max(u, v) - n]
 
 
 # -- convergence_time against the loop that steps every iteration --
