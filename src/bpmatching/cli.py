@@ -53,7 +53,11 @@ APPROX_HEADER = [
 
 
 def _load_instance(path: str) -> Instance:
-    return Instance.from_json(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read instance {path}: {exc}") from exc
+    return Instance.from_json(text)
 
 
 #: The largest certified horizon a run steps through.
@@ -281,14 +285,16 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             print(f"  a{i + 1} - b{j + 1}")
     elif args.oracle_cmd == "tree-belief":
         inst = _load_instance(args.instance)
+        names = [f"{side}{k}" for side in "ab" for k in range(1, inst.n + 1)]
         node = args.node.strip().lower()
-        side, idx = node[0], int(node[1:]) - 1
-        v = idx if side == "a" else inst.n + idx
-        belief = trees.oracle_belief(inst, v, args.depth)
+        if node not in names:
+            raise ParameterError(
+                f"--node must be a<k> or b<k>, 1 <= k <= {inst.n}: {args.node!r}")
+        belief = trees.oracle_belief(inst, names.index(node), args.depth)
         if belief is trees.TIE:
             print("tie")
         else:
-            other = "b" if side == "a" else "a"
+            other = "b" if node[0] == "a" else "a"
             print(f"{other}{belief + 1}")
     elif args.oracle_cmd == "nibbling":
         delta = trees.nibbling_delta(

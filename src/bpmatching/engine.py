@@ -49,8 +49,8 @@ from itertools import chain, compress
 from operator import add, mul, sub
 from typing import Iterator, Optional
 
-from .core import (Adjacency, HorizonExhausted, Instance, Matching, ParameterError,
-                   parse_rational)
+from .core import Adjacency, HorizonExhausted, Instance, Matching, ParameterError
+from .oracles import uniqueness_gap
 
 
 #: Per graph node: slot of the first maximum incoming message (-1
@@ -359,23 +359,12 @@ def convergence_time(inst: Instance, reference: Matching, horizon: int) -> int:
 
 
 def certified_horizon(inst: Instance) -> int:
-    """ceil(2n*w_max/eps) from generator metadata (Theorem-certified bound);
-    ``w_max`` and ``eps`` must be positive rational strings."""
-    meta = inst.meta
-    if not meta or "w_max" not in meta or "eps" not in meta:
-        raise ParameterError("instance lacks generator metadata for a certified horizon")
-    w_max, eps = (_positive_rational(meta, key) for key in ("w_max", "eps"))
-    bound = Fraction(2 * inst.n) * w_max / eps
+    """ceil(2n*w_max/eps), the Bayati-Shah-Sharma bound, from the weights:
+    w_max is the largest edge weight, signed (the -2*w_max fillers of the
+    embedded families do not count), and eps is the uniqueness gap.  Both
+    must be positive, else ``ParameterError``."""
+    w_max = max((w for row in inst.weights for w in row if w is not None), default=0)
+    if w_max <= 0 or not (eps := uniqueness_gap(inst)):
+        raise ParameterError("certified horizon: no positive weight, or a tied optimum")
+    bound = 2 * inst.n * w_max / eps
     return -(-bound.numerator // bound.denominator)
-
-
-def _positive_rational(meta: dict, key: str) -> Fraction:
-    """``meta[key]`` parsed as a positive rational string, else ParameterError."""
-    text = meta[key]
-    try:
-        q = parse_rational(text) if isinstance(text, str) else 0
-    except ParameterError:
-        q = 0
-    if q <= 0:
-        raise ParameterError(f"meta {key} must be a positive rational string, not {text!r}")
-    return q

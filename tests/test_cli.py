@@ -121,6 +121,22 @@ def test_malformed_instance_exit_code(tmp_path, capsys):
     assert "integers" in err
 
 
+def test_unreadable_instance_file_exit_code(tmp_path, capsys):
+    undecodable = tmp_path / "utf16.json"
+    undecodable.write_bytes(b"\xff\xfe{\x00}\x00")
+    for path in tmp_path / "missing.json", undecodable:
+        code, out, err = run(["bp", "converge", "--instance", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read instance {path}")
+
+
+def write_meta(path, meta):
+    """Merges ``meta`` into the file's metadata, or replaces it by a non-dict."""
+    doc = json.loads(path.read_text())
+    doc["meta"] = {**doc["meta"], **meta} if isinstance(meta, dict) else meta
+    path.write_text(json.dumps(doc))
+
+
 @pytest.mark.parametrize("command, meta", [
     ("converge", {"w_max": "abc"}),
     ("converge", {"w_max": [1]}),
@@ -128,14 +144,41 @@ def test_malformed_instance_exit_code(tmp_path, capsys):
     ("run", [1, 2]),
 ])
 def test_malformed_metadata_exit_code(tmp_path, capsys, command, meta):
+    # A meta that is not an object is a malformed document (exit 2).  The
+    # horizon never reads meta's w_max or eps, so a bad value of either
+    # leaves the weights' horizon 2*3*8 / (3/5) = 80.
     path = gen_cycle_file(tmp_path, capsys)
-    doc = json.loads(path.read_text())
-    doc["meta"] = {**doc["meta"], **meta} if isinstance(meta, dict) else meta
-    path.write_text(json.dumps(doc))
+    write_meta(path, meta)
     code, out, err = run(["bp", command, "--instance", str(path)], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: meta")
+    if command == "run":
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: meta")
+    else:
+        assert (code, out, err) == (0, "converged at t=20 (horizon 80)\n", "")
+
+
+@pytest.mark.parametrize("meta", [{"w_max": "1"}, {"eps": "8"}, None],
+                         ids=["w_max-1", "eps-8", "no-meta"])
+def test_bp_converge_takes_the_horizon_from_the_weights(tmp_path, capsys, meta):
+    # Metadata that understates w_max or overstates eps would certify a
+    # horizon before T = 20; without metadata there is a horizon all the same.
+    path = gen_cycle_file(tmp_path, capsys)
+    write_meta(path, meta)
+    code, out, err = run(["bp", "converge", "--instance", str(path)], capsys)
+    assert (code, out, err) == (0, "converged at t=20 (horizon 80)\n", "")
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[F(1), F(1)], [F(1), F(1)]], "tied optimum"),
+    ([[F(3), None], [F(1), F(3)]], "fewer than two perfect matchings"),
+], ids=["tied", "one-perfect-matching"])
+def test_no_certified_horizon_exit_code(tmp_path, capsys, rows, message):
+    path = tmp_path / "inst.json"
+    path.write_text(Instance(rows).to_json())
+    code, out, err = run(["bp", "converge", "--instance", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_bp_converge_ignores_wrong_optimum_in_metadata(tmp_path, capsys):
@@ -436,6 +479,18 @@ def test_oracle_tree_belief(tmp_path, capsys):
     )
     assert code == 0
     assert out.strip() == "b1"
+
+
+@pytest.mark.parametrize("node", ["c2", "x", "", "b4", "a0", "a-1", "a 1", "a1b"])
+def test_oracle_tree_belief_rejects_bad_node(tmp_path, capsys, node):
+    path = gen_cycle_file(tmp_path, capsys, n=3, wmax="8", eps="1/2", embed=False)
+    code, out, err = run(
+        ["oracle", "tree-belief", "--instance", str(path),
+         "--node", node, "--depth", "4"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --node must be a<k> or b<k>, 1 <= k <= 3")
 
 
 def test_oracle_mwm(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for the message-passing engine."""
 
+import math
 from fractions import Fraction as F
 from unittest import mock
 
@@ -148,10 +149,11 @@ def test_convergence_time_horizon_exhausted():
     ("eps", "0"), ("eps", "1/0"), ("eps", None),
 ])
 def test_certified_horizon_rejects_malformed_metadata(key, value):
+    # Metadata is no source of the horizon: a malformed w_max or eps is
+    # never read, and the horizon stays the one the weights certify.
     inst = small_cycle()
     inst.meta = {**inst.meta, key: value}
-    with pytest.raises(ParameterError, match=key):
-        certified_horizon(inst)
+    assert certified_horizon(inst) == 96  # 2*3*8 / (1/2)
 
 
 def test_certified_horizon():
@@ -159,6 +161,44 @@ def test_certified_horizon():
     assert certified_horizon(inst) == 80  # 2*3*8 / (3/5)
     with pytest.raises(ParameterError):
         certified_horizon(Instance([[F(1)]]))
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[F(1), F(1)], [F(1), F(1)]], "tied optimum"),
+    ([[F(3), None], [F(1), F(3)]], "fewer than two"),
+    ([[F(-1), F(-2)], [F(-2), F(-1)]], "no positive weight"),
+    ([[F(0), F(-2)], [F(-2), F(0)]], "no positive weight"),
+    ([[None, None], [None, None]], "no positive weight"),
+], ids=["tied", "one-perfect-matching", "negative", "zero", "edgeless"])
+def test_certified_horizon_needs_a_positive_weight_and_a_unique_optimum(rows, message):
+    with pytest.raises(ParameterError, match=message):
+        certified_horizon(Instance(rows))
+
+
+@st.composite
+def generated_instances(draw):
+    """(instance, n, w_max, eps): a cycle, bare or embedded, or a multicycle,
+    with eps a drawn fraction of the largest eps its generator accepts."""
+    w_max = draw(st.sampled_from([F(1), F(5, 2), F(8), F(1000)]))
+    frac = draw(st.fractions(F(1, 10**4), F(9999, 10**4), max_denominator=10**4))
+    if draw(st.integers(0, 5)):
+        n = draw(st.integers(3, 12))
+        eps = w_max * frac / (4 * (n - 2))
+        params = generators.CycleParams(n, w_max, eps)
+        return generators.gen_cycle(params, embed=draw(st.booleans())), n, w_max, eps
+    n, c = draw(st.sampled_from([(16, 1), (16, 2), (24, 2), (40, 1), (40, 2)]))
+    eps = w_max * frac / (4 * (max(generators.select_primes(n, c).primes) - 2))
+    return generators.gen_multicycle(n, w_max, eps, c=c), n, w_max, eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated_instances())
+@example((generators.gen_multicycle(24, F(8), F(1, 1000), c=2), 24, F(8), F(1, 1000)))
+def test_certified_horizon_is_the_generator_bound(case):
+    # The weights give back the generator's w_max (the largest signed
+    # weight; embedded fillers weigh -2*w_max) and eps (the gap).
+    inst, n, w_max, eps = case
+    assert certified_horizon(inst) == math.ceil(2 * n * w_max / eps)
 
 
 def test_run_to_horizon_validation():
