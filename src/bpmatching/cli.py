@@ -64,19 +64,21 @@ def _load_instance(path: str) -> Instance:
 _HORIZON_CAP = 10**6
 
 
-def _horizon(inst: Instance, explicit: Optional[int]) -> int:
-    """The explicit horizon, else the certified one if it is at most the cap."""
+def _horizon(inst: Instance, explicit: Optional[int]) -> tuple[int, Matching, Fraction]:
+    """The explicit horizon, else the certified one if it is at most the cap;
+    with the optimum matching and its weight, from one Hungarian solve."""
     if explicit is not None:
         if explicit < 1:
             raise ParameterError("horizon must be >= 1")
-        return explicit
-    horizon = engine.certified_horizon(inst)
+        return (explicit, *oracles.mwm_hungarian(inst))
+    reference, opt_weight, gap = oracles.optimum_and_gap(inst)
+    horizon = engine.certified_horizon(inst, gap)
     if horizon > _HORIZON_CAP:
         raise HorizonExhausted(
             f"certified horizon {horizon} exceeds the cap {_HORIZON_CAP} "
             "(an explicit horizon is not capped)"
         )
-    return horizon
+    return horizon, reference, opt_weight
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -135,12 +137,8 @@ def _trace_rows(
         yield snap.iteration, row
 
 
-def _write_trace(inst: Instance, horizon: int, out, with_ratio: bool) -> None:
-    reference, opt_weight = oracles.mwm_hungarian(inst)
-    if not with_ratio:
-        opt_weight = None
-    elif opt_weight <= 0:
-        raise ParameterError("approximation ratios need a positive optimum")
+def _write_trace(inst: Instance, horizon: int, reference: Matching,
+                 opt_weight: Optional[Fraction], out) -> None:
     writer = csv.writer(out)
     writer.writerow(TRACE_HEADER)
     for t, (pairs, unresolved, is_reference, _, num, den) in _trace_rows(
@@ -152,19 +150,22 @@ def _write_trace(inst: Instance, horizon: int, out, with_ratio: bool) -> None:
 def cmd_trace(args: argparse.Namespace) -> int:
     """``bp run`` and ``approx``: per-iteration trace CSV, ratios for ``approx``."""
     inst = _load_instance(args.instance)
-    horizon = _horizon(inst, args.iters)
+    horizon, reference, opt_weight = _horizon(inst, args.iters)
+    if not args.with_ratio:
+        opt_weight = None
+    elif opt_weight <= 0:
+        raise ParameterError("approximation ratios need a positive optimum")
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            _write_trace(inst, horizon, fh, with_ratio=args.with_ratio)
+            _write_trace(inst, horizon, reference, opt_weight, fh)
     else:
-        _write_trace(inst, horizon, sys.stdout, with_ratio=args.with_ratio)
+        _write_trace(inst, horizon, reference, opt_weight, sys.stdout)
     return 0
 
 
 def cmd_bp_converge(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
-    horizon = _horizon(inst, args.horizon)
-    reference, _ = oracles.mwm_hungarian(inst)
+    horizon, reference, _ = _horizon(inst, args.horizon)
     t = engine.convergence_time(inst, reference, horizon)
     print(f"converged at t={t} (horizon {horizon})")
     return 0
@@ -193,8 +194,7 @@ def cmd_exp_convergence(args: argparse.Namespace) -> int:
         instances.append(inst)
         lower = Fraction(args.n) * w_max / (2 * eps)
         upper = Fraction(2 * args.n) * w_max / eps
-        horizon = _horizon(inst, None)
-        reference, _ = oracles.mwm_hungarian(inst)
+        horizon, reference, _ = _horizon(inst, None)
         t = engine.convergence_time(inst, reference, horizon)
         verdict = (lower - args.n <= t) and (Fraction(t) <= upper)
         rows.append(
@@ -242,8 +242,8 @@ def cmd_exp_approx(args: argparse.Namespace) -> int:
     meta = inst.meta or {}
     c = meta["c"]
     window = generators.failure_window(args.n, c, w_max, eps)
-    horizon = _horizon(inst, int(window) if args.iters is None else args.iters)
-    reference, opt_weight = oracles.mwm_hungarian(inst)
+    horizon, reference, opt_weight = _horizon(
+        inst, int(window) if args.iters is None else args.iters)
     cycles = [(b["offset"], b["offset"] + b["half_length"]) for b in meta["cycles"]]
     digest = inst.content_hash()[:16]
     count = 0

@@ -358,13 +358,36 @@ def convergence_time(inst: Instance, reference: Matching, horizon: int) -> int:
     return run.last_bad + 1
 
 
-def certified_horizon(inst: Instance) -> int:
-    """ceil(2n*w_max/eps), the Bayati-Shah-Sharma bound, from the weights:
-    w_max is the largest edge weight, signed (the -2*w_max fillers of the
-    embedded families do not count), and eps is the uniqueness gap.  Both
-    must be positive, else ``ParameterError``."""
-    w_max = max((w for row in inst.weights for w in row if w is not None), default=0)
-    if w_max <= 0 or not (eps := uniqueness_gap(inst)):
+def certified_horizon(inst: Instance, eps: Optional[Fraction] = None) -> int:
+    """ceil(2n*w/eps), the Bayati-Shah-Sharma bound; eps is the uniqueness
+    gap, solved for unless given.  The bound is stated for nonnegative
+    weights with w = w_max, the largest edge weight, and the embedded
+    families keep it (``_bare_view_gap``).  Any other negative weight makes
+    w the spread w_max - w_min: a common shift of the weights changes no
+    belief when every node has two or more edges.  ``ParameterError`` on no
+    positive weight, a tied optimum, one perfect matching, or a negative
+    weight with a node of one edge."""
+    ws = [w for row in inst.weights for w in row if w is not None]
+    w = max(ws, default=0)
+    if w <= 0 or not (eps := uniqueness_gap(inst) if eps is None else eps):
         raise ParameterError("certified horizon: no positive weight, or a tied optimum")
-    bound = 2 * inst.n * w_max / eps
+    if min(ws) < 0 and _bare_view_gap(inst, w) != eps:
+        if min(map(len, inst.adjacency().nbrs)) < 2:
+            raise ParameterError("certified horizon: negative weights, a node of one edge")
+        w -= min(ws)
+    bound = 2 * inst.n * w / eps
     return -(-bound.numerator // bound.denominator)
+
+
+def _bare_view_gap(inst: Instance, w_max: Fraction) -> Optional[Fraction]:
+    """The gap of ``inst`` without its -2*w_max edges, if the rest is
+    nonnegative and has two perfect matchings, else None.  Where this bare
+    view keeps the gap, the fillers are taken to change no belief
+    (criterion 5 checks this on the embedded cycles)."""
+    bare = [[None if x == -2 * w_max else x for x in row] for row in inst.weights]
+    if any(x is not None and x < 0 for row in bare for x in row):
+        return None
+    try:
+        return uniqueness_gap(Instance(bare))
+    except ParameterError:
+        return None

@@ -121,8 +121,9 @@ def _min_cost_assignment(cost: list[list[int]]) -> list[int]:
     return result
 
 
-def _best_and_gap(inst: Instance) -> tuple[Fraction, Fraction]:
-    """Optimum weight and the cost of the cheapest exchange cycle around it.
+def optimum_and_gap(inst: Instance) -> tuple[Matching, Fraction, Fraction]:
+    """The optimum matching, its weight, and the cost of the cheapest exchange
+    cycle around it (the uniqueness gap).
 
     Row i may take row k's optimal partner when that edge is present, at
     integer cost w[i][M(i)] - w[i][M(k)].  The cheapest directed cycle of
@@ -155,15 +156,15 @@ def _best_and_gap(inst: Instance) -> tuple[Fraction, Fraction]:
     if cheapest == inf:
         raise ParameterError("fewer than two perfect matchings exist")
     assert cheapest >= 0, "Hungarian optimum admits an improving exchange cycle"
-    return best_weight, Fraction(cheapest, inst.scale)
+    return best, best_weight, Fraction(cheapest, inst.scale)
 
 
 def second_best_weight(inst: Instance) -> Fraction:
     """Weight of the second-best perfect matching (distinct edge set)."""
-    best, gap = _best_and_gap(inst)
+    _, best, gap = optimum_and_gap(inst)
     return best - gap
 
 
 def uniqueness_gap(inst: Instance) -> Fraction:
     """W(best) - W(second best) over perfect matchings; 0 means non-unique."""
-    return _best_and_gap(inst)[1]
+    return optimum_and_gap(inst)[2]

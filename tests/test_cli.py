@@ -172,13 +172,46 @@ def test_bp_converge_takes_the_horizon_from_the_weights(tmp_path, capsys, meta):
 @pytest.mark.parametrize("rows, message", [
     ([[F(1), F(1)], [F(1), F(1)]], "tied optimum"),
     ([[F(3), None], [F(1), F(3)]], "fewer than two perfect matchings"),
-], ids=["tied", "one-perfect-matching"])
+    ([[F(-1), F(2), None], [F(3), F(1), None], [None, None, F(5)]], "node of one edge"),
+], ids=["tied", "one-perfect-matching", "negative-with-a-leaf"])
 def test_no_certified_horizon_exit_code(tmp_path, capsys, rows, message):
     path = tmp_path / "inst.json"
     path.write_text(Instance(rows).to_json())
     code, out, err = run(["bp", "converge", "--instance", str(path)], capsys)
     assert (code, out) == (2, "")
     assert message in err
+
+
+@pytest.mark.parametrize("shift", [F(-37, 5), F(-1), F(3)])
+def test_bp_converge_certifies_a_shifted_instance(tmp_path, capsys, shift):
+    # A common shift of the weights changes no belief, so T stays 20.  Its
+    # negative weights are no -2*w_max fillers, so the bound takes the
+    # spread 8 - (-16) = 24: 2*3*24 / (3/5) = 240.  The largest weight alone
+    # would certify 6 at a shift of -37/5, where it is 3/5.
+    base = Instance.from_json(gen_cycle_file(tmp_path, capsys).read_text())
+    path = tmp_path / "shifted.json"
+    path.write_text(Instance([[w + shift for w in row] for row in base.weights]).to_json())
+    code, out, err = run(["bp", "converge", "--instance", str(path)], capsys)
+    assert (code, out, err) == (0, "converged at t=20 (horizon 240)\n", "")
+
+
+@pytest.mark.parametrize("embed, solves", [(False, 1), (True, 2)], ids=["bare", "embedded"])
+def test_bp_converge_solves_the_hungarian_oracle_once_per_view(
+    tmp_path, capsys, monkeypatch, embed, solves
+):
+    # One solve gives the reference and the gap; an embedded instance adds
+    # one for its bare view.
+    path = gen_cycle_file(tmp_path, capsys, embed=embed)
+    calls, real = [], oracles.mwm_hungarian
+
+    def counted(inst):
+        calls.append(1)
+        return real(inst)
+
+    monkeypatch.setattr(oracles, "mwm_hungarian", counted)
+    code, out, err = run(["bp", "converge", "--instance", str(path)], capsys)
+    assert (code, out, err) == (0, "converged at t=20 (horizon 80)\n", "")
+    assert len(calls) == solves
 
 
 def test_bp_converge_ignores_wrong_optimum_in_metadata(tmp_path, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bpmatching import generators
@@ -169,10 +169,55 @@ def test_certified_horizon():
     ([[F(-1), F(-2)], [F(-2), F(-1)]], "no positive weight"),
     ([[F(0), F(-2)], [F(-2), F(0)]], "no positive weight"),
     ([[None, None], [None, None]], "no positive weight"),
-], ids=["tied", "one-perfect-matching", "negative", "zero", "edgeless"])
+    ([[F(-1), F(2), None], [F(3), F(1), None], [None, None, F(5)]], "node of one edge"),
+], ids=["tied", "one-perfect-matching", "negative", "zero", "edgeless",
+        "negative-with-a-leaf"])
 def test_certified_horizon_needs_a_positive_weight_and_a_unique_optimum(rows, message):
     with pytest.raises(ParameterError, match=message):
         certified_horizon(Instance(rows))
+
+
+def test_certified_horizon_takes_the_spread_of_signed_weights():
+    # The embedded n=3 cycle shifted by -37/5: T stays 20, the largest
+    # weight is 3/5, and the spread 3/5 + 117/5 = 24 gives 2*3*24 / (3/5).
+    base = generators.gen_cycle(generators.CycleParams(3, F(8), F(3, 5)), embed=True)
+    shifted = Instance([[w - F(37, 5) for w in row] for row in base.weights])
+    assert certified_horizon(shifted) == 240
+    assert convergence_time(shifted, mwm_hungarian(shifted)[0], 240) == 20
+    # -2*w_max weights are fillers only where the rest keeps the gap: this
+    # bare view has one perfect matching, so the spread 27 gives 2*2*27 / 3,
+    # and T = 18 lies past the 12 that w_max = 9 would certify.
+    inst = Instance([[F(6), F(9)], [F(-18), F(-18)]])
+    assert certified_horizon(inst) == 36
+    assert convergence_time(inst, mwm_hungarian(inst)[0], 36) == 18
+
+
+@st.composite
+def small_signed_instances(draw):
+    """Dense or sparse n <= 4 instances with integer weights in -6..6; some
+    get -2*w_max fillers in place of a share of their edges."""
+    n = draw(st.integers(2, 4))
+    weight = st.integers(-6, 6)
+    cell = st.one_of(st.none(), weight) if draw(st.booleans()) else weight
+    rows = [[draw(cell) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        top = max((w for row in rows for w in row if w is not None), default=0)
+        rows = [[-2 * top if draw(st.booleans()) else w for w in row] for row in rows]
+    return Instance([[None if w is None else F(w) for w in row] for row in rows])
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_signed_instances())
+def test_certified_horizon_bounds_the_convergence_time(inst):
+    # Beliefs that settle by the certified horizon stay settled four times
+    # as long: the T it certifies is the T of a longer run.
+    try:
+        horizon = certified_horizon(inst)
+    except ParameterError:
+        assume(False)
+    reference, _ = mwm_hungarian(inst)
+    assert convergence_time(inst, reference, horizon) == convergence_time(
+        inst, reference, 4 * horizon)
 
 
 @st.composite
