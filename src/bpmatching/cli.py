@@ -1,7 +1,9 @@
 """Command-line front end: generation, BP runs, and experiment sweeps.
 
-Exit codes: 0 success, 2 precondition violation, 3 horizon exhausted,
-4 oracle cap exceeded.  Rational flags are 'P/Q' strings.  Results are CSV
+Exit codes: 0 success, 2 precondition violation (an output path that
+cannot be written among them, checked before any work), 3 horizon
+exhausted or an ``exp convergence`` row outside the bound sandwich, 4
+oracle cap exceeded.  Rational flags are 'P/Q' strings.  Results are CSV
 plus a JSON manifest (config, instance hashes, bound values) so runs are
 byte-reproducible.
 """
@@ -239,7 +241,7 @@ def cmd_exp_approx(args: argparse.Namespace) -> int:
     w_max = parse_rational(args.wmax)
     eps = parse_rational(args.eps)
     inst = generators.gen_multicycle(args.n, w_max, eps, c=args.c)
-    meta = inst.meta or {}
+    meta = inst.meta
     c = meta["c"]
     window = generators.failure_window(args.n, c, w_max, eps)
     horizon, reference, opt_weight = _horizon(
@@ -388,6 +390,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for key in ("output", "csv", "manifest"):
+            out = getattr(args, key, None)
+            if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+                raise ParameterError(
+                    f"cannot write {out}: a directory, or its directory is missing")
         return args.func(args)
     except (ParameterError, MissingEdgeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 
 class ParameterError(ValueError):
@@ -246,10 +246,3 @@ def relabel(inst: Instance, left_perm: list[int], right_perm: list[int]) -> Inst
             rows[left_perm[i]][right_perm[j]] = inst.weights[i][j]
     return Instance(rows)
 
-
-def all_perfect_matchings(n: int) -> Iterator[Matching]:
-    """Every perfect matching of K_{n,n}, in lexicographic permutation order."""
-    from itertools import permutations
-
-    for perm in permutations(range(n)):
-        yield Matching.of(enumerate(perm))

@@ -108,21 +108,6 @@ class MessageState:
     def to_right(self) -> list[list[int]]:
         return self.rows[len(self.rows) // 2 :]
 
-    def _message(self, i: int, j: int, into_right: bool) -> Fraction:
-        """The message on edge (i, j) into beta_j, or else into alpha_i."""
-        n = len(self.rows) // 2
-        u, v = (n + j, i) if into_right else (i, n + j)
-        nbrs = self.adj.nbrs[u]
-        if v not in nbrs:
-            raise ParameterError(f"edge ({i},{j}) is absent")
-        return Fraction(self.rows[u][nbrs.index(v)], self.scale)
-
-    def message_to_right(self, i: int, j: int) -> Fraction:
-        return self._message(i, j, True)
-
-    def message_to_left(self, i: int, j: int) -> Fraction:
-        return self._message(i, j, False)
-
 
 @dataclass(frozen=True)
 class BeliefSnapshot:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import Instance, Matching, ParameterError, format_rational
+from .core import Instance, ParameterError, format_rational
 
 
 @dataclass(frozen=True)
@@ -185,24 +185,3 @@ def failure_window(n: int, c: int, w_max: Fraction, eps: Fraction) -> Fraction:
     m = math.isqrt(math.floor(Fraction(n, 2 * c) ** c))
     return min(w_max / (8 * c * eps), Fraction(m))
 
-
-def optimal_matching(inst: Instance) -> Matching:
-    """The construction's unique MWM: optimal cycle edges plus pad edges."""
-    meta = inst.meta or {}
-    edges = meta.get("edges")
-    if not edges:
-        raise ParameterError("instance has no generator metadata")
-    pairs = [tuple(e) for e in edges["opt"]] + [
-        tuple(e) for e in edges.get("pad", ())
-    ]
-    return Matching.of(pairs)
-
-
-def suboptimal_matching(inst: Instance) -> Matching:
-    """Second-best matching of a single-cycle instance (its suboptimal edges)."""
-    meta = inst.meta or {}
-    if meta.get("family") != "cycle":
-        raise ParameterError("suboptimal matching is defined for the cycle family")
-    edges = meta["edges"]
-    pairs = [tuple(e) for e in edges["sub"]] + [tuple(e) for e in edges["heavy"]]
-    return Matching.of(pairs)

@@ -10,8 +10,8 @@ Graph nodes are addressed by ids 0..2n-1: left node alpha_{i+1} has id i,
 right node beta_{j+1} has id n+j.  Unrolling walks the neighbour list of
 each graph node in ``Instance.adjacency()``, the lists whose messages the
 engine steps, and the tree and its DP hold scaled integer weights over
-``inst.scale``; ``Fraction`` appears only in
-what the module returns (T-matching weights, tree edges, class totals).
+``inst.scale``; ``Fraction`` appears only in the T-matching weight that
+``max_t_matching`` returns and in ``nibbling_delta``.
 
 For cycle-restricted instances every tree is a path (each non-root node has
 exactly one child), so unrolling stays linear in t.
@@ -58,22 +58,15 @@ class ComputationTree:
     def node_count(self) -> int:
         return len(self.labels)
 
-    def edges(self) -> list[tuple[int, int, Fraction]]:
-        """Tree edges as (label, parent label, weight) triples."""
-        return [
-            (self.labels[k], self.labels[self.parent[k]],
-             Fraction(self.weight_up[k], self.scale))
-            for k in range(1, len(self.labels))
-        ]
 
-
-def unroll(inst: Instance, v: int, t: int, cap: int = DEFAULT_NODE_CAP) -> ComputationTree:
-    """Depth-t computation tree of graph node ``v``."""
+def unroll(inst: Instance, v: int, t: int) -> ComputationTree:
+    """Depth-t computation tree of graph node ``v``, of at most
+    ``DEFAULT_NODE_CAP`` nodes."""
     if not (0 <= v < 2 * inst.n):
         raise ParameterError(f"node id {v} out of range")
     if t < 0:
         raise ParameterError("depth must be >= 0")
-    adj = inst.adjacency()
+    adj, cap = inst.adjacency(), DEFAULT_NODE_CAP
     labels = [v]
     parent = [-1]
     weight_up: list[Optional[int]] = [None]
@@ -132,14 +125,12 @@ def max_t_matching(
     return total, (tree.root, tree.labels[1 + root_scores.index(top)])
 
 
-def oracle_belief(
-    inst: Instance, v: int, t: int, cap: int = DEFAULT_NODE_CAP
-) -> Union[int, _Tie]:
+def oracle_belief(inst: Instance, v: int, t: int) -> Union[int, _Tie]:
     """Believed partner index of node ``v`` at iteration ``t`` (or TIE).
 
     The partner is reported as an index on the opposite side (0..n-1).
     """
-    tree = unroll(inst, v, t, cap=cap)
+    tree = unroll(inst, v, t)
     _, root_edge = max_t_matching(tree)
     if root_edge is TIE:
         return TIE
@@ -164,72 +155,3 @@ def nibbling_delta(n: int, w_max: Fraction, eps: Fraction, l: int) -> Fraction:
         raise ParameterError("eps must satisfy 0 < eps < w_max/(4(n-2))")
     return w_max * Fraction(n - l, 2 * (n - 1)) - eps * Fraction(l - 1, n - 1)
 
-
-def heavy_tail_tree(inst: Instance, k: int, l: int) -> tuple[ComputationTree, int]:
-    """A cycle computation tree whose 2l-edge tail contains the heavy edge.
-
-    The instance must be a generated single-cycle instance (cycle metadata
-    present).  Returns the tree and its root node id.  Searches all cycle
-    nodes; existence is guaranteed for 1 <= l <= n-1.
-    """
-    meta = inst.meta or {}
-    edges = meta.get("edges") or {}
-    heavy = {tuple(e) for e in edges.get("heavy", ())}
-    if len(heavy) != 1:
-        raise ParameterError("instance is not a single-cycle construction")
-    ((hi, hj),) = heavy
-    n = inst.n
-    heavy_pair = {hi, n + hj}
-    if not (1 <= l <= n - 1):
-        raise ParameterError("l must satisfy 1 <= l <= n-1")
-    t = k * n + l
-    cycle = _cycle_view(inst)
-    for v in range(2 * n):
-        tree = unroll(cycle, v, t)
-        m = tree.node_count()
-        # A cycle's tree is a path with two arms, which alternate in BFS
-        # order: the odd nodes form one, the even nodes after the root the other.
-        if m < 3 or tree.parent != [-1, 0, 0] + list(range(1, m - 2)):
-            raise ParameterError("computation tree is not a path")
-        path = [tree.labels[x] for x in [*range(1, m, 2)][::-1] + [*range(0, m, 2)]]
-        seq = list(zip(path, path[1:]))  # leaf-to-leaf edges as label pairs
-        if any({a, b} == heavy_pair for a, b in seq[-2 * l:] + seq[:2 * l]):
-            return tree, v
-    raise ParameterError("no heavy-tail root found (malformed cycle instance)")
-
-
-def _cycle_view(inst: Instance) -> Instance:
-    """The instance restricted to its generated cycle edges."""
-    meta = inst.meta or {}
-    edges = meta.get("edges") or {}
-    keep = set()
-    for cls in ("opt", "sub", "heavy", "pad"):
-        keep.update(tuple(e) for e in edges.get(cls, ()))
-    if not keep:
-        raise ParameterError("instance has no edge-class metadata")
-    rows = [
-        [w if (i, j) in keep else None for j, w in enumerate(row)]
-        for i, row in enumerate(inst.weights)
-    ]
-    return Instance(rows, meta=inst.meta)
-
-
-def class_weight_split(inst: Instance, tree: ComputationTree) -> dict[str, Fraction]:
-    """Total tree edge weight per generator edge class.
-
-    The heavy edge counts toward the suboptimal class, matching the
-    optimal/suboptimal partition of cycle edges.
-    """
-    meta = inst.meta or {}
-    edges = meta.get("edges") or {}
-    classes: dict[frozenset[int], str] = {}
-    n = inst.n
-    for cls in ("opt", "sub", "heavy", "pad"):
-        for i, j in edges.get(cls, ()):
-            key = frozenset((i, n + j))
-            classes[key] = "sub" if cls == "heavy" else cls
-    totals: dict[str, Fraction] = {}
-    for a, b, w in tree.edges():
-        cls = classes.get(frozenset((a, b)), "light")
-        totals[cls] = totals.get(cls, Fraction(0)) + w
-    return totals

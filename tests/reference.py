@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+from bpmatching.core import Matching
+from bpmatching.trees import unroll
+
 
 def node_neighbors(inst, u: int) -> list[tuple[int, Fraction]]:
     """Neighbours of graph node ``u`` (left i is i, right j is n + j) with
@@ -23,3 +26,66 @@ def encodes(snap, reference) -> bool:
     return all(snap.left_belief[i] == left[i] for i in left) and all(
         snap.right_belief[j] == right[j] for j in right
     )
+
+
+def message(state, i: int, j: int, into_right: bool) -> Fraction:
+    """The message of ``state`` on edge (i, j) into beta_j, or else into
+    alpha_i."""
+    n = len(state.rows) // 2
+    u, v = (n + j, i) if into_right else (i, n + j)
+    return Fraction(state.rows[u][state.adj.nbrs[u].index(v)], state.scale)
+
+
+def optimal_matching(inst) -> Matching:
+    """A generated instance's optimum: its optimal cycle and pad edges."""
+    edges = inst.meta["edges"]
+    return Matching.of(map(tuple, edges["opt"] + edges.get("pad", [])))
+
+
+def suboptimal_matching(inst) -> Matching:
+    """A generated single cycle's second best: its suboptimal edges."""
+    edges = inst.meta["edges"]
+    return Matching.of(map(tuple, edges["sub"] + edges["heavy"]))
+
+
+def tree_edges(tree) -> list[tuple[int, int, Fraction]]:
+    """Tree edges as (label, parent label, weight) triples."""
+    return [
+        (tree.labels[k], tree.labels[tree.parent[k]],
+         Fraction(tree.weight_up[k], tree.scale))
+        for k in range(1, tree.node_count())
+    ]
+
+
+def heavy_tail_tree(inst, k: int, l: int):
+    """A depth k*n + l computation tree of the bare generated cycle ``inst``
+    whose 2l-edge tail holds the heavy edge, and its root id."""
+    n = inst.n
+    ((hi, hj),) = inst.meta["edges"]["heavy"]
+    heavy = {hi, n + hj}
+    for v in range(2 * n):
+        tree = unroll(inst, v, k * n + l)
+        m = tree.node_count()
+        # A cycle's tree is a path with two arms, which alternate in BFS
+        # order: the odd nodes form one, the even nodes after the root the other.
+        assert tree.parent == [-1, 0, 0] + list(range(1, m - 2))
+        path = [tree.labels[x] for x in [*range(1, m, 2)][::-1] + [*range(0, m, 2)]]
+        seq = list(zip(path, path[1:]))  # leaf-to-leaf edges as label pairs
+        if any({a, b} == heavy for a, b in seq[-2 * l:] + seq[:2 * l]):
+            return tree, v
+    raise AssertionError("no computation tree has the heavy edge in its tail")
+
+
+def class_weight_split(inst, tree) -> dict[str, Fraction]:
+    """Total tree edge weight per generator edge class, the heavy edge
+    counted as suboptimal and non-cycle edges as "light"."""
+    n = inst.n
+    classes = {
+        frozenset((i, n + j)): "sub" if cls == "heavy" else cls
+        for cls, pairs in inst.meta["edges"].items() for i, j in pairs
+    }
+    totals: dict[str, Fraction] = {}
+    for a, b, w in tree_edges(tree):
+        cls = classes.get(frozenset((a, b)), "light")
+        totals[cls] = totals.get(cls, Fraction(0)) + w
+    return totals

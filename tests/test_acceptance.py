@@ -14,7 +14,13 @@ from bpmatching import engine, generators, oracles, trees
 from bpmatching.approx import approximation_ratio, build_conflict_graph, complete, forest_mwm
 from bpmatching.core import Instance, matching_weight
 from bpmatching.engine import partial_bp_matching, run_to_horizon
-from reference import node_neighbors
+from reference import (
+    class_weight_split,
+    heavy_tail_tree,
+    node_neighbors,
+    optimal_matching,
+    suboptimal_matching,
+)
 
 
 def report(num, ok, detail):
@@ -56,8 +62,8 @@ def test_criterion_1_weight_identities():
                 inst = generators.gen_cycle(
                     generators.CycleParams(n, w_max, eps), embed=True
                 )
-                w_opt = matching_weight(inst, generators.optimal_matching(inst))
-                w_sub = matching_weight(inst, generators.suboptimal_matching(inst))
+                w_opt = matching_weight(inst, optimal_matching(inst))
+                w_sub = matching_weight(inst, suboptimal_matching(inst))
                 ok = ok and w_opt == n * w_max / 2 and w_sub == w_opt - eps
                 checked += 1
     elapsed = time.perf_counter() - start
@@ -76,8 +82,8 @@ def test_criterion_2_tail_advantage_identity():
         inst = generators.gen_cycle(generators.CycleParams(n, w_max, eps))
         for k in range(0, 21):
             for l in range(1, n):
-                tree, _ = trees.heavy_tail_tree(inst, k, l)
-                split = trees.class_weight_split(inst, tree)
+                tree, _ = heavy_tail_tree(inst, k, l)
+                split = class_weight_split(inst, tree)
                 diff = split.get("sub", F(0)) - split.get("opt", F(0))
                 ok = ok and diff == -k * eps + trees.nibbling_delta(n, w_max, eps, l)
                 checked += 1
@@ -104,7 +110,7 @@ def test_criterion_3_convergence_sandwich():
         lower = F(n) * w_max / (2 * eps)
         assert lower <= 10**5
         t = engine.convergence_time(
-            inst, generators.optimal_matching(inst), engine.certified_horizon(inst)
+            inst, optimal_matching(inst), engine.certified_horizon(inst)
         )
         ok = ok and lower - n <= t <= 2 * n * w_max / eps
         if (n, eps) == (3, F(3, 5)):

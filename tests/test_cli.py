@@ -130,6 +130,26 @@ def test_unreadable_instance_file_exit_code(tmp_path, capsys):
         assert err.startswith(f"error: cannot read instance {path}")
 
 
+@pytest.mark.parametrize("bad", ["{tmp}/missing/out", "{tmp}"], ids=["no-dir", "is-dir"])
+@pytest.mark.parametrize("command", [
+    ["gen", "--family", "cycle", "--n", "3", "--wmax", "8", "--eps", "3/5", "-o", "{bad}"],
+    ["bp", "run", "--instance", "{inst}", "--csv", "{bad}"],
+    ["approx", "--instance", "{inst}", "--csv", "{bad}"],
+    ["exp", "convergence", "--n", "3", "--wmax", "8", "--eps", "3/5",
+     "-o", "{tmp}/sweep.csv", "--manifest", "{bad}"],
+    ["exp", "approx", "--n", "16", "--wmax", "8", "--eps", "1/100", "--c", "2",
+     "-o", "{bad}"],
+], ids=["gen", "bp-run", "approx", "exp-convergence", "exp-approx"])
+def test_unwritable_output_exits_before_any_work(tmp_path, capsys, command, bad):
+    path = gen_cycle_file(tmp_path, capsys)
+    bad = bad.format(tmp=tmp_path)
+    argv = [a.format(inst=path, tmp=tmp_path, bad=bad) for a in command]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {bad}")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def write_meta(path, meta):
     """Merges ``meta`` into the file's metadata, or replaces it by a non-dict."""
     doc = json.loads(path.read_text())

@@ -12,7 +12,6 @@ from bpmatching.core import (
     Matching,
     MissingEdgeError,
     ParameterError,
-    all_perfect_matchings,
     format_rational,
     matching_weight,
     parse_rational,
@@ -177,10 +176,3 @@ def test_relabel_preserves_weights():
     assert out.weights[1][1] == F(2)
     assert out.weights[0][0] == F(3)
     assert out.weights[0][1] is None
-
-
-def test_all_perfect_matchings_count():
-    ms = list(all_perfect_matchings(3))
-    assert len(ms) == 6
-    assert all(m.is_perfect(3) for m in ms)
-    assert len({m.pairs for m in ms}) == 6

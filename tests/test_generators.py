@@ -13,11 +13,10 @@ from bpmatching.generators import (
     failure_window,
     gen_cycle,
     gen_multicycle,
-    optimal_matching,
     select_primes,
-    suboptimal_matching,
 )
 from bpmatching.oracles import mwm_hungarian
+from reference import optimal_matching, suboptimal_matching
 
 
 def test_cycle_params_validation():
@@ -141,13 +140,3 @@ def test_failure_window_values():
     assert failure_window(30, 2, F(8), F(1, 10**6)) == 7
     with pytest.raises(ParameterError):
         failure_window(16, 2, F(8), F(0))
-
-
-def test_matching_helpers_require_metadata():
-    from bpmatching.core import Instance
-
-    plain = Instance([[F(1)]])
-    with pytest.raises(ParameterError):
-        optimal_matching(plain)
-    with pytest.raises(ParameterError):
-        suboptimal_matching(gen_multicycle(16, F(8), F(1, 100), c=2))

