@@ -87,6 +87,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     w_max = parse_rational(args.wmax)
     eps = parse_rational(args.eps)
     if args.family == "cycle":
+        if args.c is not None:
+            raise ParameterError("--c applies to --family multicycle only")
         inst = generators.gen_cycle(
             generators.CycleParams(n=args.n, w_max=w_max, eps=eps),
             embed=args.embed,
@@ -321,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--wmax", required=True, help="rational P/Q")
     p.add_argument("--eps", required=True, help="rational P/Q")
-    p.add_argument("--c", type=int, default=None)
+    p.add_argument("--c", type=int, default=None, help="cycle count (multicycle only)")
     p.add_argument("--embed", action="store_true")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen)

@@ -2,10 +2,11 @@
 
 An instance is K_{n,n} given as a dense n x n weight matrix; entries may be
 ``None`` for graphs restricted to a subset of the edges (e.g. a bare
-weighted cycle), and such edges simply do not exist.  Weights enter and
-leave as `fractions.Fraction` values; inside, the engine, the oracles and
-the tree DP work on integer numerators over one common scale
-(``Instance.scaled_weights()``).  The one graph view is
+weighted cycle), and such edges simply do not exist.  The instance holds
+one matrix, integer numerators over one common scale
+(``Instance.scaled_weights()``), which the engine, the oracles and the
+tree DP work on.  Weights enter (``Instance(...)``) and leave
+(``weights``, ``weight``) as `fractions.Fraction` values.  The one graph view is
 ``Instance.adjacency()``: per graph node, ids 0..2n-1 with alpha_i = i and
 beta_j = n + j, the list of its neighbours and their scaled weights.
 """
@@ -17,7 +18,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional
 
 
@@ -100,9 +101,12 @@ class Adjacency:
 class Instance:
     """A weighted K_{n,n}, possibly restricted to a subset of its edges.
 
-    ``weights[i][j]`` is the exact weight of the edge {alpha_{i+1}, beta_{j+1}}
-    or ``None`` when the edge is absent.  ``meta`` is an optional generator
-    record (plain JSON-compatible dict, see the generators module).
+    The one weight matrix is ``scaled_weights()``: ``[i][j]`` is the integer
+    numerator over ``scale`` of the edge {alpha_{i+1}, beta_{j+1}}, or
+    ``None`` when the edge is absent; ``scale`` and the numerators share no
+    common factor.  ``weights`` and ``weight(i, j)`` are ``Fraction`` views
+    of it.  ``meta`` is an optional generator record (plain JSON-compatible
+    dict, see the generators module).
     """
 
     def __init__(
@@ -110,58 +114,52 @@ class Instance:
         weights: list[list[Optional[Fraction]]],
         meta: Optional[dict] = None,
     ) -> None:
-        n = len(weights)
-        if n < 1 or any(len(row) != n for row in weights):
+        weights = [[None if w is None else Fraction(w) for w in row] for row in weights]
+        scale = lcm(*[w.denominator for row in weights for w in row if w is not None])
+        self._store(
+            [[None if w is None else int(w * scale) for w in row] for row in weights],
+            scale, meta,
+        )
+
+    @classmethod
+    def scaled(
+        cls, rows: list[list[Optional[int]]], scale: int, meta: Optional[dict] = None
+    ) -> "Instance":
+        """The instance with weights ``rows[i][j] / scale``, scale a positive int."""
+        inst = cls.__new__(cls)
+        inst._store(rows, scale, meta)
+        return inst
+
+    def _store(self, rows: list[list[Optional[int]]], scale: int,
+               meta: Optional[dict]) -> None:
+        n = len(rows)
+        if n < 1 or any(len(row) != n for row in rows):
             raise ParameterError("weights must be a nonempty square matrix")
-        self.n = n
-        self.weights = [
-            [None if w is None else Fraction(w) for w in row] for row in weights
-        ]
-        self.meta = meta
-        self._scale: Optional[int] = None
-        self._scaled_rows: Optional[list[list[Optional[int]]]] = None
+        g = gcd(scale, *[x for row in rows for x in row if x is not None])
+        self.n, self.scale, self.meta = n, scale // g, meta
+        self._rows = [[None if x is None else x // g for x in row] for row in rows]
         self._adj: Optional[Adjacency] = None
+
+    @property
+    def weights(self) -> list[list[Optional[Fraction]]]:
+        """The exact weights, ``None`` for an absent edge (a new matrix)."""
+        return [[None if x is None else Fraction(x, self.scale) for x in row]
+                for row in self._rows]
 
     def weight(self, i: int, j: int) -> Fraction:
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise ParameterError(f"edge index ({i},{j}) out of range for n={self.n}")
-        w = self.weights[i][j]
-        if w is None:
+        x = self._rows[i][j]
+        if x is None:
             raise MissingEdgeError(f"edge ({i},{j}) is absent")
-        return w
+        return Fraction(x, self.scale)
 
     def has_edge(self, i: int, j: int) -> bool:
-        return 0 <= i < self.n and 0 <= j < self.n and self.weights[i][j] is not None
-
-    @property
-    def is_dense(self) -> bool:
-        return all(w is not None for row in self.weights for w in row)
-
-    @property
-    def max_abs_weight(self) -> Fraction:
-        return max(
-            (abs(w) for row in self.weights for w in row if w is not None),
-            default=Fraction(0),
-        )
-
-    @property
-    def scale(self) -> int:
-        """Common denominator turning every present weight into an integer."""
-        if self._scale is None:
-            self._scale = lcm(
-                *[w.denominator for row in self.weights for w in row if w is not None]
-            )
-        return self._scale
+        return 0 <= i < self.n and 0 <= j < self.n and self._rows[i][j] is not None
 
     def scaled_weights(self) -> list[list[Optional[int]]]:
-        """Weights as integer numerators over ``scale`` (cached)."""
-        if self._scaled_rows is None:
-            s = self.scale
-            self._scaled_rows = [
-                [None if w is None else int(w * s) for w in row]
-                for row in self.weights
-            ]
-        return self._scaled_rows
+        """Weights as integer numerators over ``scale`` (read-only)."""
+        return self._rows
 
     def adjacency(self) -> Adjacency:
         """The incidence lists of every graph node (cached).
@@ -169,7 +167,7 @@ class Instance:
         Raises ``ParameterError`` when the instance has no edge at all.
         """
         if self._adj is None:
-            n, rows = self.n, self.scaled_weights()
+            n, rows = self.n, self._rows
             nbrs = [[n + j for j, x in enumerate(row) if x is not None] for row in rows]
             nbrs += [[i for i, x in enumerate(col) if x is not None] for col in zip(*rows)]
             if not any(nbrs):
@@ -184,8 +182,7 @@ class Instance:
     # -- serialization --
 
     def to_json(self) -> str:
-        doc = {"n": self.n, "scale": self.scale, "weights": self.scaled_weights(),
-               "meta": self.meta}
+        doc = {"n": self.n, "scale": self.scale, "weights": self._rows, "meta": self.meta}
         return json.dumps(doc, ensure_ascii=False, separators=(",", ":"))
 
     @classmethod
@@ -212,10 +209,7 @@ class Instance:
             raise ParameterError("weight cells must be integers or null")
         if doc.get("meta") is not None and not isinstance(doc["meta"], dict):
             raise ParameterError("meta must be a JSON object or null")
-        weights = [
-            [None if w is None else Fraction(w, scale) for w in row] for row in rows
-        ]
-        inst = cls(weights, meta=doc.get("meta"))
+        inst = cls.scaled(rows, scale, doc.get("meta"))
         if inst.n != n:
             raise ParameterError("declared n does not match the weight matrix")
         return inst
@@ -239,10 +233,10 @@ def matching_weight(inst: Instance, m: Matching) -> Fraction:
 
 def relabel(inst: Instance, left_perm: list[int], right_perm: list[int]) -> Instance:
     """Instance with row i moved to left_perm[i] and column j to right_perm[j]."""
-    n = inst.n
-    rows: list[list[Optional[Fraction]]] = [[None] * n for _ in range(n)]
+    n, old = inst.n, inst.scaled_weights()
+    rows: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            rows[left_perm[i]][right_perm[j]] = inst.weights[i][j]
-    return Instance(rows)
+            rows[left_perm[i]][right_perm[j]] = old[i][j]
+    return Instance.scaled(rows, inst.scale)
 

@@ -86,14 +86,13 @@ class MessageState:
     """Incoming message lists of every graph node at one iteration.
 
     ``rows[u][s]`` is the true message into graph node u from
-    ``adj.nbrs[u][s]``, an integer numerator over ``scale``, and ``top``
-    holds the ``Tops`` of the rows.  ``to_left`` (alpha_i's rows) and
-    ``to_right`` (beta_j's rows) are read-only slices of ``rows``.
+    ``adj.nbrs[u][s]``, an integer numerator over the instance's ``scale``,
+    and ``top`` holds the ``Tops`` of the rows.  ``to_left`` (alpha_i's
+    rows) and ``to_right`` (beta_j's rows) are read-only slices of ``rows``.
     """
 
     rows: list[list[int]]
     iteration: int
-    scale: int
     adj: Adjacency = field(repr=False, compare=False)
     top: Tops = field(init=False, repr=False, compare=False)
 
@@ -130,7 +129,7 @@ class PartialBpMatching:
 def init_messages(inst: Instance) -> MessageState:
     """All-zero message lists at iteration 0."""
     adj = inst.adjacency()
-    return MessageState([[0] * len(nb) for nb in adj.nbrs], 0, inst.scale, adj)
+    return MessageState([[0] * len(nb) for nb in adj.nbrs], 0, adj)
 
 
 def _send(adj: Adjacency, tops: Tops) -> list[list[int]]:
@@ -150,10 +149,10 @@ def _send(adj: Adjacency, tops: Tops) -> list[list[int]]:
 
 def step(inst: Instance, state: MessageState) -> MessageState:
     """One synchronous update round; returns the state at iteration t+1."""
-    if inst.scale != state.scale:
-        raise ParameterError("message state scale does not match the instance")
     adj = inst.adjacency()
-    return MessageState(_send(adj, state.top), state.iteration + 1, state.scale, adj)
+    if state.adj is not adj:
+        raise ParameterError("message state was not built on this instance")
+    return MessageState(_send(adj, state.top), state.iteration + 1, adj)
 
 
 def beliefs(inst: Instance, state: MessageState) -> BeliefSnapshot:
@@ -308,7 +307,7 @@ class _Run:
             bad = k - 1 if lo > hi or hi < k - 1 else lo - 1
             self.last_bad = max(self.last_bad, a + bad * p + s if bad else 0)
         rows = [[u + k * v for u, v in zip(*rr)] for rr in zip(y0, d)]
-        state = MessageState(rows, a + k * p, state.scale, state.adj)
+        state = MessageState(rows, a + k * p, state.adj)
         self.reset()
         self.see(state)
         return state
@@ -349,30 +348,30 @@ def certified_horizon(inst: Instance, eps: Optional[Fraction] = None) -> int:
     weights with w = w_max, the largest edge weight, and the embedded
     families keep it (``_bare_view_gap``).  Any other negative weight makes
     w the spread w_max - w_min: a common shift of the weights changes no
-    belief when every node has two or more edges.  ``ParameterError`` on no
-    positive weight, a tied optimum, one perfect matching, or a negative
-    weight with a node of one edge."""
-    ws = [w for row in inst.weights for w in row if w is not None]
-    w = max(ws, default=0)
+    belief when every node has two or more edges.  Integer arithmetic on
+    the scaled weights: ceil(2n*W*q / (p*scale)) with W the scaled w and
+    eps = p/q.  ``ParameterError`` on no positive weight, a tied optimum,
+    one perfect matching, or a negative weight with a node of one edge."""
+    xs = [x for row in inst.scaled_weights() for x in row if x is not None]
+    w = max(xs, default=0)
     if w <= 0 or not (eps := uniqueness_gap(inst) if eps is None else eps):
         raise ParameterError("certified horizon: no positive weight, or a tied optimum")
-    if min(ws) < 0 and _bare_view_gap(inst, w) != eps:
+    if min(xs) < 0 and _bare_view_gap(inst, w) != eps:
         if min(map(len, inst.adjacency().nbrs)) < 2:
             raise ParameterError("certified horizon: negative weights, a node of one edge")
-        w -= min(ws)
-    bound = 2 * inst.n * w / eps
-    return -(-bound.numerator // bound.denominator)
+        w -= min(xs)
+    return -(-2 * inst.n * w * eps.denominator // (eps.numerator * inst.scale))
 
 
-def _bare_view_gap(inst: Instance, w_max: Fraction) -> Optional[Fraction]:
-    """The gap of ``inst`` without its -2*w_max edges, if the rest is
-    nonnegative and has two perfect matchings, else None.  Where this bare
-    view keeps the gap, the fillers are taken to change no belief
+def _bare_view_gap(inst: Instance, w_max: int) -> Optional[Fraction]:
+    """The gap of ``inst`` without its edges of scaled weight -2*w_max, if
+    the rest is nonnegative and has two perfect matchings, else None.  Where
+    this bare view keeps the gap, the fillers are taken to change no belief
     (criterion 5 checks this on the embedded cycles)."""
-    bare = [[None if x == -2 * w_max else x for x in row] for row in inst.weights]
+    bare = [[None if x == -2 * w_max else x for x in row] for row in inst.scaled_weights()]
     if any(x is not None and x < 0 for row in bare for x in row):
         return None
     try:
-        return uniqueness_gap(Instance(bare))
+        return uniqueness_gap(Instance.scaled(bare, inst.scale))
     except ParameterError:
         return None

@@ -1,7 +1,8 @@
 """Ground-truth maximum weight matching oracles and the uniqueness gap.
 
-The oracle is one Hungarian method run on the instance's scaled integer
-weights; `Fraction` appears only in the returned weights.  The uniqueness
+The oracle is one Hungarian method run on the instance's one weight
+matrix, integer numerators over ``Instance.scale``; `Fraction` appears only
+in the returned weights and gap.  The uniqueness
 gap comes from the same solve: every other perfect matching is the optimum
 with partners permuted along disjoint exchange cycles, each of nonnegative
 cost, so the second-best matching differs from the best by one cheapest
@@ -66,7 +67,8 @@ def mwm_hungarian(inst: Instance) -> tuple[Matching, Fraction]:
     rows = inst.scaled_weights()
     # Low enough that any matching using an absent edge loses to any
     # matching that avoids all of them (below -2n*w_max with margin).
-    sentinel = -(4 * n) * int((inst.max_abs_weight + 1) * inst.scale)
+    w_max = max((abs(x) for row in rows for x in row if x is not None), default=0)
+    sentinel = -(4 * n) * (w_max + inst.scale)
     cost = [[-(w if w is not None else sentinel) for w in row] for row in rows]
     pairs = list(enumerate(_min_cost_assignment(cost)))
     if any(rows[i][j] is None for i, j in pairs):

@@ -9,11 +9,11 @@ from bpmatching.trees import unroll
 def node_neighbors(inst, u: int) -> list[tuple[int, Fraction]]:
     """Neighbours of graph node ``u`` (left i is i, right j is n + j) with
     their ``Fraction`` edge weights, read from ``inst.weights``."""
-    n = inst.n
+    n, weights = inst.n, inst.weights
     if u < n:
-        return [(n + j, w) for j, w in enumerate(inst.weights[u]) if w is not None]
+        return [(n + j, w) for j, w in enumerate(weights[u]) if w is not None]
     j = u - n
-    return [(i, inst.weights[i][j]) for i in range(n) if inst.weights[i][j] is not None]
+    return [(i, weights[i][j]) for i in range(n) if weights[i][j] is not None]
 
 
 def encodes(snap, reference) -> bool:
@@ -28,12 +28,12 @@ def encodes(snap, reference) -> bool:
     )
 
 
-def message(state, i: int, j: int, into_right: bool) -> Fraction:
-    """The message of ``state`` on edge (i, j) into beta_j, or else into
-    alpha_i."""
-    n = len(state.rows) // 2
+def message(inst, state, i: int, j: int, into_right: bool) -> Fraction:
+    """The message of ``state``, a state of ``inst``, on edge (i, j) into
+    beta_j, or else into alpha_i."""
+    n = inst.n
     u, v = (n + j, i) if into_right else (i, n + j)
-    return Fraction(state.rows[u][state.adj.nbrs[u].index(v)], state.scale)
+    return Fraction(state.rows[u][state.adj.nbrs[u].index(v)], inst.scale)
 
 
 def optimal_matching(inst) -> Matching:

@@ -41,7 +41,32 @@ def test_gen_writes_loadable_instance(tmp_path, capsys):
     inst = Instance.from_json(path.read_text())
     assert inst.n == 3
     assert inst.meta["family"] == "cycle"
-    assert inst.is_dense
+    assert all(None not in row for row in inst.scaled_weights())
+
+
+def test_loading_reduces_a_common_factor_of_scale_and_weights(tmp_path, capsys):
+    # The embedded n=3 cycle with its scale and every weight times 10 loads
+    # as the canonical file: the reduced scale, the same bytes and hash.
+    text = gen_cycle_file(tmp_path, capsys).read_text().rstrip("\n")
+    doc = json.loads(text)
+    doc["scale"] *= 10
+    doc["weights"] = [[None if w is None else 10 * w for w in row] for row in doc["weights"]]
+    inst = Instance.from_json(json.dumps(doc))
+    assert inst.scale == json.loads(text)["scale"] == 10
+    assert inst.to_json() == text
+    assert inst.content_hash() == Instance.from_json(text).content_hash()
+
+
+def test_gen_cycle_rejects_a_cycle_count(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code, _, err = run(
+        ["gen", "--family", "cycle", "--n", "5", "--wmax", "8",
+         "--eps", "1/10", "--c", "2", "-o", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert "--c" in err
+    assert not out.exists()
 
 
 def test_gen_rejects_bad_parameters(tmp_path, capsys):

@@ -65,7 +65,9 @@ def test_instance_weight_access():
     assert inst.weight(1, 0) == F(3, 2)
     assert not inst.has_edge(0, 1)
     assert inst.has_edge(0, 0)
-    assert not inst.is_dense
+    inst.weights[1][0] = F(100)  # a new matrix: the instance keeps its weight
+    assert inst.weight(1, 0) == F(3, 2)
+    assert any(None in row for row in inst.scaled_weights())
     with pytest.raises(MissingEdgeError):
         inst.weight(0, 1)
     with pytest.raises(ParameterError):

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bpmatching import generators
-from bpmatching.core import HorizonExhausted, Instance, Matching, ParameterError
+from bpmatching.core import HorizonExhausted, Instance, Matching, ParameterError, relabel
 from bpmatching.engine import (
     beliefs,
     certified_horizon,
@@ -31,8 +31,8 @@ def test_init_messages_zero_and_shape():
     inst = small_cycle()
     state = init_messages(inst)
     assert state.iteration == 0
-    assert message(state, 0, 0, True) == 0
-    assert message(state, 1, 0, False) == 0
+    assert message(inst, state, 0, 0, True) == 0
+    assert message(inst, state, 1, 0, False) == 0
 
 
 def test_first_round_messages_equal_weights():
@@ -43,8 +43,8 @@ def test_first_round_messages_equal_weights():
     for i in range(3):
         for j in range(3):
             if inst.has_edge(i, j):
-                assert message(state, i, j, True) == inst.weight(i, j)
-                assert message(state, i, j, False) == inst.weight(i, j)
+                assert message(inst, state, i, j, True) == inst.weight(i, j)
+                assert message(inst, state, i, j, False) == inst.weight(i, j)
 
 
 def test_belief_sequence_on_small_cycle():
@@ -78,7 +78,7 @@ def test_messages_grow_at_most_linearly():
     inst = generators.gen_cycle(
         generators.CycleParams(3, F(8), F(1, 2)), embed=True
     )
-    w_max = inst.max_abs_weight * inst.scale
+    w_max = max(abs(x) for row in inst.scaled_weights() for x in row if x is not None)
     state = init_messages(inst)
     for t in range(1, 301):
         state = step(inst, state)
@@ -244,6 +244,33 @@ def test_certified_horizon_is_the_generator_bound(case):
     assert certified_horizon(inst) == math.ceil(2 * n * w_max / eps)
 
 
+#: Generated instances with their T and certified horizon.
+RELABEL_CASES = [
+    (generators.gen_cycle(generators.CycleParams(5, F(8), F(1, 10))), 202, 800),
+    (generators.gen_cycle(generators.CycleParams(8, F(5, 2), F(1, 50))), 498, 2000),
+    (generators.gen_cycle(generators.CycleParams(3, F(8), F(3, 5)), embed=True), 20, 80),
+    (generators.gen_cycle(generators.CycleParams(8, F(8), F(1, 10)), embed=True), 322, 1280),
+    (generators.gen_multicycle(16, F(8), F(1, 10), c=2), 282, 2560),
+]
+
+
+@st.composite
+def relabelled_cases(draw):
+    inst, t, horizon = draw(st.sampled_from(RELABEL_CASES))
+    perms = [draw(st.permutations(range(inst.n))) for _ in range(2)]
+    return relabel(inst, *perms), t, horizon
+
+
+@settings(max_examples=15, deadline=None)
+@given(relabelled_cases())
+def test_relabelling_changes_no_result(case):
+    # The regime prover's fingerprint coefficients and slot order change
+    # under relabelling; T and the certified horizon do not.
+    inst, t, horizon = case
+    assert certified_horizon(inst) == horizon
+    assert convergence_time(inst, mwm_hungarian(inst)[0], horizon) == t
+
+
 def test_run_to_horizon_validation():
     inst = small_cycle()
     with pytest.raises(ParameterError):
@@ -273,6 +300,15 @@ def test_step_rejects_foreign_state():
     state = init_messages(other)
     with pytest.raises(ParameterError):
         step(inst, state)
+    # States of instances with the same scale: a dense one stepped on the
+    # sparse cycle, and the sparse cycle's stepped on a dense one.
+    s = inst.scale
+    dense = Instance([[F(k, s) for k in range(j, j + 3)] for j in range(3)])
+    assert dense.scale == s
+    with pytest.raises(ParameterError):
+        step(inst, step(dense, init_messages(dense)))
+    with pytest.raises(ParameterError):
+        step(dense, init_messages(inst))
 
 
 def test_instance_without_edges_is_rejected():
@@ -353,8 +389,8 @@ def test_step_and_beliefs_match_formula_reference(rows):
             for j in range(n):
                 if rows[i][j] is None:
                     continue
-                assert message(state, i, j, True) == ref_right[i][j]
-                assert message(state, i, j, False) == ref_left[i][j]
+                assert message(inst, state, i, j, True) == ref_right[i][j]
+                assert message(inst, state, i, j, False) == ref_left[i][j]
         snap = beliefs(inst, state)
         assert snap.iteration == t
         assert snap.left_belief == tuple(reference_belief(row) for row in ref_left)

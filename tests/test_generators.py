@@ -47,12 +47,12 @@ def test_bare_cycle_has_only_cycle_edges():
     inst = gen_cycle(CycleParams(4, F(8), F(1, 2)))
     present = sum(1 for row in inst.weights for w in row if w is not None)
     assert present == 2 * 4
-    assert not inst.is_dense
+    assert any(None in row for row in inst.scaled_weights())
 
 
 def test_embedded_cycle_light_edges():
     inst = gen_cycle(CycleParams(4, F(8), F(1, 2)), embed=True)
-    assert inst.is_dense
+    assert all(None not in row for row in inst.scaled_weights())
     assert inst.weights[0][1] == F(-16)
     assert inst.weights[0][3] == F(8)  # the heavy edge
     assert inst.weights[0][0] == F(4)
@@ -113,7 +113,7 @@ def test_multicycle_structure():
         (12, 12), (13, 13), (14, 14), (15, 15)
     ]
     assert inst.weights[12][12] == F(4)
-    assert inst.is_dense
+    assert all(None not in row for row in inst.scaled_weights())
     # Off-block entries are light.
     assert inst.weights[0][10] == F(-16)
 
