@@ -74,7 +74,7 @@ def _horizon(inst: Instance, explicit: Optional[int]) -> tuple[int, Matching, Fr
             raise ParameterError("horizon must be >= 1")
         return (explicit, *oracles.mwm_hungarian(inst))
     reference, opt_weight, gap = oracles.optimum_and_gap(inst)
-    horizon = engine.certified_horizon(inst, gap)
+    horizon = oracles.certified_horizon(inst, gap)
     if horizon > _HORIZON_CAP:
         raise HorizonExhausted(
             f"certified horizon {horizon} exceeds the cap {_HORIZON_CAP} "
@@ -94,6 +94,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
             embed=args.embed,
         )
     else:
+        if args.embed:
+            raise ParameterError("--embed applies to --family cycle only")
         inst = generators.gen_multicycle(args.n, w_max, eps, c=args.c)
     Path(args.output).write_text(inst.to_json() + "\n", encoding="utf-8")
     print(f"wrote {args.output} (hash {inst.content_hash()[:16]})")
@@ -324,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wmax", required=True, help="rational P/Q")
     p.add_argument("--eps", required=True, help="rational P/Q")
     p.add_argument("--c", type=int, default=None, help="cycle count (multicycle only)")
-    p.add_argument("--embed", action="store_true")
+    p.add_argument("--embed", action="store_true",
+                   help="fill K_{n,n} with -2*w_max edges (cycle only)")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen)
 

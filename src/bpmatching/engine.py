@@ -20,7 +20,9 @@ are unbounded.  Each graph node u holds one list of its incoming messages,
 aligned with ``Instance.adjacency().nbrs[u]``, so one step costs O(|E|):
 each node's top-2 incoming message (slot k, best, second) is found once
 per state, and it sends w - best on every edge but slot k, which gets
-w - second.
+w - second.  A state carries its graph, so ``step`` and ``beliefs`` take
+the state alone.  A run's horizon is an input; ``oracles.certified_horizon``
+gives the certified one.
 
 ``convergence_time`` jumps over drift regimes x(t+p) = x(t) + d, which
 orbits of this monotone min-max map end in (Cochet-Terrasson, Gaubert and
@@ -44,13 +46,11 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from itertools import chain, compress
 from operator import add, mul, sub
 from typing import Iterator, Optional
 
 from .core import Adjacency, HorizonExhausted, Instance, Matching, ParameterError
-from .oracles import uniqueness_gap
 
 
 #: Per graph node: slot of the first maximum incoming message (-1
@@ -147,19 +147,17 @@ def _send(adj: Adjacency, tops: Tops) -> list[list[int]]:
     return out
 
 
-def step(inst: Instance, state: MessageState) -> MessageState:
-    """One synchronous update round; returns the state at iteration t+1."""
-    adj = inst.adjacency()
-    if state.adj is not adj:
-        raise ParameterError("message state was not built on this instance")
-    return MessageState(_send(adj, state.top), state.iteration + 1, adj)
+def step(state: MessageState) -> MessageState:
+    """One synchronous update round on the state's graph; returns the state
+    at iteration t+1."""
+    return MessageState(_send(state.adj, state.top), state.iteration + 1, state.adj)
 
 
-def beliefs(inst: Instance, state: MessageState) -> BeliefSnapshot:
+def beliefs(state: MessageState) -> BeliefSnapshot:
     """Arg-max of incoming messages per node; None when the arg-max ties."""
-    n = inst.n
+    n = len(state.rows) // 2
     ids = [None if k < 0 or second == best else nb[k] % n
-           for k, best, second, nb in zip(*state.top, inst.adjacency().nbrs)]
+           for k, best, second, nb in zip(*state.top, state.adj.nbrs)]
     return BeliefSnapshot(tuple(ids[:n]), tuple(ids[n:]), state.iteration)
 
 
@@ -196,8 +194,8 @@ def run_to_horizon(inst: Instance, horizon: int) -> Iterator[BeliefSnapshot]:
         raise ParameterError("horizon must be >= 1")
     state = init_messages(inst)
     for _ in range(horizon):
-        state = step(inst, state)
-        yield beliefs(inst, state)
+        state = step(state)
+        yield beliefs(state)
 
 
 def _rays(conds, hi: int) -> tuple[int, int]:
@@ -217,9 +215,9 @@ class _Run:
     """One ``convergence_time`` call: its verdict so far, and the fingerprints
     and selection hashes since the last jump, where regimes are looked for."""
 
-    def __init__(self, inst: Instance, reference: Matching, horizon: int) -> None:
-        self.inst, self.horizon = inst, horizon
-        adj, n = inst.adjacency(), inst.n
+    def __init__(self, start: MessageState, reference: Matching, horizon: int) -> None:
+        self.horizon = horizon
+        adj, n = start.adj, len(start.rows) // 2
         want = self.want = reference_beliefs(reference, n)
         try:  # each row's slot of its reference partner, None if never encoded
             self.slots = want and [nb.index(v) for nb, v in
@@ -238,7 +236,7 @@ class _Run:
 
     def see(self, state: MessageState) -> None:
         if state.iteration:
-            snap = beliefs(self.inst, state)
+            snap = beliefs(state)
             if (snap.left_belief, snap.right_belief) == self.want:
                 self.any_good = True
             else:
@@ -248,7 +246,7 @@ class _Run:
         self.sels.append(hash(tuple(compress(state.top[0], self.wide))))
 
     def advance(self, state: MessageState) -> MessageState:
-        state = step(self.inst, state)
+        state = step(state)
         self.see(state)
         return state
 
@@ -322,7 +320,7 @@ def convergence_time(inst: Instance, reference: Matching, horizon: int) -> int:
     if horizon < 1:
         raise ParameterError("horizon must be >= 1")
     state = init_messages(inst)
-    run = _Run(inst, reference, horizon)
+    run = _Run(state, reference, horizon)
     if run.slots is not None:
         run.see(state)
         while state.iteration < horizon:
@@ -334,44 +332,9 @@ def convergence_time(inst: Instance, reference: Matching, horizon: int) -> int:
     if not run.any_good:
         raise HorizonExhausted(f"no snapshot in t=1..{horizon} matches the reference")
     if run.last_bad == horizon:
-        (left, right), snap = run.want, beliefs(inst, state)
+        (left, right), snap = run.want, beliefs(state)
         nodes = [f"a{i + 1}" for i, b in enumerate(snap.left_belief) if b != left[i]]
         nodes += [f"b{j + 1}" for j, b in enumerate(snap.right_belief) if b != right[j]]
         raise HorizonExhausted(f"beliefs at t={horizon}, the horizon, differ from "
                                f"the reference at {', '.join(nodes)}")
     return run.last_bad + 1
-
-
-def certified_horizon(inst: Instance, eps: Optional[Fraction] = None) -> int:
-    """ceil(2n*w/eps), the Bayati-Shah-Sharma bound; eps is the uniqueness
-    gap, solved for unless given.  The bound is stated for nonnegative
-    weights with w = w_max, the largest edge weight, and the embedded
-    families keep it (``_bare_view_gap``).  Any other negative weight makes
-    w the spread w_max - w_min: a common shift of the weights changes no
-    belief when every node has two or more edges.  Integer arithmetic on
-    the scaled weights: ceil(2n*W*q / (p*scale)) with W the scaled w and
-    eps = p/q.  ``ParameterError`` on no positive weight, a tied optimum,
-    one perfect matching, or a negative weight with a node of one edge."""
-    xs = [x for row in inst.scaled_weights() for x in row if x is not None]
-    w = max(xs, default=0)
-    if w <= 0 or not (eps := uniqueness_gap(inst) if eps is None else eps):
-        raise ParameterError("certified horizon: no positive weight, or a tied optimum")
-    if min(xs) < 0 and _bare_view_gap(inst, w) != eps:
-        if min(map(len, inst.adjacency().nbrs)) < 2:
-            raise ParameterError("certified horizon: negative weights, a node of one edge")
-        w -= min(xs)
-    return -(-2 * inst.n * w * eps.denominator // (eps.numerator * inst.scale))
-
-
-def _bare_view_gap(inst: Instance, w_max: int) -> Optional[Fraction]:
-    """The gap of ``inst`` without its edges of scaled weight -2*w_max, if
-    the rest is nonnegative and has two perfect matchings, else None.  Where
-    this bare view keeps the gap, the fillers are taken to change no belief
-    (criterion 5 checks this on the embedded cycles)."""
-    bare = [[None if x == -2 * w_max else x for x in row] for row in inst.scaled_weights()]
-    if any(x is not None and x < 0 for row in bare for x in row):
-        return None
-    try:
-        return uniqueness_gap(Instance.scaled(bare, inst.scale))
-    except ParameterError:
-        return None

@@ -44,16 +44,6 @@ class CycleParams:
         return self.w_max / 2 - self.w_max / (2 * (n - 1)) - self.eps / (n - 1)
 
 
-@dataclass(frozen=True)
-class PrimeSelection:
-    """Primes chosen for the multi-cycle construction."""
-
-    n: int
-    c: int
-    primes: tuple[int, ...]
-    interval: tuple[Fraction, Fraction]
-
-
 def _place_cycle(
     rows: list[list[Optional[Fraction]]], params: CycleParams, offset: int = 0
 ) -> dict[str, list[list[int]]]:
@@ -96,7 +86,7 @@ def gen_cycle(params: CycleParams, embed: bool = False) -> Instance:
     return Instance(rows, meta=meta)
 
 
-def select_primes(n: int, c: int) -> PrimeSelection:
+def select_primes(n: int, c: int) -> tuple[int, ...]:
     """The c smallest primes strictly inside (n/2c, n/c).
 
     Availability is checked by an actual sieve of the interval rather than
@@ -116,7 +106,7 @@ def select_primes(n: int, c: int) -> PrimeSelection:
         raise ParameterError(
             f"only {len(primes)} primes in ({lo}, {hi}); need {c}"
         )
-    return PrimeSelection(n=n, c=c, primes=tuple(primes[:c]), interval=(lo, hi))
+    return tuple(primes[:c])
 
 
 def default_cycle_count(n: int) -> int:
@@ -143,13 +133,13 @@ def gen_multicycle(
     eps = Fraction(eps)
     if c is None:
         c = default_cycle_count(n)
-    selection = select_primes(n, c)
+    primes = select_primes(n, c)
     light = -2 * w_max
     rows: list[list[Optional[Fraction]]] = [[light] * n for _ in range(n)]
     classes: dict[str, list[list[int]]] = {"opt": [], "sub": [], "heavy": [], "pad": []}
     cycles = []
     offset = 0
-    for n_i in selection.primes:
+    for n_i in primes:
         block = _place_cycle(rows, CycleParams(n=n_i, w_max=w_max, eps=eps), offset)
         for cls in ("opt", "sub", "heavy"):
             classes[cls].extend(block[cls])
@@ -165,7 +155,7 @@ def gen_multicycle(
         "eps": format_rational(eps),
         "embed": True,
         "c": c,
-        "primes": list(selection.primes),
+        "primes": list(primes),
         "edges": classes,
         "cycles": cycles,
     }

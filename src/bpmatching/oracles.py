@@ -6,9 +6,11 @@ in the returned weights and gap.  The uniqueness
 gap comes from the same solve: every other perfect matching is the optimum
 with partners permuted along disjoint exchange cycles, each of nonnegative
 cost, so the second-best matching differs from the best by one cheapest
-exchange cycle (Murty 1968).  Factorial enumeration is kept as an
-independent small-n reference; it breaks ties toward the lexicographically
-smallest permutation.
+exchange cycle (Murty 1968).  The gap also fixes the certified horizon,
+the Bayati-Shah-Sharma bound on how long BP runs.  Factorial enumeration
+is kept as an independent small-n reference; it breaks ties toward the
+lexicographically smallest permutation.  Like ``trees``, this module
+imports only ``core``, so it checks the engine without sharing its code.
 """
 
 from __future__ import annotations
@@ -159,6 +161,41 @@ def optimum_and_gap(inst: Instance) -> tuple[Matching, Fraction, Fraction]:
         raise ParameterError("fewer than two perfect matchings exist")
     assert cheapest >= 0, "Hungarian optimum admits an improving exchange cycle"
     return best, best_weight, Fraction(cheapest, inst.scale)
+
+
+def certified_horizon(inst: Instance, eps: Optional[Fraction] = None) -> int:
+    """ceil(2n*w/eps), the Bayati-Shah-Sharma bound; eps is the uniqueness
+    gap, solved for unless given.  The bound is stated for nonnegative
+    weights with w = w_max, the largest edge weight, and the embedded
+    families keep it (``_bare_view_gap``).  Any other negative weight makes
+    w the spread w_max - w_min: a common shift of the weights changes no
+    belief when every node has two or more edges.  Integer arithmetic on
+    the scaled weights: ceil(2n*W*q / (p*scale)) with W the scaled w and
+    eps = p/q.  ``ParameterError`` on no positive weight, a tied optimum,
+    one perfect matching, or a negative weight with a node of one edge."""
+    xs = [x for row in inst.scaled_weights() for x in row if x is not None]
+    w = max(xs, default=0)
+    if w <= 0 or not (eps := uniqueness_gap(inst) if eps is None else eps):
+        raise ParameterError("certified horizon: no positive weight, or a tied optimum")
+    if min(xs) < 0 and _bare_view_gap(inst, w) != eps:
+        if min(map(len, inst.adjacency().nbrs)) < 2:
+            raise ParameterError("certified horizon: negative weights, a node of one edge")
+        w -= min(xs)
+    return -(-2 * inst.n * w * eps.denominator // (eps.numerator * inst.scale))
+
+
+def _bare_view_gap(inst: Instance, w_max: int) -> Optional[Fraction]:
+    """The gap of ``inst`` without its edges of scaled weight -2*w_max, if
+    the rest is nonnegative and has two perfect matchings, else None.  Where
+    this bare view keeps the gap, the fillers are taken to change no belief
+    (criterion 5 checks this on the embedded cycles)."""
+    bare = [[None if x == -2 * w_max else x for x in row] for row in inst.scaled_weights()]
+    if any(x is not None and x < 0 for row in bare for x in row):
+        return None
+    try:
+        return uniqueness_gap(Instance.scaled(bare, inst.scale))
+    except ParameterError:
+        return None
 
 
 def second_best_weight(inst: Instance) -> Fraction:

@@ -110,7 +110,7 @@ def test_criterion_3_convergence_sandwich():
         lower = F(n) * w_max / (2 * eps)
         assert lower <= 10**5
         t = engine.convergence_time(
-            inst, optimal_matching(inst), engine.certified_horizon(inst)
+            inst, optimal_matching(inst), oracles.certified_horizon(inst)
         )
         ok = ok and lower - n <= t <= 2 * n * w_max / eps
         if (n, eps) == (3, F(3, 5)):

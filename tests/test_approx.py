@@ -226,6 +226,14 @@ def test_complete_requires_dense_instance_for_greedy():
         complete(inst, snap)
 
 
+def test_complete_rejects_a_believed_absent_edge():
+    # alpha_1 believes beta_2, which the bare cycle does not join to it.
+    inst = generators.gen_cycle(generators.CycleParams(3, F(8), F(1, 2)))
+    snap = BeliefSnapshot((1, None, None), (None, None, None), 1)
+    with pytest.raises(MissingEdgeError, match=r"edge \(0,1\) is absent"):
+        complete(inst, snap)
+
+
 def test_approximation_ratio():
     inst = Instance([[F(4), F(1)], [F(1), F(4)]])
     snap = BeliefSnapshot((0, 1), (0, 1), 1)

@@ -69,6 +69,31 @@ def test_gen_cycle_rejects_a_cycle_count(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_multicycle_rejects_embed(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code, _, err = run(
+        ["gen", "--family", "multicycle", "--n", "16", "--wmax", "8",
+         "--eps", "1/100", "--embed", "-o", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert "--embed" in err
+    assert not out.exists()
+
+
+def test_gen_multicycle_writes_the_generated_instance(tmp_path, capsys):
+    out = tmp_path / "multi.json"
+    code, stdout, _ = run(
+        ["gen", "--family", "multicycle", "--n", "16", "--wmax", "8",
+         "--eps", "1/100", "--c", "2", "-o", str(out)],
+        capsys,
+    )
+    want = generators.gen_multicycle(16, F(8), F(1, 100), c=2).content_hash()
+    assert code == 0
+    assert Instance.from_json(out.read_text()).content_hash() == want
+    assert stdout == f"wrote {out} (hash {want[:16]})\n"
+
+
 def test_gen_rejects_bad_parameters(tmp_path, capsys):
     code, _, err = run(
         ["gen", "--family", "cycle", "--n", "3", "--wmax", "8",
@@ -372,6 +397,24 @@ def test_exp_approx_curve_bytes_are_pinned(tmp_path, capsys):
     )
 
 
+def test_exp_approx_default_cycle_count_manifest(tmp_path, capsys):
+    # Without --c, n=30 takes floor(sqrt(30/ln 30)/2) = 1 cycle of the
+    # smallest prime in (15, 30); the window is min(8/(8/100), isqrt(15)) = 3.
+    out_csv, manifest = tmp_path / "curve.csv", tmp_path / "curve.manifest.json"
+    code, out, _ = run(
+        ["exp", "approx", "--n", "30", "--wmax", "8", "--eps", "1/100",
+         "-o", str(out_csv), "--manifest", str(manifest)],
+        capsys,
+    )
+    assert (code, out) == (0, f"3 iterations written to {out_csv}\n")
+    doc = json.loads(manifest.read_text())
+    assert doc["config"]["c"] == generators.default_cycle_count(30) == 1
+    assert doc["config"]["primes"] == [17]
+    assert doc["instance_hashes"] == [
+        generators.gen_multicycle(30, F(8), F(1, 100)).content_hash()]
+    assert doc["bounds"] == {"window": "3", "opt_weight": "120"}
+
+
 @pytest.mark.parametrize("iters", ["0", "-3"])
 def test_exp_approx_rejects_nonpositive_iters(tmp_path, capsys, iters):
     out_csv = tmp_path / "curve.csv"
@@ -536,6 +579,18 @@ def test_exp_approx_evaluates_each_distinct_snapshot_once(tmp_path, capsys, monk
     assert out_csv.read_bytes() == reference_exp_approx(inst, iters).encode()
 
 
+def test_approx_needs_a_positive_optimum(tmp_path, capsys):
+    path, out_csv = tmp_path / "inst.json", tmp_path / "ratios.csv"
+    path.write_text(Instance([[F(-1), F(-2)], [F(-2), F(-1)]]).to_json())
+    code, out, err = run(
+        ["approx", "--instance", str(path), "--iters", "5", "--csv", str(out_csv)],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert "positive optimum" in err
+    assert not out_csv.exists()
+
+
 def test_approx_on_bare_cycle_needs_dense_instance(tmp_path, capsys):
     path = gen_cycle_file(tmp_path, capsys, n=4, wmax="8", eps="1/3", embed=False)
     code, _, err = run(
@@ -557,6 +612,28 @@ def test_oracle_tree_belief(tmp_path, capsys):
     )
     assert code == 0
     assert out.strip() == "b1"
+
+
+def test_oracle_tree_belief_tie(tmp_path, capsys):
+    # On the all-ones K_{2,2} both depth-1 root edges weigh 1.
+    path = tmp_path / "ones.json"
+    path.write_text(Instance([[F(1)] * 2] * 2).to_json())
+    code, out, _ = run(
+        ["oracle", "tree-belief", "--instance", str(path), "--node", "a1", "--depth", "1"],
+        capsys,
+    )
+    assert (code, out) == (0, "tie\n")
+
+
+@pytest.mark.parametrize("command, message", [
+    (["tree-belief", "--instance", "{inst}", "--node", "a1", "--depth", "0"], "depth >= 1"),
+    (["nibbling", "--n", "2", "--wmax", "8", "--eps", "1/2", "--l", "1"], "n must be >= 3"),
+], ids=["depth-0", "nibbling-n-2"])
+def test_oracle_rejects_out_of_range_parameters(tmp_path, capsys, command, message):
+    path = gen_cycle_file(tmp_path, capsys)
+    code, out, err = run(["oracle"] + [a.format(inst=path) for a in command], capsys)
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 @pytest.mark.parametrize("node", ["c2", "x", "", "b4", "a0", "a-1", "a 1", "a1b"])

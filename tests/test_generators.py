@@ -59,16 +59,14 @@ def test_embedded_cycle_light_edges():
 
 
 def test_select_primes_known_windows():
-    sel = select_primes(16, 2)
-    assert sel.primes == (5, 7)
-    assert sel.interval == (F(4), F(8))
-    assert select_primes(30, 2).primes == (11, 13)
-    assert select_primes(11, 2).primes == (3, 5)
+    assert select_primes(16, 2) == (5, 7)
+    assert select_primes(30, 2) == (11, 13)
+    assert select_primes(11, 2) == (3, 5)
 
 
 def test_select_primes_open_interval_and_shortage():
     # Endpoints are excluded: for n=10, c=1 the interval is (5, 10).
-    assert select_primes(10, 1).primes == (7,)
+    assert select_primes(10, 1) == (7,)
     with pytest.raises(ParameterError):
         select_primes(9, 3)
     with pytest.raises(ParameterError):
@@ -87,9 +85,7 @@ def test_select_primes_matches_sympy():
                 with pytest.raises(ParameterError):
                     select_primes(n, c)
             else:
-                sel = select_primes(n, c)
-                assert sel.primes == tuple(want[:c])
-                assert sel.interval == (lo, hi)
+                assert select_primes(n, c) == tuple(want[:c])
     assert shortages
 
 
