@@ -231,6 +231,19 @@ def matching_weight(inst: Instance, m: Matching) -> Fraction:
     return Fraction(sum(rows[i][j] for i, j in m.pairs), inst.scale)
 
 
+def bare_view(inst: Instance) -> Optional[Instance]:
+    """``inst`` without its filler edges, those of scaled weight -2*W where
+    W > 0 is the largest weight; None when it has none.  The bare view keeps
+    ``inst.scale``: W stays in it, so its weights share no factor the
+    fillers do not."""
+    rows = inst.scaled_weights()
+    w = max((x for row in rows for x in row if x is not None), default=0)
+    if w <= 0 or not any(-2 * w in row for row in rows):
+        return None
+    return Instance.scaled([[None if x == -2 * w else x for x in row] for row in rows],
+                           inst.scale)
+
+
 def relabel(inst: Instance, left_perm: list[int], right_perm: list[int]) -> Instance:
     """Instance with row i moved to left_perm[i] and column j to right_perm[j]."""
     n, old = inst.n, inst.scaled_weights()

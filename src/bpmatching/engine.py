@@ -39,6 +39,20 @@ negative; per offset s the k with beliefs equal to the reference form an
 interval.  The run judges those iterations unvisited, jumps to the last
 whole window before the event or the horizon, and steps on, holding O(1)
 states plus two ints per stepped iteration since the last jump.
+
+An instance with filler edges (``core.bare_view``: weight -2*W, W the
+largest weight) runs on its bare view when every node keeps two bare
+edges and the reference lies in it.  The filler message u -> l at t is
+w - best_u(t-1).  While w - best_u(t-1) < second_l(t) on every filler edge
+(per l, the smallest best_u among its filler neighbours decides), no
+filler is a best or runner-up, so by induction from t=1 the full graph's
+messages on the bare edges and its beliefs are the bare view's.  A jump
+evaluates the same inequalities at a regime's argmax and runner-up slots,
+affine lower bounds of best_u and second_l: each holds on 0..k once it
+holds at k, and a bisection stops the jump before the first that fails.
+The first stepped t whose check fails rebuilds the full state at t-1 (bare
+rows copied, w - best_u(t-2) on the fillers), and the same verdict steps
+on there.
 """
 
 from __future__ import annotations
@@ -50,7 +64,8 @@ from itertools import chain, compress
 from operator import add, mul, sub
 from typing import Iterator, Optional
 
-from .core import Adjacency, HorizonExhausted, Instance, Matching, ParameterError
+from .core import (Adjacency, HorizonExhausted, Instance, Matching, ParameterError,
+                   bare_view)
 
 
 #: Per graph node: slot of the first maximum incoming message (-1
@@ -198,6 +213,22 @@ def run_to_horizon(inst: Instance, horizon: int) -> Iterator[BeliefSnapshot]:
         yield beliefs(state)
 
 
+def _runner_up_slots(y: MessageState) -> list[int]:
+    """Per row of ``y``, the slot of its runner-up (-1 with none)."""
+    return [-1 if c is None else row.index(b, k + 1) if c == b else row.index(c)
+            for row, k, b, c in zip(y.rows, *y.top)]
+
+
+def _floors(y: MessageState, ds: list[list[int]], j: int):
+    """Lower bounds of every row's best and runner-up at y + j*ds: its value
+    at y's argmax slot k, and the smaller of its values at k and at y's
+    runner-up slot.  Exact at j = 0; each compares affine forms of j."""
+    rows = [[u + j * v for u, v in zip(*rr)] for rr in zip(y.rows, ds)]
+    ks, k2s = y.top[0], _runner_up_slots(y)
+    return ([row[k] for row, k in zip(rows, ks)],
+            [min(row[k], row[k2]) for row, k, k2 in zip(rows, ks, k2s)])
+
+
 def _rays(conds, hi: int) -> tuple[int, int]:
     """Bounds lo..hi of the k in 0..hi with a + k*b >= 0 for every (a, b)."""
     lo = 0
@@ -212,13 +243,27 @@ def _rays(conds, hi: int) -> tuple[int, int]:
 
 
 class _Run:
-    """One ``convergence_time`` call: its verdict so far, and the fingerprints
-    and selection hashes since the last jump, where regimes are looked for."""
+    """One ``convergence_time`` call: its verdict so far, the graph it steps,
+    and the fingerprints and selection hashes since the last jump, where
+    regimes are looked for.  While ``full`` is set, the run steps the bare
+    view of that graph under the filler certificate."""
 
-    def __init__(self, start: MessageState, reference: Matching, horizon: int) -> None:
-        self.horizon = horizon
-        adj, n = start.adj, len(start.rows) // 2
-        want = self.want = reference_beliefs(reference, n)
+    def __init__(self, start: MessageState, reference: Matching, horizon: int,
+                 full: Optional[Adjacency] = None) -> None:
+        self.horizon, self.full = horizon, full
+        self.want = reference_beliefs(reference, len(start.rows) // 2)
+        self.last_bad, self.any_good = 0, False
+        self.before: list[int] = []  # bests one iteration before the last state
+        if full is not None:  # per node l, its filler neighbours u and their one weight
+            gone = [[(u, w) for u, w in zip(nb, ws) if u not in bare]
+                    for nb, ws, bare in zip(full.nbrs, full.w, map(set, start.adj.nbrs))]
+            (self.fw,) = {w for g in gone for _, w in g}
+            self.fillers = [frozenset(u for u, _ in g) for g in gone]
+        self.use(start.adj)
+
+    def use(self, adj: Adjacency) -> None:
+        """Makes ``adj`` the stepped graph."""
+        n, want = len(adj.nbrs) // 2, self.want
         try:  # each row's slot of its reference partner, None if never encoded
             self.slots = want and [nb.index(v) for nb, v in
                                    zip(adj.nbrs, [n + j for j in want[0]] + list(want[1]))]
@@ -228,7 +273,6 @@ class _Run:
         self.wide = [len(nb) > 2 for nb in adj.nbrs]
         rng = random.Random(0)
         self.coeffs = [rng.getrandbits(31) for _ in chain.from_iterable(adj.nbrs)]
-        self.last_bad, self.any_good = 0, False
         self.reset()
 
     def reset(self) -> None:
@@ -246,9 +290,61 @@ class _Run:
         self.sels.append(hash(tuple(compress(state.top[0], self.wide))))
 
     def advance(self, state: MessageState) -> MessageState:
-        state = step(state)
-        self.see(state)
-        return state
+        """The state one step on; on the full graph from the first iteration
+        whose filler check fails."""
+        nxt = step(state)
+        if self.full and not self.fillers_hold(state.top[1], nxt.top[2]):
+            state = self.widen(state)
+            nxt = step(state)
+        self.before = state.top[1]
+        self.see(nxt)
+        return nxt
+
+    def fillers_hold(self, bests: list[int], seconds: list[int]) -> bool:
+        """fw - bests[u] < seconds[l] on every filler edge (u, l): per l, the
+        smallest best among its filler neighbours decides."""
+        n = len(bests) // 2
+        for us, ls in (range(n), range(n, 2 * n)), (range(n, 2 * n), range(n)):
+            order = sorted(us, key=bests.__getitem__)
+            for l in ls:
+                u = next(filter(self.fillers[l].__contains__, order), None)
+                if u is not None and self.fw - bests[u] >= seconds[l]:
+                    return False
+        return True
+
+    def widen(self, y: MessageState) -> MessageState:
+        """The full graph's state at y's iteration t, which the certificate
+        holds at: y's messages on the bare edges, and w - best_u(t-1) on each
+        filler edge (u, l); all zero at t = 0.  The run steps the full graph
+        from then on."""
+        full, t = self.full, y.iteration
+        rows = []
+        for nb, ws, bare, row in zip(full.nbrs, full.w, y.adj.nbrs, y.rows):
+            got = dict(zip(bare, row))
+            rows.append([got[u] if u in got else w - self.before[u] if t else 0
+                         for u, w in zip(nb, ws)])
+        self.full = None
+        self.use(full)
+        return MessageState(rows, t, full)
+
+    def filler_jump(self, ends: list, k: int) -> int:
+        """The largest k' <= k for which the filler rays certify every
+        iteration up to a + k'*p.  ``ends`` holds the states at a..a+p with
+        their drifts; the check into a + j*p + s + 1 takes its bests from
+        offset s and its runner-ups from offset s + 1 at j.  Each ray
+        a + j*b >= 0 holds on 0..j once it holds at j (it does at 0), so a
+        bisection on j finds where the first one ends."""
+        def holds(j: int) -> bool:
+            floors = [_floors(y, ds, j) for y, ds in ends]
+            return all(self.fillers_hold(b[0], s[1]) for b, s in zip(floors, floors[1:]))
+
+        if holds(k - 1):
+            return k
+        lo, hi = 1, k - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if holds(mid - 1) else (lo, mid - 1)
+        return lo
 
     def period(self) -> int:
         """Smallest p whose last two p-step windows repeat the selections and
@@ -266,9 +362,7 @@ class _Run:
     def window_step(self, y: MessageState, ds: list[list[int]], kmax: int):
         """At y with drift ds: the drift a step on, the largest k <= kmax keeping
         y's selections at y + k*ds, and the k where its beliefs are the reference's."""
-        rows, (ks, bests, seconds) = y.rows, y.top
-        k2s = [-1 if c is None else row.index(b, k + 1) if c == b else row.index(c)
-               for row, k, b, c in zip(rows, ks, bests, seconds)]
+        rows, ks, k2s = y.rows, y.top[0], _runner_up_slots(y)
         keeps = []  # x[k] and then x[k2] stay maxima; ties send the same
         for row, dr, k, k2 in zip(rows, ds, ks, k2s):
             if len(row) > 2:
@@ -284,21 +378,33 @@ class _Run:
 
     def regime(self, state: MessageState, p: int) -> MessageState:
         """Steps two p-step windows; if they prove a regime, judges the beliefs
-        of its whole windows and jumps to the last that starts by the horizon."""
-        start = state.rows
+        of its whole windows and jumps to the last that starts by the horizon
+        and that the filler rays certify.  A widening ends the attempt."""
+        start, adj = state.rows, state.adj
         for _ in range(p):
             state = self.advance(state)
+            if state.adj is not adj:
+                return state
         a, y0 = state.iteration, state.rows
         d = ds = [list(map(sub, u, v)) for u, v in zip(y0, start)]
-        kmax, goods = self.horizon, []
+        kmax, goods, ends = self.horizon, [], [(state, d)]
         for _ in range(p):
             ds, kmax, good = self.window_step(state, ds, kmax)
             goods.append(good)
             state = self.advance(state)
+            if state.adj is not adj:
+                return state
+            ends.append((state, ds))
         k = min(kmax + 1, (self.horizon - a) // p)
         y1 = [list(map(add, u, v)) for u, v in zip(y0, d)]
         if ds != d or state.rows != y1 or k < 2:
             return state
+        if self.full:
+            k = self.filler_jump(ends, k)
+            if k < 2:
+                return state
+            y, dy = ends[-2]  # the state a jump lands one iteration past
+            self.before = [max(u + (k - 1) * v for u, v in zip(*rr)) for rr in zip(y.rows, dy)]
         for s, (lo, hi) in enumerate(goods):  # at a + j*p + s, j = 1..k-1
             lo, hi = max(lo, 1), min(hi, k - 1)
             self.any_good |= lo <= hi
@@ -315,12 +421,17 @@ def convergence_time(inst: Instance, reference: Matching, horizon: int) -> int:
     """Smallest T with beliefs(t) == reference for every T <= t <= horizon.
 
     The T, or ``HorizonExhausted``, of stepping every iteration, with proved
-    drift regimes jumped over (see the module docstring).
+    drift regimes jumped over, on the bare view while the filler certificate
+    holds (see the module docstring).
     """
     if horizon < 1:
         raise ParameterError("horizon must be >= 1")
+    bare, full = bare_view(inst), None
+    if (bare is not None and min(map(len, bare.adjacency().nbrs)) >= 2
+            and all(bare.has_edge(i, j) for i, j in reference.pairs)):
+        inst, full = bare, inst.adjacency()
     state = init_messages(inst)
-    run = _Run(state, reference, horizon)
+    run = _Run(state, reference, horizon, full)
     if run.slots is not None:
         run.see(state)
         while state.iteration < horizon:

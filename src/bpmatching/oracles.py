@@ -24,6 +24,7 @@ from .core import (
     Matching,
     OracleCapExceeded,
     ParameterError,
+    bare_view,
     matching_weight,
 )
 
@@ -177,23 +178,27 @@ def certified_horizon(inst: Instance, eps: Optional[Fraction] = None) -> int:
     w = max(xs, default=0)
     if w <= 0 or not (eps := uniqueness_gap(inst) if eps is None else eps):
         raise ParameterError("certified horizon: no positive weight, or a tied optimum")
-    if min(xs) < 0 and _bare_view_gap(inst, w) != eps:
+    if min(xs) < 0 and _bare_view_gap(inst) != eps:
         if min(map(len, inst.adjacency().nbrs)) < 2:
             raise ParameterError("certified horizon: negative weights, a node of one edge")
         w -= min(xs)
     return -(-2 * inst.n * w * eps.denominator // (eps.numerator * inst.scale))
 
 
-def _bare_view_gap(inst: Instance, w_max: int) -> Optional[Fraction]:
-    """The gap of ``inst`` without its edges of scaled weight -2*w_max, if
-    the rest is nonnegative and has two perfect matchings, else None.  Where
-    this bare view keeps the gap, the fillers are taken to change no belief
-    (criterion 5 checks this on the embedded cycles)."""
-    bare = [[None if x == -2 * w_max else x for x in row] for row in inst.scaled_weights()]
-    if any(x is not None and x < 0 for row in bare for x in row):
+def _bare_view_gap(inst: Instance) -> Optional[Fraction]:
+    """The gap of ``core.bare_view(inst)`` if that view is nonnegative and
+    has two perfect matchings, else None.  Where the bare view keeps the
+    gap, the fillers are taken to change no belief (criterion 5 checks this
+    on the embedded cycles).  This is decided before any run; a
+    ``convergence_time`` run whose filler certificate holds to the horizon
+    has then checked, for that instance, that the fillers changed no belief
+    up to the horizon."""
+    bare = bare_view(inst)
+    if bare is None or any(x is not None and x < 0
+                           for row in bare.scaled_weights() for x in row):
         return None
     try:
-        return uniqueness_gap(Instance.scaled(bare, inst.scale))
+        return uniqueness_gap(bare)
     except ParameterError:
         return None
 

@@ -12,6 +12,7 @@ from bpmatching.core import (
     Matching,
     MissingEdgeError,
     ParameterError,
+    bare_view,
     format_rational,
     matching_weight,
     parse_rational,
@@ -78,6 +79,20 @@ def test_scale_and_scaled_weights():
     inst = Instance([[F(1, 2), F(1, 3)], [None, F(5)]])
     assert inst.scale == 6
     assert inst.scaled_weights() == [[3, 2], [None, 30]]
+
+
+def test_bare_view_drops_only_the_fillers():
+    from bpmatching import generators
+
+    params = generators.CycleParams(3, F(8), F(3, 5))
+    embedded, bare = generators.gen_cycle(params, embed=True), generators.gen_cycle(params)
+    view = bare_view(embedded)
+    assert (view.scale, view.scaled_weights()) == (bare.scale, bare.scaled_weights())
+    # -2*W drops, a lighter weight stays; no filler, or no positive weight: None.
+    assert bare_view(Instance([[F(1, 2), -1], [F(-3, 2), F(1, 2)]])).weights == \
+        [[F(1, 2), None], [F(-3, 2), F(1, 2)]]
+    assert bare_view(bare) is None
+    assert bare_view(Instance([[0, 0], [0, -1]])) is None
 
 
 def test_node_neighbors():

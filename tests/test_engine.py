@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bpmatching import generators
 from bpmatching.core import HorizonExhausted, Instance, Matching, ParameterError, relabel
 from bpmatching.engine import (
+    MessageState,
     beliefs,
     convergence_time,
     init_messages,
@@ -426,23 +427,28 @@ def reference_convergence_time(inst, reference, horizon):
 def checked_jumps(inst, reference, horizon):
     """``convergence_time`` (``HorizonExhausted``, the class, if it raises)
     and its jumps as (landing iteration, period).  Every regime attempt
-    must leave exactly the messages that stepping every iteration reaches."""
+    must leave exactly the messages that stepping every iteration of the
+    graph it carries (the instance or its bare view) reaches, and so must
+    each rebuild of the full instance's state from its bare view."""
     from bpmatching import engine
 
-    regime, jumps = engine._Run.regime, []
+    regime, widen, jumps = engine._Run.regime, engine._Run.widen, []
 
-    def spy(run, state, p):
-        start = state.iteration
-        out = regime(run, state, p)
-        stepped = init_messages(inst)
+    def check(out):
+        stepped = MessageState([[0] * len(nb) for nb in out.adj.nbrs], 0, out.adj)
         for _ in range(out.iteration):
             stepped = step(stepped)
         assert (out.to_right, out.to_left) == (stepped.to_right, stepped.to_left)
-        if out.iteration > start + 2 * p:
+        return out
+
+    def spy(run, state, p):
+        out = check(regime(run, state, p))
+        if out.iteration > state.iteration + 2 * p:
             jumps.append((out.iteration, p))
         return out
 
-    with mock.patch.object(engine._Run, "regime", spy):
+    with mock.patch.object(engine._Run, "regime", spy), \
+            mock.patch.object(engine._Run, "widen", lambda *a: check(widen(*a))):
         try:
             return convergence_time(inst, reference, horizon), jumps
         except HorizonExhausted:
@@ -554,3 +560,109 @@ def test_bare_cycle_time_law_far_past_the_cap(n, eps, monkeypatch):
     t = convergence_time(inst, optimal_matching(inst), horizon)
     assert t == n * F(8) / (2 * eps) + 2
     assert len(calls) <= 10 * n
+
+
+# -- the bare view of embedded instances and its filler certificate --
+
+
+def stepped_graphs(monkeypatch):
+    """Spy on ``engine.step``: the list it fills holds (graph, iteration)
+    of every state stepped."""
+    from bpmatching import engine
+
+    calls, real = [], engine.step
+
+    def spy(state):
+        calls.append((state.adj, state.iteration))
+        return real(state)
+
+    monkeypatch.setattr(engine, "step", spy)
+    return calls
+
+
+def test_embedded_cycle_runs_on_its_bare_view(monkeypatch):
+    # converge-dense: the filler certificate holds to the horizon, so the
+    # run is the bare view's 128 steps of degree 2, never the 16x16 table.
+    inst = generators.gen_cycle(generators.CycleParams(16, F(8), F(1, 10)), embed=True)
+    calls = stepped_graphs(monkeypatch)
+    assert convergence_time(inst, optimal_matching(inst), 2560) == 642
+    assert len(calls) <= 128
+    assert not any(adj is inst.adjacency() for adj, _ in calls)
+    # A bare instance has no fillers and takes the path it always took.
+    bare = generators.gen_cycle(generators.CycleParams(12, F(8), F(1, 50)))
+    calls.clear()
+    assert convergence_time(bare, optimal_matching(bare), certified_horizon(bare)) == 2402
+    assert len(calls) == 96
+    assert all(adj is bare.adjacency() for adj, _ in calls)
+
+
+@st.composite
+def embedded_cases(draw):
+    """Embedded-form instances: a bare support of a perfect matching plus a
+    cycle cover through it, so every node keeps two bare edges, with signed
+    small weights, and -2*W on every other cell; a reference (the optimum or
+    any permutation) and a horizon."""
+    n = draw(st.integers(3, 7))
+    match = draw(st.permutations(range(n)))
+    shift = draw(st.permutations(range(n)).filter(
+        lambda s: all(i != j for i, j in enumerate(s))))
+    bare = {(i, match[k]): draw(st.integers(-6, 9))
+            for i in range(n) for k in (i, shift[i])}
+    w = max(bare.values())
+    assume(w > 0)
+    rows = [[F(bare.get((i, j), -2 * w)) for j in range(n)] for i in range(n)]
+    pairs = list(enumerate(draw(st.permutations(range(n)))))
+    if draw(st.booleans()):
+        pairs = mwm_hungarian(Instance(rows))[0].sorted_pairs()
+    return rows, pairs, draw(st.sampled_from([1, 2, 7, 40, 150, 300]))
+
+
+#: Embedded forms pinned for each path of the filler certificate: the
+#: case, the number of bare steps, and the iteration of the first full
+#: graph state stepped (None when none is).
+CERTIFICATE_PATHS = {
+    # The certificate holds to the horizon, jumps included.
+    "holds": ((fractions([[3, 2, -8], [-8, 4, 2], [1, -8, 1]]),
+               [(0, 0), (1, 1), (2, 2)], 150), 24, None),
+    # It fails at t=17: the full state at t=16 is rebuilt and stepped on.
+    "fails mid-run": ((fractions([[-4, -16, 8], [-3, -2, -16], [-16, -4, 5]]),
+                       [(0, 2), (1, 0), (2, 1)], 40), 17, 16),
+    # It fails at t=21, the first step after a jump to t=20: the filler
+    # messages at t=20 come from the bests at t=19, which no step visited.
+    "fails after a jump": ((fractions([[8, -16, -16, 1], [-16, 7, 8, -16],
+                                       [7, -16, -16, 8], [-16, 8, -2, -16]]),
+                            [(0, 0), (1, 2), (2, 3), (3, 1)], 40), 17, 20),
+    # alpha_2's runner-up at t=1 is -5 < -2*W = -4: full from t=0.
+    "fails at t=1": ((fractions([[-2, 1, -1], [-5, -2, 0], [-1, 0, -2]]),
+                      [(0, 1), (1, 2), (2, 0)], 150), 1, 0),
+    # The reference takes the filler edge (alpha_3, beta_3): no bare run.
+    "reference on a filler": ((fractions([[-8, -1, 0], [2, -8, 1], [4, 1, -8]]),
+                               [(0, 1), (1, 0), (2, 2)], 150), 0, 0),
+}
+
+
+@pytest.mark.parametrize("case, bare_steps, first_full", CERTIFICATE_PATHS.values(),
+                         ids=CERTIFICATE_PATHS.keys())
+def test_filler_certificate_paths(case, bare_steps, first_full, monkeypatch):
+    rows, pairs, horizon = case
+    inst, reference = Instance(rows), Matching.of(pairs)
+    calls = stepped_graphs(monkeypatch)
+    t, _ = checked_jumps(inst, reference, horizon)
+    full = [i for adj, i in calls if adj is inst.adjacency()]
+    assert len(calls) - len(full) == bare_steps
+    assert (full[0] if full else None) == first_full
+    assert t == reference_convergence_time(inst, reference, horizon)
+
+
+@settings(max_examples=100, deadline=None)
+@given(embedded_cases())
+@example(CERTIFICATE_PATHS["holds"][0])
+@example(CERTIFICATE_PATHS["fails mid-run"][0])
+@example(CERTIFICATE_PATHS["fails after a jump"][0])
+@example(CERTIFICATE_PATHS["fails at t=1"][0])
+@example(CERTIFICATE_PATHS["reference on a filler"][0])
+def test_embedded_forms_match_stepping_the_full_instance(case):
+    rows, pairs, horizon = case
+    inst, reference = Instance(rows), Matching.of(pairs)
+    t, _ = checked_jumps(inst, reference, horizon)
+    assert t == reference_convergence_time(inst, reference, horizon)
