@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -313,7 +314,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every command, built once per process."""
     parser = argparse.ArgumentParser(
         prog="bpmatching",
         description="Exact max-sum BP laboratory for the assignment problem",

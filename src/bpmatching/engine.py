@@ -40,19 +40,24 @@ interval.  The run judges those iterations unvisited, jumps to the last
 whole window before the event or the horizon, and steps on, holding O(1)
 states plus two ints per stepped iteration since the last jump.
 
-An instance with filler edges (``core.bare_view``: weight -2*W, W the
-largest weight) runs on its bare view when every node keeps two bare
-edges and the reference lies in it.  The filler message u -> l at t is
-w - best_u(t-1).  While w - best_u(t-1) < second_l(t) on every filler edge
-(per l, the smallest best_u among its filler neighbours decides), no
-filler is a best or runner-up, so by induction from t=1 the full graph's
-messages on the bare edges and its beliefs are the bare view's.  A jump
-evaluates the same inequalities at a regime's argmax and runner-up slots,
-affine lower bounds of best_u and second_l: each holds on 0..k once it
-holds at k, and a bisection stops the jump before the first that fails.
-The first stepped t whose check fails rebuilds the full state at t-1 (bare
-rows copied, w - best_u(t-2) on the fillers), and the same verdict steps
-on there.
+An instance with filler edges (``core.bare_view``: weight fw = -2*W, W the
+largest weight) steps its bare view, whose states carry per node l its
+fill, the largest filler message into l.  While no filler is a strict
+argmax, the filler u -> l at t is fw - best_u(t-1), so fill_l(t) is fw less
+the smallest best_u among l's filler neighbours.  ``top`` counts the fill
+among the runner-ups, so each node sends what it sends on the full graph;
+a fill equal to the best is a tie there too (Unresolved, w - best on every
+edge).  By induction from t=1 the bare messages, fills and beliefs are the
+full graph's while fill_l(t) <= best_l(t) for every l.  The first t where
+that fails rebuilds the full state at t (bare rows kept, fw - best_u(t-1)
+on the fillers) before its beliefs count, and the full graph is stepped
+on.  ``run_to_horizon`` takes the bare view when every node keeps a bare
+edge, ``convergence_time`` when every node keeps two and the reference
+lies in it.  A jump needs every fill below the bare runner-up: at a
+regime's argmax and runner-up slots these inequalities are affine lower
+bounds, which hold on 0..k once they hold at 0 and at k, and a bisection
+stops the jump before the first that fails.  A regime whose stepped window
+has a fill as a runner-up is proved on the full state rebuilt at its end.
 """
 
 from __future__ import annotations
@@ -60,7 +65,8 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass, field, replace
-from itertools import chain, compress
+from functools import cached_property
+from itertools import chain, compress, repeat
 from operator import add, mul, sub
 from typing import Iterator, Optional
 
@@ -70,18 +76,18 @@ from .core import (Adjacency, HorizonExhausted, Instance, Matching, ParameterErr
 
 #: Per graph node: slot of the first maximum incoming message (-1
 #: with none), the maximum (0 with none) and the largest other incoming
-#: message (None with none; a tied maximum repeats).
+#: message, its fill included (None with none; a tied maximum repeats).
 Tops = tuple[list[int], list[int], list[Optional[int]]]
 
 #: Modulus of the regime fingerprints (a Mersenne prime).
 _PRIME = 2**61 - 1
 
 
-def _tops(rows: list[list[int]]) -> Tops:
+def _tops(rows: list[list[int]], fill: Optional[list[Optional[int]]]) -> Tops:
     ks: list[int] = []
     bests: list[int] = []
     seconds: list[Optional[int]] = []
-    for row in rows:
+    for row, f in zip(rows, fill or repeat(None)):
         k, best, second = -1, 0, None
         if row:
             best = max(row)
@@ -90,10 +96,35 @@ def _tops(rows: list[list[int]]) -> Tops:
                 row[k] = row[k - 1]  # another slot's value: max is now the runner-up
                 second = max(row)
                 row[k] = best
+        if f is not None and (second is None or f > second):
+            second = f  # the largest filler message is a runner-up too
         ks.append(k)
         bests.append(best)
         seconds.append(second)
     return ks, bests, seconds
+
+
+@dataclass(frozen=True)
+class _Fillers:
+    """The filler edges a bare view leaves out: the full graph, their one
+    weight ``fw``, and per node its filler neighbours."""
+
+    full: Adjacency
+    fw: int
+    nbrs: list[frozenset[int]]
+
+
+def _fill(fillers: _Fillers, bests: list[int]) -> list[Optional[int]]:
+    """Per node l, fw - min best_u over its filler neighbours u (None with
+    none): the first filler neighbour in the other side's sorted bests."""
+    n, fw = len(bests) // 2, fillers.fw
+    fill: list[Optional[int]] = []
+    for us, fs in (range(n, 2 * n), fillers.nbrs[:n]), (range(n), fillers.nbrs[n:]):
+        order = sorted(us, key=bests.__getitem__)
+        u0 = order[0]  # a filler neighbour of most nodes of the other side
+        fill += [fw - bests[u0 if u0 in f else next(filter(f.__contains__, order))]
+                 if f else None for f in fs]
+    return fill
 
 
 @dataclass
@@ -104,15 +135,28 @@ class MessageState:
     ``adj.nbrs[u][s]``, an integer numerator over the instance's ``scale``,
     and ``top`` holds the ``Tops`` of the rows.  ``to_left`` (alpha_i's
     rows) and ``to_right`` (beta_j's rows) are read-only slices of ``rows``.
+    On a bare view ``fillers`` holds the edges it leaves out and ``fill[u]``
+    the largest filler message into u (None with none), which ``top``
+    counts among the runner-ups.
     """
 
     rows: list[list[int]]
     iteration: int
     adj: Adjacency = field(repr=False, compare=False)
+    fill: Optional[list[Optional[int]]] = None
+    fillers: Optional[_Fillers] = field(default=None, repr=False, compare=False)
     top: Tops = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.top = _tops(self.rows)
+        self.top = _tops(self.rows, self.fill)
+
+    @cached_property
+    def runner_up_slots(self) -> list[int]:
+        """Per row, the first slot but its argmax slot k that holds the
+        largest of the other messages (-1 with none); a fill has no slot."""
+        ks = self.top[0]
+        rests = [row[:k] + row[k + 1:] for row, k in zip(self.rows, ks)]
+        return [(s := r.index(max(r))) + (s >= k) if r else -1 for r, k in zip(rests, ks)]
 
     @property
     def to_left(self) -> list[list[int]]:
@@ -165,7 +209,9 @@ def _send(adj: Adjacency, tops: Tops) -> list[list[int]]:
 def step(state: MessageState) -> MessageState:
     """One synchronous update round on the state's graph; returns the state
     at iteration t+1."""
-    return MessageState(_send(state.adj, state.top), state.iteration + 1, state.adj)
+    fill = state.fillers and _fill(state.fillers, state.top[1])
+    return MessageState(_send(state.adj, state.top), state.iteration + 1, state.adj,
+                        fill, state.fillers)
 
 
 def beliefs(state: MessageState) -> BeliefSnapshot:
@@ -203,20 +249,50 @@ def reference_beliefs(
     return None if None in want[0] + want[1] else want
 
 
+def _start(inst: Instance, degree: int, pairs=()) -> MessageState:
+    """The state at t=0 on ``inst``'s bare view, with its fillers, when every
+    node keeps ``degree`` bare edges and every (i, j) of ``pairs`` is a bare
+    edge; else ``init_messages(inst)``."""
+    bare = bare_view(inst)
+    if (bare is None or min(map(len, bare.adjacency().nbrs)) < degree
+            or not all(bare.has_edge(i, j) for i, j in pairs)):
+        return init_messages(inst)
+    adj, full = bare.adjacency(), inst.adjacency()
+    nbrs = [frozenset(a).difference(b) for a, b in zip(full.nbrs, adj.nbrs)]
+    fill = [0 if f else None for f in nbrs]
+    return MessageState([[0] * len(nb) for nb in adj.nbrs], 0, adj, fill,
+                        _Fillers(full, -2 * max(map(max, adj.w)), nbrs))
+
+
+def _widen(y: MessageState, before: list[int]) -> MessageState:
+    """The full graph's state at y's iteration t, where y's filler messages
+    are fw - best_u(t-1) and ``before`` holds those bests: y's messages on
+    the bare edges, and fw - before[u] on each filler edge (u, l)."""
+    full, rows = y.fillers.full, []
+    for nb, ws, bare, row in zip(full.nbrs, full.w, y.adj.nbrs, y.rows):
+        got = dict(zip(bare, row))
+        rows.append([got[u] if u in got else w - before[u] for u, w in zip(nb, ws)])
+    return MessageState(rows, y.iteration, full)
+
+
+def _advance(state: MessageState) -> MessageState:
+    """The state one step on; the full graph's from the first iteration
+    where a filler message into some node exceeds its best."""
+    nxt = step(state)
+    if nxt.fill and any(f is not None and f > b for f, b in zip(nxt.fill, nxt.top[1])):
+        return _widen(nxt, state.top[1])
+    return nxt
+
+
 def run_to_horizon(inst: Instance, horizon: int) -> Iterator[BeliefSnapshot]:
-    """Belief snapshots for t = 1..horizon (streaming)."""
+    """Belief snapshots for t = 1..horizon (streaming); on the bare view
+    while it is exact (see the module docstring)."""
     if horizon < 1:
         raise ParameterError("horizon must be >= 1")
-    state = init_messages(inst)
+    state = _start(inst, 1)
     for _ in range(horizon):
-        state = step(state)
+        state = _advance(state)
         yield beliefs(state)
-
-
-def _runner_up_slots(y: MessageState) -> list[int]:
-    """Per row of ``y``, the slot of its runner-up (-1 with none)."""
-    return [-1 if c is None else row.index(b, k + 1) if c == b else row.index(c)
-            for row, k, b, c in zip(y.rows, *y.top)]
 
 
 def _floors(y: MessageState, ds: list[list[int]], j: int):
@@ -224,7 +300,7 @@ def _floors(y: MessageState, ds: list[list[int]], j: int):
     at y's argmax slot k, and the smaller of its values at k and at y's
     runner-up slot.  Exact at j = 0; each compares affine forms of j."""
     rows = [[u + j * v for u, v in zip(*rr)] for rr in zip(y.rows, ds)]
-    ks, k2s = y.top[0], _runner_up_slots(y)
+    ks, k2s = y.top[0], y.runner_up_slots
     return ([row[k] for row, k in zip(rows, ks)],
             [min(row[k], row[k2]) for row, k, k2 in zip(rows, ks, k2s)])
 
@@ -245,20 +321,12 @@ def _rays(conds, hi: int) -> tuple[int, int]:
 class _Run:
     """One ``convergence_time`` call: its verdict so far, the graph it steps,
     and the fingerprints and selection hashes since the last jump, where
-    regimes are looked for.  While ``full`` is set, the run steps the bare
-    view of that graph under the filler certificate."""
+    regimes are looked for."""
 
-    def __init__(self, start: MessageState, reference: Matching, horizon: int,
-                 full: Optional[Adjacency] = None) -> None:
-        self.horizon, self.full = horizon, full
+    def __init__(self, start: MessageState, reference: Matching, horizon: int) -> None:
+        self.horizon = horizon
         self.want = reference_beliefs(reference, len(start.rows) // 2)
         self.last_bad, self.any_good = 0, False
-        self.before: list[int] = []  # bests one iteration before the last state
-        if full is not None:  # per node l, its filler neighbours u and their one weight
-            gone = [[(u, w) for u, w in zip(nb, ws) if u not in bare]
-                    for nb, ws, bare in zip(full.nbrs, full.w, map(set, start.adj.nbrs))]
-            (self.fw,) = {w for g in gone for _, w in g}
-            self.fillers = [frozenset(u for u, _ in g) for g in gone]
         self.use(start.adj)
 
     def use(self, adj: Adjacency) -> None:
@@ -290,54 +358,30 @@ class _Run:
         self.sels.append(hash(tuple(compress(state.top[0], self.wide))))
 
     def advance(self, state: MessageState) -> MessageState:
-        """The state one step on; on the full graph from the first iteration
-        whose filler check fails."""
-        nxt = step(state)
-        if self.full and not self.fillers_hold(state.top[1], nxt.top[2]):
-            state = self.widen(state)
-            nxt = step(state)
-        self.before = state.top[1]
+        """The state one step on (``_advance``)."""
+        nxt = _advance(state)
+        if nxt.adj is not state.adj:
+            self.use(nxt.adj)
         self.see(nxt)
         return nxt
 
-    def fillers_hold(self, bests: list[int], seconds: list[int]) -> bool:
-        """fw - bests[u] < seconds[l] on every filler edge (u, l): per l, the
-        smallest best among its filler neighbours decides."""
-        n = len(bests) // 2
-        for us, ls in (range(n), range(n, 2 * n)), (range(n, 2 * n), range(n)):
-            order = sorted(us, key=bests.__getitem__)
-            for l in ls:
-                u = next(filter(self.fillers[l].__contains__, order), None)
-                if u is not None and self.fw - bests[u] >= seconds[l]:
-                    return False
-        return True
-
-    def widen(self, y: MessageState) -> MessageState:
-        """The full graph's state at y's iteration t, which the certificate
-        holds at: y's messages on the bare edges, and w - best_u(t-1) on each
-        filler edge (u, l); all zero at t = 0.  The run steps the full graph
-        from then on."""
-        full, t = self.full, y.iteration
-        rows = []
-        for nb, ws, bare, row in zip(full.nbrs, full.w, y.adj.nbrs, y.rows):
-            got = dict(zip(bare, row))
-            rows.append([got[u] if u in got else w - self.before[u] if t else 0
-                         for u, w in zip(nb, ws)])
-        self.full = None
-        self.use(full)
-        return MessageState(rows, t, full)
-
-    def filler_jump(self, ends: list, k: int) -> int:
+    @staticmethod
+    def filler_jump(ends: list, k: int) -> int:
         """The largest k' <= k for which the filler rays certify every
-        iteration up to a + k'*p.  ``ends`` holds the states at a..a+p with
-        their drifts; the check into a + j*p + s + 1 takes its bests from
-        offset s and its runner-ups from offset s + 1 at j.  Each ray
-        a + j*b >= 0 holds on 0..j once it holds at j (it does at 0), so a
-        bisection on j finds where the first one ends."""
+        iteration up to a + k'*p (0 if they fail at a + 1..a + p).  ``ends``
+        holds the states at a..a+p with their drifts; the fills into
+        a + j*p + s + 1, from the bests at offset s, must stay below the
+        runner-ups at offset s + 1.  Each ray a + j*b >= 0 holds on 0..j once
+        it holds at 0 and j, so a bisection on j finds where the first ends."""
+        fillers = ends[0][0].fillers
+
         def holds(j: int) -> bool:
             floors = [_floors(y, ds, j) for y, ds in ends]
-            return all(self.fillers_hold(b[0], s[1]) for b, s in zip(floors, floors[1:]))
+            return all(f is None or f < s for b, (_, ss) in zip(floors, floors[1:])
+                       for f, s in zip(_fill(fillers, b[0]), ss))
 
+        if not holds(0):
+            return 0
         if holds(k - 1):
             return k
         lo, hi = 1, k - 1
@@ -362,7 +406,7 @@ class _Run:
     def window_step(self, y: MessageState, ds: list[list[int]], kmax: int):
         """At y with drift ds: the drift a step on, the largest k <= kmax keeping
         y's selections at y + k*ds, and the k where its beliefs are the reference's."""
-        rows, ks, k2s = y.rows, y.top[0], _runner_up_slots(y)
+        rows, ks, k2s = y.rows, y.top[0], y.runner_up_slots
         keeps = []  # x[k] and then x[k2] stay maxima; ties send the same
         for row, dr, k, k2 in zip(rows, ds, ks, k2s):
             if len(row) > 2:
@@ -379,7 +423,8 @@ class _Run:
     def regime(self, state: MessageState, p: int) -> MessageState:
         """Steps two p-step windows; if they prove a regime, judges the beliefs
         of its whole windows and jumps to the last that starts by the horizon
-        and that the filler rays certify.  A widening ends the attempt."""
+        and that the filler rays certify.  A widening ends the attempt; a fill
+        that is a runner-up in the second window widens and tries again."""
         start, adj = state.rows, state.adj
         for _ in range(p):
             state = self.advance(state)
@@ -399,19 +444,26 @@ class _Run:
         y1 = [list(map(add, u, v)) for u, v in zip(y0, d)]
         if ds != d or state.rows != y1 or k < 2:
             return state
-        if self.full:
+        fill = None
+        if state.fillers:
             k = self.filler_jump(ends, k)
+            if k == 0:  # a fill is a runner-up: prove the regime on the full graph
+                state = _widen(state, ends[-2][0].top[1])
+                self.use(state.adj)
+                if state.iteration + 2 * p <= self.horizon:
+                    return self.regime(state, p)
             if k < 2:
                 return state
             y, dy = ends[-2]  # the state a jump lands one iteration past
-            self.before = [max(u + (k - 1) * v for u, v in zip(*rr)) for rr in zip(y.rows, dy)]
+            fill = _fill(state.fillers, [max(u + (k - 1) * v for u, v in zip(*rr))
+                                         for rr in zip(y.rows, dy)])
         for s, (lo, hi) in enumerate(goods):  # at a + j*p + s, j = 1..k-1
             lo, hi = max(lo, 1), min(hi, k - 1)
             self.any_good |= lo <= hi
             bad = k - 1 if lo > hi or hi < k - 1 else lo - 1
             self.last_bad = max(self.last_bad, a + bad * p + s if bad else 0)
         rows = [[u + k * v for u, v in zip(*rr)] for rr in zip(y0, d)]
-        state = MessageState(rows, a + k * p, state.adj)
+        state = MessageState(rows, a + k * p, state.adj, fill, state.fillers)
         self.reset()
         self.see(state)
         return state
@@ -421,17 +473,13 @@ def convergence_time(inst: Instance, reference: Matching, horizon: int) -> int:
     """Smallest T with beliefs(t) == reference for every T <= t <= horizon.
 
     The T, or ``HorizonExhausted``, of stepping every iteration, with proved
-    drift regimes jumped over, on the bare view while the filler certificate
-    holds (see the module docstring).
+    drift regimes jumped over, on the bare view while no fill exceeds a
+    best (see the module docstring).
     """
     if horizon < 1:
         raise ParameterError("horizon must be >= 1")
-    bare, full = bare_view(inst), None
-    if (bare is not None and min(map(len, bare.adjacency().nbrs)) >= 2
-            and all(bare.has_edge(i, j) for i, j in reference.pairs)):
-        inst, full = bare, inst.adjacency()
-    state = init_messages(inst)
-    run = _Run(state, reference, horizon, full)
+    state = _start(inst, 2, reference.pairs)
+    run = _Run(state, reference, horizon)
     if run.slots is not None:
         run.see(state)
         while state.iteration < horizon:

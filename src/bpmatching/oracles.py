@@ -190,9 +190,9 @@ def _bare_view_gap(inst: Instance) -> Optional[Fraction]:
     has two perfect matchings, else None.  Where the bare view keeps the
     gap, the fillers are taken to change no belief (criterion 5 checks this
     on the embedded cycles).  This is decided before any run; a
-    ``convergence_time`` run whose filler certificate holds to the horizon
-    has then checked, for that instance, that the fillers changed no belief
-    up to the horizon."""
+    ``convergence_time`` run that keeps to the bare view up to the horizon
+    has then checked, for that instance, that no filler message exceeded a
+    node's best up to the horizon."""
     bare = bare_view(inst)
     if bare is None or any(x is not None and x < 0
                            for row in bare.scaled_weights() for x in row):

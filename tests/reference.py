@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from bpmatching.core import Matching
+from bpmatching.engine import beliefs, init_messages, step
 from bpmatching.trees import unroll
 
 
@@ -26,6 +27,23 @@ def encodes(snap, reference) -> bool:
     return all(snap.left_belief[i] == left[i] for i in left) and all(
         snap.right_belief[j] == right[j] for j in right
     )
+
+
+def full_graph_states(inst):
+    """The message states of ``inst`` at t = 0, 1, 2, ..., each stepped from
+    the last on the full graph ``inst.adjacency()``."""
+    state = init_messages(inst)
+    while True:
+        yield state
+        state = step(state)
+
+
+def full_graph_snapshots(inst, horizon: int):
+    """Belief snapshots for t = 1..horizon of stepping the full graph."""
+    states = full_graph_states(inst)
+    next(states)
+    for _ in range(horizon):
+        yield beliefs(next(states))
 
 
 def message(inst, state, i: int, j: int, into_right: bool) -> Fraction:

@@ -14,7 +14,7 @@ from bpmatching.approx import approximation_ratio, complete
 from bpmatching.cli import main
 from bpmatching.core import Instance
 from bpmatching.engine import partial_bp_matching
-from reference import encodes
+from reference import encodes, full_graph_snapshots
 
 
 def run(argv, capsys):
@@ -126,6 +126,20 @@ def test_bp_converge(tmp_path, capsys):
     code, out, _ = run(["bp", "converge", "--instance", str(path)], capsys)
     assert code == 0
     assert "t=20" in out
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # main builds the parser once; each call still parses its own command,
+    # and an option given in one call is not a default in the next.
+    path = gen_cycle_file(tmp_path, capsys)
+    assert cli.build_parser() is cli.build_parser()
+    for argv, want in [
+        (["bp", "converge", "--instance", str(path), "--horizon", "40"],
+         "converged at t=20 (horizon 40)\n"),
+        (["oracle", "gap", "--instance", str(path)], "3/5\n"),
+        (["bp", "converge", "--instance", str(path)], "converged at t=20 (horizon 80)\n"),
+    ]:
+        assert run(argv, capsys) == (0, want, "")
 
 
 def test_bp_converge_horizon_exhausted(tmp_path, capsys):
@@ -439,7 +453,7 @@ def reference_trace(inst, horizon, with_ratio):
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(cli.TRACE_HEADER)
-    for snap in engine.run_to_horizon(inst, horizon):
+    for snap in full_graph_snapshots(inst, horizon):
         partial = partial_bp_matching(snap)
         unresolved = sum(1 for b in snap.left_belief if b is None) + sum(
             1 for b in snap.right_belief if b is None
@@ -473,7 +487,7 @@ def reference_exp_approx(inst, horizon):
                                        F(meta["eps"]))
     _, opt_weight = oracles.mwm_hungarian(inst)
     rows = []
-    for snap in engine.run_to_horizon(inst, horizon):
+    for snap in full_graph_snapshots(inst, horizon):
         partial = partial_bp_matching(snap)
         unresolved = sum(1 for b in snap.left_belief if b is None) + sum(
             1 for b in snap.right_belief if b is None

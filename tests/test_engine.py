@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from bpmatching import generators
 from bpmatching.core import HorizonExhausted, Instance, Matching, ParameterError, relabel
 from bpmatching.engine import (
-    MessageState,
     beliefs,
     convergence_time,
     init_messages,
@@ -20,7 +19,8 @@ from bpmatching.engine import (
     step,
 )
 from bpmatching.oracles import certified_horizon, mwm_hungarian
-from reference import encodes, message, node_neighbors, optimal_matching
+from reference import (encodes, full_graph_snapshots, full_graph_states, message,
+                       node_neighbors, optimal_matching)
 
 
 def small_cycle():
@@ -414,7 +414,7 @@ def reference_convergence_time(inst, reference, horizon):
     # A partial reference leaves None slots: no snapshot encodes it.
     want = None if None in want[0] + want[1] else want
     last_bad, any_good = 0, False
-    for snap in run_to_horizon(inst, horizon):
+    for snap in full_graph_snapshots(inst, horizon):
         if (snap.left_belief, snap.right_belief) == want:
             any_good = True
         else:
@@ -427,18 +427,24 @@ def reference_convergence_time(inst, reference, horizon):
 def checked_jumps(inst, reference, horizon):
     """``convergence_time`` (``HorizonExhausted``, the class, if it raises)
     and its jumps as (landing iteration, period).  Every regime attempt
-    must leave exactly the messages that stepping every iteration of the
-    graph it carries (the instance or its bare view) reaches, and so must
+    must leave the messages that stepping every iteration of the full
+    instance reaches, on the edges of the graph it carries (the instance or
+    its bare view), with the largest of the others as its fill; and so must
     each rebuild of the full instance's state from its bare view."""
     from bpmatching import engine
 
-    regime, widen, jumps = engine._Run.regime, engine._Run.widen, []
+    regime, widen, jumps = engine._Run.regime, engine._widen, []
+    stepped, states = [], full_graph_states(inst)
 
     def check(out):
-        stepped = MessageState([[0] * len(nb) for nb in out.adj.nbrs], 0, out.adj)
-        for _ in range(out.iteration):
-            stepped = step(stepped)
-        assert (out.to_right, out.to_left) == (stepped.to_right, stepped.to_left)
+        while len(stepped) <= out.iteration:
+            stepped.append(next(states))
+        full = stepped[out.iteration]
+        for u, (nb, row) in enumerate(zip(out.adj.nbrs, out.rows)):
+            got = dict(zip(full.adj.nbrs[u], full.rows[u]))
+            assert row == [got.pop(v) for v in nb]
+            if out.fill is not None:
+                assert out.fill[u] == max(got.values(), default=None)
         return out
 
     def spy(run, state, p):
@@ -448,7 +454,7 @@ def checked_jumps(inst, reference, horizon):
         return out
 
     with mock.patch.object(engine._Run, "regime", spy), \
-            mock.patch.object(engine._Run, "widen", lambda *a: check(widen(*a))):
+            mock.patch.object(engine, "_widen", lambda *a: check(widen(*a))):
         try:
             return convergence_time(inst, reference, horizon), jumps
         except HorizonExhausted:
@@ -596,6 +602,18 @@ def test_embedded_cycle_runs_on_its_bare_view(monkeypatch):
     assert all(adj is bare.adjacency() for adj, _ in calls)
 
 
+def test_multicycle_trace_runs_on_its_bare_view(monkeypatch):
+    # approx-curve: the 300 trace steps are the bare view's, pads included,
+    # never the 24x24 table; no filler message reaches a best.
+    inst = generators.gen_multicycle(24, F(8), F(1, 1000), c=2)
+    calls = stepped_graphs(monkeypatch)
+    snaps = list(run_to_horizon(inst, 300))
+    assert [i for _, i in calls] == list(range(300))
+    assert not any(adj is inst.adjacency() for adj, _ in calls)
+    assert min(map(len, calls[0][0].nbrs)) == 1  # the pads
+    assert snaps == list(full_graph_snapshots(inst, 300))
+
+
 @st.composite
 def embedded_cases(draw):
     """Embedded-form instances: a bare support of a perfect matching plus a
@@ -617,24 +635,39 @@ def embedded_cases(draw):
     return rows, pairs, draw(st.sampled_from([1, 2, 7, 40, 150, 300]))
 
 
-#: Embedded forms pinned for each path of the filler certificate: the
-#: case, the number of bare steps, and the iteration of the first full
-#: graph state stepped (None when none is).
+#: An embedded form (a perfect matching plus a cycle cover, fillers -10)
+#: where alpha_5's fill, -10 less the smallest best among its filler
+#: neighbours, exceeds its best at t=8.
+FILL_EXCEEDS_A_BEST = fractions([[4, -10, -3, -10, -10], [-10, 5, -10, 0, -10],
+                                 [-10, 4, -6, -10, -10], [-10, -10, -10, 2, 2],
+                                 [-2, -10, -10, -10, -3]])
+
+
+#: Embedded forms pinned for each path of the filler check: the case, the
+#: number of bare steps, and the iteration of the first full graph state
+#: stepped (None when none is).
 CERTIFICATE_PATHS = {
-    # The certificate holds to the horizon, jumps included.
+    # No fill reaches a best up to the horizon, jumps included.
     "holds": ((fractions([[3, 2, -8], [-8, 4, 2], [1, -8, 1]]),
                [(0, 0), (1, 1), (2, 2)], 150), 24, None),
-    # It fails at t=17: the full state at t=16 is rebuilt and stepped on.
+    # A fill becomes a runner-up, so the regime found at t=24 cannot jump on
+    # the bare view: the full state at t=24 is rebuilt and the regime is
+    # proved there.
     "fails mid-run": ((fractions([[-4, -16, 8], [-3, -2, -16], [-16, -4, 5]]),
-                       [(0, 2), (1, 0), (2, 1)], 40), 17, 16),
-    # It fails at t=21, the first step after a jump to t=20: the filler
-    # messages at t=20 come from the bests at t=19, which no step visited.
+                       [(0, 2), (1, 0), (2, 1)], 40), 24, 24),
+    # The check holds past a jump to t=20 and on to the horizon: the fills
+    # at t=20 come from the bests at t=19, which no step visited.
     "fails after a jump": ((fractions([[8, -16, -16, 1], [-16, 7, 8, -16],
                                        [7, -16, -16, 8], [-16, 8, -2, -16]]),
-                            [(0, 0), (1, 2), (2, 3), (3, 1)], 40), 17, 20),
-    # alpha_2's runner-up at t=1 is -5 < -2*W = -4: full from t=0.
+                            [(0, 0), (1, 2), (2, 3), (3, 1)], 40), 36, None),
+    # alpha_2's fill -2 is its runner-up from t=1 (above -5), below its best:
+    # the bare run goes on to the regime found at t=21, proved on the full
+    # state rebuilt there.
     "fails at t=1": ((fractions([[-2, 1, -1], [-5, -2, 0], [-1, 0, -2]]),
-                      [(0, 1), (1, 2), (2, 0)], 150), 1, 0),
+                      [(0, 1), (1, 2), (2, 0)], 150), 21, 21),
+    # alpha_5's fill exceeds its best at t=8: the full state at t=8 is
+    # rebuilt and stepped on.
+    "fill exceeds a best": ((FILL_EXCEEDS_A_BEST, [(i, i) for i in range(5)], 150), 8, 8),
     # The reference takes the filler edge (alpha_3, beta_3): no bare run.
     "reference on a filler": ((fractions([[-8, -1, 0], [2, -8, 1], [4, 1, -8]]),
                                [(0, 1), (1, 0), (2, 2)], 150), 0, 0),
@@ -660,9 +693,86 @@ def test_filler_certificate_paths(case, bare_steps, first_full, monkeypatch):
 @example(CERTIFICATE_PATHS["fails mid-run"][0])
 @example(CERTIFICATE_PATHS["fails after a jump"][0])
 @example(CERTIFICATE_PATHS["fails at t=1"][0])
+@example(CERTIFICATE_PATHS["fill exceeds a best"][0])
 @example(CERTIFICATE_PATHS["reference on a filler"][0])
 def test_embedded_forms_match_stepping_the_full_instance(case):
     rows, pairs, horizon = case
     inst, reference = Instance(rows), Matching.of(pairs)
     t, _ = checked_jumps(inst, reference, horizon)
     assert t == reference_convergence_time(inst, reference, horizon)
+
+
+@st.composite
+def padded_forms(draw):
+    """Embedded-form weights with pads: a bare support of a perfect matching
+    plus a cycle cover through all but 0..n-2 of its pairs, whose nodes are
+    pads with one bare edge; signed small weights, and -2*W on every other
+    cell (a bare weight of -2*W is a filler too)."""
+    n = draw(st.integers(3, 7))
+    match = draw(st.permutations(range(n)))
+    cover = draw(st.permutations(range(n)))[draw(st.integers(0, n - 2)):]
+    shift = draw(st.permutations(cover).filter(
+        lambda s: all(i != j for i, j in zip(cover, s))))
+    edges = [(i, match[i]) for i in range(n)] + [(i, match[j]) for i, j in zip(cover, shift)]
+    bare = {e: draw(st.integers(-6, 9)) for e in edges}
+    w = max(bare.values())
+    assume(w > 0)
+    return [[F(bare.get((i, j), -2 * w)) for j in range(n)] for i in range(n)]
+
+
+def first_filler_over_a_best(inst, horizon):
+    """From the full graph's states: 0 if a node has no bare edge, else the
+    first t <= horizon where a node's largest filler message exceeds its
+    largest bare one (None if there is none)."""
+    n, scaled, adj = inst.n, inst.scaled_weights(), inst.adjacency()
+    fw = -2 * max(x for row in scaled for x in row if x is not None)
+    fillers = [[scaled[min(u, v)][max(u, v) - n] == fw for v in nb]
+               for u, nb in enumerate(adj.nbrs)]
+    if any(all(f) for f in fillers):
+        return 0
+    states = full_graph_states(inst)
+    next(states)
+    for t in range(1, horizon + 1):
+        for row, f in zip(next(states).rows, fillers):
+            over = [m for m, is_filler in zip(row, f) if is_filler]
+            if over and max(over) > max(m for m, is_filler in zip(row, f) if not is_filler):
+                return t
+    return None
+
+
+#: Padded forms pinned for the paths of the trace.
+PADDED_PATHS = {
+    # beta_1 and alpha_3 are pads; the fill is their runner-up to the horizon.
+    "pad": fractions([[-14, -5, 6], [-14, 5, -1], [7, -14, -14]]),
+    # alpha_1's fill ties its best at t=3: it is Unresolved there.
+    "tie": fractions([[-14, 6, -6], [-5, 7, -14], [-1, -14, 7]]),
+    "fill exceeds a best": FILL_EXCEEDS_A_BEST,
+    # alpha_1's only edges are fillers: the full graph from t=0.
+    "no bare edge": fractions([[-2, -2, -2], [-2, 1, -5], [-6, -2, -2]]),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(padded_forms())
+@example(PADDED_PATHS["pad"])
+@example(PADDED_PATHS["tie"])
+@example(PADDED_PATHS["fill exceeds a best"])
+@example(PADDED_PATHS["no bare edge"])
+def test_padded_forms_trace_as_the_full_graph(rows):
+    # run_to_horizon steps the bare view, pads included, until a filler
+    # message exceeds a best, and the full graph from that t on; its
+    # snapshots are those of stepping the full graph every iteration.
+    from bpmatching import engine
+
+    inst, horizon = Instance(rows), 60
+    calls, real = [], engine.step
+
+    def spy(state):
+        calls.append(state.adj is inst.adjacency())
+        return real(state)
+
+    with mock.patch.object(engine, "step", spy):
+        snaps = list(run_to_horizon(inst, horizon))
+    assert snaps == list(full_graph_snapshots(inst, horizon))
+    first = first_filler_over_a_best(inst, horizon)
+    assert calls == [first is not None and t >= first for t in range(horizon)]
