@@ -53,11 +53,12 @@ that fails rebuilds the full state at t (bare rows kept, fw - best_u(t-1)
 on the fillers) before its beliefs count, and the full graph is stepped
 on.  ``run_to_horizon`` takes the bare view when every node keeps a bare
 edge, ``convergence_time`` when every node keeps two and the reference
-lies in it.  A jump needs every fill below the bare runner-up: at a
-regime's argmax and runner-up slots these inequalities are affine lower
-bounds, which hold on 0..k once they hold at 0 and at k, and a bisection
-stops the jump before the first that fails.  A regime whose stepped window
-has a fill as a runner-up is proved on the full state rebuilt at its end.
+lies in it.  A jump needs every fill below the bare runner-up, so
+``convergence_time`` rebuilds the full state already at the first t where
+a fill is a runner-up.  At a regime's argmax and runner-up slots these
+inequalities are affine lower bounds, which hold on 0..k once they hold at
+k (they do at 0), and a bisection stops the jump before the first that
+fails.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import add, mul, sub
 from typing import Iterator, Optional
@@ -149,14 +149,6 @@ class MessageState:
 
     def __post_init__(self) -> None:
         self.top = _tops(self.rows, self.fill)
-
-    @cached_property
-    def runner_up_slots(self) -> list[int]:
-        """Per row, the first slot but its argmax slot k that holds the
-        largest of the other messages (-1 with none); a fill has no slot."""
-        ks = self.top[0]
-        rests = [row[:k] + row[k + 1:] for row, k in zip(self.rows, ks)]
-        return [(s := r.index(max(r))) + (s >= k) if r else -1 for r, k in zip(rests, ks)]
 
     @property
     def to_left(self) -> list[list[int]]:
@@ -275,11 +267,13 @@ def _widen(y: MessageState, before: list[int]) -> MessageState:
     return MessageState(rows, y.iteration, full)
 
 
-def _advance(state: MessageState) -> MessageState:
+def _advance(state: MessageState, runner_up: bool = False) -> MessageState:
     """The state one step on; the full graph's from the first iteration
-    where a filler message into some node exceeds its best."""
+    where a filler message into some node exceeds its best, or with
+    ``runner_up`` where it is one of its runner-ups."""
     nxt = step(state)
-    if nxt.fill and any(f is not None and f > b for f, b in zip(nxt.fill, nxt.top[1])):
+    if nxt.fill and any(f is not None and (f > b or runner_up and f == s)
+                        for f, b, s in zip(nxt.fill, *nxt.top[1:])):
         return _widen(nxt, state.top[1])
     return nxt
 
@@ -295,12 +289,19 @@ def run_to_horizon(inst: Instance, horizon: int) -> Iterator[BeliefSnapshot]:
         yield beliefs(state)
 
 
+def _runner_up_slots(y: MessageState) -> list[int]:
+    """Per row of ``y``, the slot of its runner-up (-1 with none); every
+    fill of ``y`` lies below its row's runner-up."""
+    return [-1 if c is None else row.index(b, k + 1) if c == b else row.index(c)
+            for row, k, b, c in zip(y.rows, *y.top)]
+
+
 def _floors(y: MessageState, ds: list[list[int]], j: int):
     """Lower bounds of every row's best and runner-up at y + j*ds: its value
     at y's argmax slot k, and the smaller of its values at k and at y's
     runner-up slot.  Exact at j = 0; each compares affine forms of j."""
     rows = [[u + j * v for u, v in zip(*rr)] for rr in zip(y.rows, ds)]
-    ks, k2s = y.top[0], y.runner_up_slots
+    ks, k2s = y.top[0], _runner_up_slots(y)
     return ([row[k] for row, k in zip(rows, ks)],
             [min(row[k], row[k2]) for row, k, k2 in zip(rows, ks, k2s)])
 
@@ -358,8 +359,9 @@ class _Run:
         self.sels.append(hash(tuple(compress(state.top[0], self.wide))))
 
     def advance(self, state: MessageState) -> MessageState:
-        """The state one step on (``_advance``)."""
-        nxt = _advance(state)
+        """The state one step on; the full graph's from the first iteration
+        where a fill is a runner-up, which a jump cannot carry."""
+        nxt = _advance(state, runner_up=True)
         if nxt.adj is not state.adj:
             self.use(nxt.adj)
         self.see(nxt)
@@ -368,11 +370,12 @@ class _Run:
     @staticmethod
     def filler_jump(ends: list, k: int) -> int:
         """The largest k' <= k for which the filler rays certify every
-        iteration up to a + k'*p (0 if they fail at a + 1..a + p).  ``ends``
-        holds the states at a..a+p with their drifts; the fills into
-        a + j*p + s + 1, from the bests at offset s, must stay below the
-        runner-ups at offset s + 1.  Each ray a + j*b >= 0 holds on 0..j once
-        it holds at 0 and j, so a bisection on j finds where the first ends."""
+        iteration up to a + k'*p.  ``ends`` holds the states at a..a+p with
+        their drifts; the fills into a + j*p + s + 1, from the bests at
+        offset s, must stay below the runner-ups at offset s + 1.  Each ray
+        a + j*b >= 0 holds on 0..j once it holds at j (it does at 0: the
+        stepped states have every fill below the runner-ups), so a bisection
+        on j finds where the first one ends."""
         fillers = ends[0][0].fillers
 
         def holds(j: int) -> bool:
@@ -380,8 +383,6 @@ class _Run:
             return all(f is None or f < s for b, (_, ss) in zip(floors, floors[1:])
                        for f, s in zip(_fill(fillers, b[0]), ss))
 
-        if not holds(0):
-            return 0
         if holds(k - 1):
             return k
         lo, hi = 1, k - 1
@@ -406,7 +407,7 @@ class _Run:
     def window_step(self, y: MessageState, ds: list[list[int]], kmax: int):
         """At y with drift ds: the drift a step on, the largest k <= kmax keeping
         y's selections at y + k*ds, and the k where its beliefs are the reference's."""
-        rows, ks, k2s = y.rows, y.top[0], y.runner_up_slots
+        rows, ks, k2s = y.rows, y.top[0], _runner_up_slots(y)
         keeps = []  # x[k] and then x[k2] stay maxima; ties send the same
         for row, dr, k, k2 in zip(rows, ds, ks, k2s):
             if len(row) > 2:
@@ -423,8 +424,7 @@ class _Run:
     def regime(self, state: MessageState, p: int) -> MessageState:
         """Steps two p-step windows; if they prove a regime, judges the beliefs
         of its whole windows and jumps to the last that starts by the horizon
-        and that the filler rays certify.  A widening ends the attempt; a fill
-        that is a runner-up in the second window widens and tries again."""
+        and that the filler rays certify.  A widening ends the attempt."""
         start, adj = state.rows, state.adj
         for _ in range(p):
             state = self.advance(state)
@@ -447,11 +447,6 @@ class _Run:
         fill = None
         if state.fillers:
             k = self.filler_jump(ends, k)
-            if k == 0:  # a fill is a runner-up: prove the regime on the full graph
-                state = _widen(state, ends[-2][0].top[1])
-                self.use(state.adj)
-                if state.iteration + 2 * p <= self.horizon:
-                    return self.regime(state, p)
             if k < 2:
                 return state
             y, dy = ends[-2]  # the state a jump lands one iteration past
@@ -473,8 +468,8 @@ def convergence_time(inst: Instance, reference: Matching, horizon: int) -> int:
     """Smallest T with beliefs(t) == reference for every T <= t <= horizon.
 
     The T, or ``HorizonExhausted``, of stepping every iteration, with proved
-    drift regimes jumped over, on the bare view while no fill exceeds a
-    best (see the module docstring).
+    drift regimes jumped over, on the bare view while every fill stays
+    below its node's runner-up (see the module docstring).
     """
     if horizon < 1:
         raise ParameterError("horizon must be >= 1")

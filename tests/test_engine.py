@@ -616,16 +616,17 @@ def test_multicycle_trace_runs_on_its_bare_view(monkeypatch):
 
 @st.composite
 def embedded_cases(draw):
-    """Embedded-form instances: a bare support of a perfect matching plus a
-    cycle cover through it, so every node keeps two bare edges, with signed
-    small weights, and -2*W on every other cell; a reference (the optimum or
-    any permutation) and a horizon."""
+    """Embedded-form instances: a bare support of a perfect matching plus
+    one or two cycle covers through it, so every node keeps two or three
+    bare edges, with signed small weights, and -2*W on every other cell; a
+    reference (the optimum or any permutation) and a horizon."""
     n = draw(st.integers(3, 7))
     match = draw(st.permutations(range(n)))
-    shift = draw(st.permutations(range(n)).filter(
-        lambda s: all(i != j for i, j in enumerate(s))))
+    covers = draw(st.integers(1, 2))
+    shifts = [draw(st.permutations(range(n)).filter(
+        lambda s: all(i != j for i, j in enumerate(s)))) for _ in range(covers)]
     bare = {(i, match[k]): draw(st.integers(-6, 9))
-            for i in range(n) for k in (i, shift[i])}
+            for i in range(n) for k in [i] + [s[i] for s in shifts]}
     w = max(bare.values())
     assume(w > 0)
     rows = [[F(bare.get((i, j), -2 * w)) for j in range(n)] for i in range(n)]
@@ -645,29 +646,25 @@ FILL_EXCEEDS_A_BEST = fractions([[4, -10, -3, -10, -10], [-10, 5, -10, 0, -10],
 
 #: Embedded forms pinned for each path of the filler check: the case, the
 #: number of bare steps, and the iteration of the first full graph state
-#: stepped (None when none is).
+#: stepped (None when none is).  The run rebuilds the full state at the
+#: first t where a fill is a runner-up.
 CERTIFICATE_PATHS = {
-    # No fill reaches a best up to the horizon, jumps included.
+    # No fill is a runner-up up to the horizon, jumps included.
     "holds": ((fractions([[3, 2, -8], [-8, 4, 2], [1, -8, 1]]),
                [(0, 0), (1, 1), (2, 2)], 150), 24, None),
-    # A fill becomes a runner-up, so the regime found at t=24 cannot jump on
-    # the bare view: the full state at t=24 is rebuilt and the regime is
-    # proved there.
+    # A fill is a runner-up at t=17: the full state at t=17 is rebuilt and
+    # stepped on.
     "fails mid-run": ((fractions([[-4, -16, 8], [-3, -2, -16], [-16, -4, 5]]),
-                       [(0, 2), (1, 0), (2, 1)], 40), 24, 24),
-    # The check holds past a jump to t=20 and on to the horizon: the fills
-    # at t=20 come from the bests at t=19, which no step visited.
+                       [(0, 2), (1, 0), (2, 1)], 40), 17, 17),
+    # It fails at t=21, the first step after a jump to t=20: the fills at
+    # t=21 come from the landing's bests, and the fills at t=20 from the
+    # bests at t=19, which no step visited.
     "fails after a jump": ((fractions([[8, -16, -16, 1], [-16, 7, 8, -16],
                                        [7, -16, -16, 8], [-16, 8, -2, -16]]),
-                            [(0, 0), (1, 2), (2, 3), (3, 1)], 40), 36, None),
-    # alpha_2's fill -2 is its runner-up from t=1 (above -5), below its best:
-    # the bare run goes on to the regime found at t=21, proved on the full
-    # state rebuilt there.
+                            [(0, 0), (1, 2), (2, 3), (3, 1)], 40), 17, 21),
+    # alpha_2's fill -2 is above its bare runner-up -5 at t=1: full from t=1.
     "fails at t=1": ((fractions([[-2, 1, -1], [-5, -2, 0], [-1, 0, -2]]),
-                      [(0, 1), (1, 2), (2, 0)], 150), 21, 21),
-    # alpha_5's fill exceeds its best at t=8: the full state at t=8 is
-    # rebuilt and stepped on.
-    "fill exceeds a best": ((FILL_EXCEEDS_A_BEST, [(i, i) for i in range(5)], 150), 8, 8),
+                      [(0, 1), (1, 2), (2, 0)], 150), 1, 1),
     # The reference takes the filler edge (alpha_3, beta_3): no bare run.
     "reference on a filler": ((fractions([[-8, -1, 0], [2, -8, 1], [4, 1, -8]]),
                                [(0, 1), (1, 0), (2, 2)], 150), 0, 0),
@@ -693,7 +690,13 @@ def test_filler_certificate_paths(case, bare_steps, first_full, monkeypatch):
 @example(CERTIFICATE_PATHS["fails mid-run"][0])
 @example(CERTIFICATE_PATHS["fails after a jump"][0])
 @example(CERTIFICATE_PATHS["fails at t=1"][0])
-@example(CERTIFICATE_PATHS["fill exceeds a best"][0])
+# Eight of ten bare nodes have degree 3; the regime at t=29 jumps 15 periods
+# of 8 on the bare view.
+@example((fractions([[5, 3, -18, -18, 1], [-18, -1, -18, 1, -4], [3, -18, 9, 4, -18],
+                     [8, -18, 3, -18, -18], [-18, -4, -18, -3, 7]]),
+          [(0, 1), (1, 3), (2, 2), (3, 0), (4, 4)], 150))
+# beta_3's fill is a runner-up at t=2, and alpha_5's exceeds its best at t=8.
+@example((FILL_EXCEEDS_A_BEST, [(i, i) for i in range(5)], 150))
 @example(CERTIFICATE_PATHS["reference on a filler"][0])
 def test_embedded_forms_match_stepping_the_full_instance(case):
     rows, pairs, horizon = case
