@@ -31,14 +31,15 @@ slot k2, makes its sends affine: w - x[k], and w - x[k2] on slot k, exact
 while x[k] >= every x[v] and x[k2] >= every other x[v], ties included.
 Nodes with at most two incoming messages send the same whatever it is.  A
 candidate p repeats the wider nodes' argmax slots and the drift of a random
-linear fingerprint over two windows.  The proof steps one window from y
-with d = y - x(p steps earlier), carrying d through each step's linear
-part (y's selections on zero weights), and needs d and y + d back.  Then
-x(a + k*p + s) = y_s + k*d_s until a selection comparison a + k*b turns
-negative; per offset s the k with beliefs equal to the reference form an
-interval.  The run judges those iterations unvisited, jumps to the last
-whole window before the event or the horizon, and steps on, holding O(1)
-states plus two ints per stepped iteration since the last jump.
+linear fingerprint over two windows; it only proposes p.  The proof steps
+one window from y = x(a) and carries d = x(a+p) - y through each step's
+linear part L (its selections on zero weights).  The window map is affine,
+y + d + L(z - y), so L(d) = d proves x(a + k*p + s) = y_s + k*d_s until a
+selection comparison a + k*b turns negative; per offset s the k with
+beliefs equal to the reference form an interval.  The run judges those
+iterations unvisited, jumps to the last whole window before the event or
+the horizon, and steps on, holding p + 1 states during a proof and two
+ints per stepped iteration since the last jump.
 
 An instance with filler edges (``core.bare_view``: weight fw = -2*W, W the
 largest weight) steps its bare view, whose states carry per node l its
@@ -67,7 +68,7 @@ import random
 from array import array
 from dataclasses import dataclass, field, replace
 from itertools import chain, compress, repeat
-from operator import add, mul, sub
+from operator import eq, mul, sub
 from typing import Iterator, Optional
 
 from .core import (Adjacency, HorizonExhausted, Instance, Matching, ParameterError,
@@ -296,14 +297,14 @@ def _runner_up_slots(y: MessageState) -> list[int]:
             for row, k, b, c in zip(y.rows, *y.top)]
 
 
-def _floors(y: MessageState, ds: list[list[int]], j: int):
+def _floors(y: MessageState, k2s: list[int], ds: list[list[int]], j: int):
     """Lower bounds of every row's best and runner-up at y + j*ds: its value
     at y's argmax slot k, and the smaller of its values at k and at y's
-    runner-up slot.  Exact at j = 0; each compares affine forms of j."""
-    rows = [[u + j * v for u, v in zip(*rr)] for rr in zip(y.rows, ds)]
-    ks, k2s = y.top[0], _runner_up_slots(y)
-    return ([row[k] for row, k in zip(rows, ks)],
-            [min(row[k], row[k2]) for row, k, k2 in zip(rows, ks, k2s)])
+    runner-up slot k2 (``k2s``).  Exact at j = 0; each compares affine forms
+    of j."""
+    bests = [row[k] + j * dr[k] for row, dr, k in zip(y.rows, ds, y.top[0])]
+    return bests, [min(b, row[k2] + j * dr[k2])
+                   for b, row, dr, k2 in zip(bests, y.rows, ds, k2s)]
 
 
 def _rays(conds, hi: int) -> tuple[int, int]:
@@ -348,9 +349,9 @@ class _Run:
         self.fps, self.sels, self.next_scan = array("q"), array("q"), 0
 
     def see(self, state: MessageState) -> None:
-        if state.iteration:
-            snap = beliefs(state)
-            if (snap.left_belief, snap.right_belief) == self.want:
+        if state.iteration:  # beliefs(state) encodes the reference
+            ks, bests, seconds = state.top
+            if ks == self.slots and not any(map(eq, seconds, bests)):
                 self.any_good = True
             else:
                 self.last_bad = state.iteration
@@ -371,15 +372,15 @@ class _Run:
     def filler_jump(ends: list, k: int) -> int:
         """The largest k' <= k for which the filler rays certify every
         iteration up to a + k'*p.  ``ends`` holds the states at a..a+p with
-        their drifts; the fills into a + j*p + s + 1, from the bests at
-        offset s, must stay below the runner-ups at offset s + 1.  Each ray
-        a + j*b >= 0 holds on 0..j once it holds at j (it does at 0: the
-        stepped states have every fill below the runner-ups), so a bisection
-        on j finds where the first one ends."""
+        their runner-up slots and drifts; the fills into a + j*p + s + 1, from
+        the bests at offset s, must stay below the runner-ups at offset s + 1.
+        Each ray a + j*b >= 0 holds on 0..j once it holds at j (it does at 0:
+        the stepped states have every fill below the runner-ups), so a
+        bisection on j finds where the first one ends."""
         fillers = ends[0][0].fillers
 
         def holds(j: int) -> bool:
-            floors = [_floors(y, ds, j) for y, ds in ends]
+            floors = [_floors(*end, j) for end in ends]
             return all(f is None or f < s for b, (_, ss) in zip(floors, floors[1:])
                        for f, s in zip(_fill(fillers, b[0]), ss))
 
@@ -404,10 +405,11 @@ class _Run:
                 return p
         return 0
 
-    def window_step(self, y: MessageState, ds: list[list[int]], kmax: int):
-        """At y with drift ds: the drift a step on, the largest k <= kmax keeping
-        y's selections at y + k*ds, and the k where its beliefs are the reference's."""
-        rows, ks, k2s = y.rows, y.top[0], _runner_up_slots(y)
+    def window_step(self, y: MessageState, k2s: list[int], ds: list[list[int]], kmax: int):
+        """At y with runner-up slots k2s and drift ds: the drift a step on, the
+        largest k <= kmax keeping y's selections at y + k*ds, and the k where
+        its beliefs are the reference's."""
+        rows, ks = y.rows, y.top[0]
         keeps = []  # x[k] and then x[k2] stay maxima; ties send the same
         for row, dr, k, k2 in zip(rows, ds, ks, k2s):
             if len(row) > 2:
@@ -422,43 +424,41 @@ class _Run:
         return _send(self.zero, (ks, best, second)), _rays(keeps, kmax)[1], good
 
     def regime(self, state: MessageState, p: int) -> MessageState:
-        """Steps two p-step windows; if they prove a regime, judges the beliefs
-        of its whole windows and jumps to the last that starts by the horizon
-        and that the filler rays certify.  A widening ends the attempt."""
-        start, adj = state.rows, state.adj
+        """Steps one p-step window from y = ``state``; if its linear part carries
+        d = x(a+p) - y back to d, that proves a regime: judges the beliefs of its
+        whole windows and jumps to the last that starts by the horizon and that
+        the filler rays certify.  A widening ends the attempt."""
+        states = [state]
         for _ in range(p):
-            state = self.advance(state)
-            if state.adj is not adj:
-                return state
-        a, y0 = state.iteration, state.rows
-        d = ds = [list(map(sub, u, v)) for u, v in zip(y0, start)]
-        kmax, goods, ends = self.horizon, [], [(state, d)]
-        for _ in range(p):
-            ds, kmax, good = self.window_step(state, ds, kmax)
+            states.append(self.advance(states[-1]))
+            if states[-1].adj is not state.adj:
+                return states[-1]
+        a, y, last = state.iteration, state.rows, states.pop()
+        d = ds = [list(map(sub, u, v)) for u, v in zip(last.rows, y)]
+        kmax, goods, ends = self.horizon, [], []
+        for z in states:
+            ends.append((z, _runner_up_slots(z), ds))
+            ds, kmax, good = self.window_step(*ends[-1], kmax)
             goods.append(good)
-            state = self.advance(state)
-            if state.adj is not adj:
-                return state
-            ends.append((state, ds))
         k = min(kmax + 1, (self.horizon - a) // p)
-        y1 = [list(map(add, u, v)) for u, v in zip(y0, d)]
-        if ds != d or state.rows != y1 or k < 2:
-            return state
+        if ds != d or k < 2:
+            return last
         fill = None
-        if state.fillers:
+        if last.fillers:
+            ends.append((last, _runner_up_slots(last), d))
             k = self.filler_jump(ends, k)
             if k < 2:
-                return state
-            y, dy = ends[-2]  # the state a jump lands one iteration past
-            fill = _fill(state.fillers, [max(u + (k - 1) * v for u, v in zip(*rr))
-                                         for rr in zip(y.rows, dy)])
+                return last
+            z, _, dz = ends[-2]  # the state a jump lands one iteration past
+            fill = _fill(last.fillers, [max(u + (k - 1) * v for u, v in zip(*rr))
+                                        for rr in zip(z.rows, dz)])
         for s, (lo, hi) in enumerate(goods):  # at a + j*p + s, j = 1..k-1
             lo, hi = max(lo, 1), min(hi, k - 1)
             self.any_good |= lo <= hi
             bad = k - 1 if lo > hi or hi < k - 1 else lo - 1
             self.last_bad = max(self.last_bad, a + bad * p + s if bad else 0)
-        rows = [[u + k * v for u, v in zip(*rr)] for rr in zip(y0, d)]
-        state = MessageState(rows, a + k * p, state.adj, fill, state.fillers)
+        rows = [[u + k * v for u, v in zip(*rr)] for rr in zip(y, d)]
+        state = MessageState(rows, a + k * p, last.adj, fill, last.fillers)
         self.reset()
         self.see(state)
         return state

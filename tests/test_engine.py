@@ -1,7 +1,9 @@
 """Tests for the message-passing engine."""
 
 import math
+import random
 from fractions import Fraction as F
+from itertools import chain
 from unittest import mock
 
 import pytest
@@ -449,7 +451,7 @@ def checked_jumps(inst, reference, horizon):
 
     def spy(run, state, p):
         out = check(regime(run, state, p))
-        if out.iteration > state.iteration + 2 * p:
+        if out.iteration > state.iteration + p:
             jumps.append((out.iteration, p))
         return out
 
@@ -549,7 +551,7 @@ def test_convergence_time_matches_stepping(case):
 @pytest.mark.parametrize("n", [3, 12, 101])
 def test_bare_cycle_time_law_far_past_the_cap(n, eps, monkeypatch):
     # T = n*w_max/(2*eps) + 2 on the bare heavy cycle, at a certified
-    # horizon of 4.8e7 or more, in at most 10n steps.
+    # horizon of 4.8e7 or more, in at most 8n steps.
     from bpmatching import engine
 
     inst = generators.gen_cycle(generators.CycleParams(n, F(8), eps))
@@ -565,7 +567,7 @@ def test_bare_cycle_time_law_far_past_the_cap(n, eps, monkeypatch):
     monkeypatch.setattr(engine, "step", spy)
     t = convergence_time(inst, optimal_matching(inst), horizon)
     assert t == n * F(8) / (2 * eps) + 2
-    assert len(calls) <= 10 * n
+    assert len(calls) <= 8 * n
 
 
 # -- the bare view of embedded instances and its filler certificate --
@@ -588,18 +590,28 @@ def stepped_graphs(monkeypatch):
 
 def test_embedded_cycle_runs_on_its_bare_view(monkeypatch):
     # converge-dense: the filler certificate holds to the horizon, so the
-    # run is the bare view's 128 steps of degree 2, never the 16x16 table.
+    # run is the bare view's 96 steps of degree 2, never the 16x16 table.
     inst = generators.gen_cycle(generators.CycleParams(16, F(8), F(1, 10)), embed=True)
     calls = stepped_graphs(monkeypatch)
     assert convergence_time(inst, optimal_matching(inst), 2560) == 642
-    assert len(calls) <= 128
+    assert len(calls) <= 96
     assert not any(adj is inst.adjacency() for adj, _ in calls)
     # A bare instance has no fillers and takes the path it always took.
     bare = generators.gen_cycle(generators.CycleParams(12, F(8), F(1, 50)))
     calls.clear()
     assert convergence_time(bare, optimal_matching(bare), certified_horizon(bare)) == 2402
-    assert len(calls) == 96
+    assert len(calls) == 72
     assert all(adj is bare.adjacency() for adj, _ in calls)
+
+
+def test_embedded_forty_cycle_runs_on_its_bare_view(monkeypatch):
+    # n=40, eps 1/100: every step is the bare view's, 560 of a 64000-step
+    # horizon, three windows of 2n per jump.
+    inst = generators.gen_cycle(generators.CycleParams(40, F(8), F(1, 100)), embed=True)
+    calls = stepped_graphs(monkeypatch)
+    assert convergence_time(inst, optimal_matching(inst), certified_horizon(inst)) == 16002
+    assert len(calls) <= 560
+    assert not any(adj is inst.adjacency() for adj, _ in calls)
 
 
 def test_multicycle_trace_runs_on_its_bare_view(monkeypatch):
@@ -651,7 +663,7 @@ FILL_EXCEEDS_A_BEST = fractions([[4, -10, -3, -10, -10], [-10, 5, -10, 0, -10],
 CERTIFICATE_PATHS = {
     # No fill is a runner-up up to the horizon, jumps included.
     "holds": ((fractions([[3, 2, -8], [-8, 4, 2], [1, -8, 1]]),
-               [(0, 0), (1, 1), (2, 2)], 150), 24, None),
+               [(0, 0), (1, 1), (2, 2)], 150), 18, None),
     # A fill is a runner-up at t=17: the full state at t=17 is rebuilt and
     # stepped on.
     "fails mid-run": ((fractions([[-4, -16, 8], [-3, -2, -16], [-16, -4, 5]]),
@@ -661,7 +673,7 @@ CERTIFICATE_PATHS = {
     # bests at t=19, which no step visited.
     "fails after a jump": ((fractions([[8, -16, -16, 1], [-16, 7, 8, -16],
                                        [7, -16, -16, 8], [-16, 8, -2, -16]]),
-                            [(0, 0), (1, 2), (2, 3), (3, 1)], 40), 17, 21),
+                            [(0, 0), (1, 2), (2, 3), (3, 1)], 40), 13, 21),
     # alpha_2's fill -2 is above its bare runner-up -5 at t=1: full from t=1.
     "fails at t=1": ((fractions([[-2, 1, -1], [-5, -2, 0], [-1, 0, -2]]),
                       [(0, 1), (1, 2), (2, 0)], 150), 1, 1),
@@ -703,6 +715,49 @@ def test_embedded_forms_match_stepping_the_full_instance(case):
     inst, reference = Instance(rows), Matching.of(pairs)
     t, _ = checked_jumps(inst, reference, horizon)
     assert t == reference_convergence_time(inst, reference, horizon)
+
+
+def random_dense_cases(count, seed):
+    """Seeded dense n = 2..5 instances with small integer or half-integer
+    weights, the optimum or a random permutation as the reference, and a
+    horizon."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        rows = [[F(rng.randint(-12, 18), rng.choice([1, 2])) for _ in range(n)]
+                for _ in range(n)]
+        pairs = list(enumerate(rng.sample(range(n), n)))
+        if rng.random() < 0.5:
+            pairs = mwm_hungarian(Instance(rows))[0].sorted_pairs()
+        yield rows, pairs, rng.choice([7, 40, 150, 300])
+
+
+def test_a_wrong_period_costs_steps_never_a_result(monkeypatch):
+    # The fingerprint only proposes p; the window proof decides.  Proposing a
+    # random p <= i/2 on about 30% of the calls must leave T and
+    # HorizonExhausted as stepping every iteration gives them.
+    from bpmatching import engine
+
+    rng, period = random.Random(7), engine._Run.period
+
+    def guess(run):
+        p, i = period(run), len(run.fps) - 1
+        return rng.randint(1, i // 2) if i >= 2 and rng.random() < 0.3 else p
+
+    monkeypatch.setattr(engine._Run, "period", guess)
+    cases = [(Instance(rows), Matching.of(pairs), horizon)
+             for rows, pairs, horizon in chain(random_dense_cases(60, 3),
+                                               (c for c, _, _ in CERTIFICATE_PATHS.values()))]
+    for n, eps, embed, horizon in [(8, F(1, 10), True, 1280), (16, F(1, 10), True, 2560),
+                                   (12, F(1, 50), False, 9600)]:
+        inst = generators.gen_cycle(generators.CycleParams(n, F(8), eps), embed=embed)
+        cases.append((inst, optimal_matching(inst), horizon))
+    for inst, reference, horizon in cases:
+        try:
+            t = convergence_time(inst, reference, horizon)
+        except HorizonExhausted:
+            t = HorizonExhausted
+        assert t == reference_convergence_time(inst, reference, horizon)
 
 
 @st.composite
