@@ -14,19 +14,27 @@ engine steps, and the tree and its DP hold scaled integer weights over
 ``max_t_matching`` returns and in ``nibbling_delta``.
 
 For cycle-restricted instances every tree is a path (each non-root node has
-exactly one child), so unrolling stays linear in t.
+exactly one child), so unrolling stays linear in t.  ``unroll`` memoises each
+root's tree and grows it level by level, as the depth-t tree is the BFS
+prefix of any deeper one; the memo holds the last instance's trees (weakly),
+at most ``DEFAULT_NODE_CAP`` nodes in all.  The DP shares nothing across depths.
 """
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .core import Instance, OracleCapExceeded, ParameterError
 
 DEFAULT_NODE_CAP = 10**6
+
+#: root -> (labels, parent, weight_up, ends), ends[d + 1] = nodes of depth <= d.
+_grown: dict[int, tuple[list[int], list[int], list[Optional[int]], list[int]]] = {}
+_grown_for: Callable[[], Optional[Instance]] = lambda: None
 
 
 class _Tie:
@@ -60,34 +68,46 @@ class ComputationTree:
 
 
 def unroll(inst: Instance, v: int, t: int) -> ComputationTree:
-    """Depth-t computation tree of graph node ``v``, of at most
-    ``DEFAULT_NODE_CAP`` nodes."""
+    """Depth-t computation tree of graph node ``v``, copied from the BFS
+    prefix of the memo's tree of ``v``.  It grows by whole levels, dropping
+    other roots before the memo holds over ``DEFAULT_NODE_CAP`` nodes; a
+    depth-t tree over the cap raises ``OracleCapExceeded``."""
+    global _grown_for
     if not (0 <= v < 2 * inst.n):
         raise ParameterError(f"node id {v} out of range")
     if t < 0:
         raise ParameterError("depth must be >= 0")
     adj, cap = inst.adjacency(), DEFAULT_NODE_CAP
-    labels = [v]
-    parent = [-1]
-    weight_up: list[Optional[int]] = [None]
-    lo = 0
-    for _ in range(t):
-        hi = len(labels)
-        for k in range(lo, hi):
-            u = labels[k]
-            p_label = labels[parent[k]] if k else -1
-            for nb, w in zip(adj.nbrs[u], adj.w[u]):
-                if nb != p_label:
-                    labels.append(nb)
-                    parent.append(k)
-                    weight_up.append(w)
-            if len(labels) > cap:
-                raise OracleCapExceeded(
-                    f"computation tree exceeds cap of {cap} nodes"
-                )
-        lo = hi
-    return ComputationTree(root=v, depth=t, labels=labels, parent=parent,
-                           weight_up=weight_up, scale=inst.scale)
+    if _grown_for() is not inst:
+        _grown.clear()
+        _grown_for = weakref.ref(inst, lambda _: _grown.clear())
+    labels, parent, weight_up, ends = _grown.setdefault(v, ([v], [-1], [None], [0, 1]))
+    others = sum(len(g[0]) for g in _grown.values()) - len(labels)
+    try:
+        while len(ends) < t + 2:
+            for k in range(ends[-2], ends[-1]):
+                u = labels[k]
+                p_label = labels[parent[k]] if k else -1
+                for nb, w in zip(adj.nbrs[u], adj.w[u]):
+                    if nb != p_label:
+                        labels.append(nb)
+                        parent.append(k)
+                        weight_up.append(w)
+                if len(labels) + others > cap:
+                    if len(labels) > cap:
+                        raise OracleCapExceeded(f"computation tree exceeds cap of {cap} nodes")
+                    for r in set(_grown) - {v}:
+                        del _grown[r]
+                    others = 0
+            ends.append(len(labels))
+    except BaseException:  # keep whole levels only
+        del labels[ends[-1]:], parent[ends[-1]:], weight_up[ends[-1]:]
+        raise
+    e = ends[t + 1]
+    if e > cap:
+        raise OracleCapExceeded(f"computation tree exceeds cap of {cap} nodes")
+    return ComputationTree(root=v, depth=t, labels=labels[:e], parent=parent[:e],
+                           weight_up=weight_up[:e], scale=inst.scale)
 
 
 def max_t_matching(

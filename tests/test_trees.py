@@ -1,5 +1,6 @@
 """Tests for computation-tree unrolling and the tree-matching oracle."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -267,3 +268,117 @@ def test_engine_matches_tree_oracle_on_sparse_and_tied(rows):
                 continue
             expect = oracle_belief(inst, v, snap.iteration)
             assert engine_row[v] == (None if expect is TIE else expect)
+
+
+# -- the memo of grown trees --
+
+
+def assert_is_reference_tree(inst, v, t, tree):
+    assert (tree.root, tree.depth, tree.scale) == (v, t, inst.scale)
+    assert (tree.labels, tree.parent) == reference_unroll(inst, v, t)
+    assert tree.weight_up[0] is None
+    for a, b, w in tree_edges(tree):
+        assert w == graph_weight(inst, a, b)
+
+
+def test_memo_is_invisible():
+    rng = random.Random(17)
+    insts = [Instance(random_rows(rng, rng.randint(1, 4), kind))
+             for kind in ("dense", "sparse", "tied", "rational") for _ in range(3)]
+    inst, t = insts[0], 3
+    for _ in range(600):
+        if rng.random() < 0.2:
+            inst = rng.choice(insts)
+        v = rng.randrange(2 * inst.n)
+        t = max(0, min(7, t + rng.choice((-3, -1, 0, 1, 2))))
+        tree = unroll(inst, v, t)
+        assert_is_reference_tree(inst, v, t, tree)
+        # The caller owns the returned lists: scribbling on them, or on
+        # their first entries, never reaches a later tree.
+        tree.labels[0] = tree.parent[0] = -5
+        tree.labels.append(99)
+        tree.parent.append(99)
+        tree.weight_up.append(10**9)
+        assert_is_reference_tree(inst, v, t, unroll(inst, v, t))
+
+
+def test_memo_follows_a_new_instance_of_the_same_size():
+    old = Instance([[F(1), F(2)], [F(3), F(4)]])
+    for v in range(4):
+        unroll(old, v, 5)
+    del old
+    assert not trees._grown  # the trees go with their instance
+    new = Instance.scaled([[15, None], [-21, 8]], 3)
+    for v in range(4):
+        for t in (5, 2, 6):
+            assert_is_reference_tree(new, v, t, unroll(new, v, t))
+
+
+def test_unroll_cap_on_grown_trees(monkeypatch):
+    inst = Instance([[F(1)] * 4 for _ in range(4)])
+    unroll(inst, 0, 10)  # 118,097 nodes under the default cap
+    monkeypatch.setattr(trees, "DEFAULT_NODE_CAP", 50)
+    with pytest.raises(OracleCapExceeded):
+        unroll(inst, 0, 10)
+    with pytest.raises(OracleCapExceeded):
+        unroll(inst, 0, 3)  # 53 nodes
+    assert_is_reference_tree(inst, 0, 2, unroll(inst, 0, 2))  # 17 nodes
+
+    fresh = Instance([[F(1)] * 4 for _ in range(4)])
+    with pytest.raises(OracleCapExceeded):
+        unroll(fresh, 0, 10)  # stops inside level 3
+    monkeypatch.undo()
+    assert_is_reference_tree(fresh, 0, 10, unroll(fresh, 0, 10))
+
+
+def test_memo_holds_at_most_the_cap(monkeypatch):
+    rng = random.Random(3)
+    inst = Instance([[F(rng.randint(1, 5)) for _ in range(3)] for _ in range(3)])
+    cap = 300
+    monkeypatch.setattr(trees, "DEFAULT_NODE_CAP", cap)
+    raised = 0
+    for _ in range(200):
+        v, t = rng.randrange(6), rng.randint(0, 9)
+        try:
+            tree = unroll(inst, v, t)
+        except OracleCapExceeded:
+            raised += 1
+            assert len(reference_unroll(inst, v, t)[0]) > cap
+        else:
+            assert_is_reference_tree(inst, v, t, tree)
+        assert sum(len(g[0]) for g in trees._grown.values()) <= cap
+        # Only whole levels are kept.
+        assert all(len(g[0]) == g[3][-1] for g in trees._grown.values())
+    assert raised > 10
+
+
+def test_unroll_expands_each_node_once_per_instance(monkeypatch):
+    # Walking t = 1..80 over the 14 roots of the bare 7-cycle builds each
+    # root's depth-80 tree (161 nodes) once: its 159 inner nodes read their
+    # neighbour rows once each.  Unrolling every depth from scratch built
+    # 14 * 6560 = 91,840 nodes and read 14 * 6400 rows.
+    inst = generators.gen_cycle(generators.CycleParams(7, F(8), F(1, 10)))
+    reads = []
+    adjacency = Instance.adjacency
+
+    class CountedRows:
+        def __init__(self, rows):
+            self.rows = rows
+
+        def __getitem__(self, u):
+            reads.append(u)
+            return self.rows[u]
+
+    def counted(self):
+        adj = adjacency(self)
+        return dataclasses.replace(adj, nbrs=CountedRows(adj.nbrs))
+
+    monkeypatch.setattr(Instance, "adjacency", counted)
+    returned = 0
+    for t in range(1, 81):
+        for v in range(14):
+            tree = unroll(inst, v, t)
+            assert tree.node_count() == 2 * t + 1
+            returned += tree.node_count()
+    assert returned == 91_840
+    assert len(reads) == 14 * 159
