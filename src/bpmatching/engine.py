@@ -42,24 +42,22 @@ the horizon, and steps on, holding p + 1 states during a proof and two
 ints per stepped iteration since the last jump.
 
 An instance with filler edges (``core.bare_view``: weight fw = -2*W, W the
-largest weight) steps its bare view, whose states carry per node l its
-fill, the largest filler message into l.  While no filler is a strict
-argmax, the filler u -> l at t is fw - best_u(t-1), so fill_l(t) is fw less
-the smallest best_u among l's filler neighbours.  ``top`` counts the fill
-among the runner-ups, so each node sends what it sends on the full graph;
-a fill equal to the best is a tie there too (Unresolved, w - best on every
-edge).  By induction from t=1 the bare messages, fills and beliefs are the
-full graph's while fill_l(t) <= best_l(t) for every l.  The first t where
-that fails rebuilds the full state at t (bare rows kept, fw - best_u(t-1)
-on the fillers) before its beliefs count, and the full graph is stepped
-on.  ``run_to_horizon`` takes the bare view when every node keeps a bare
-edge, ``convergence_time`` when every node keeps two and the reference
-lies in it.  A jump needs every fill below the bare runner-up, so
-``convergence_time`` rebuilds the full state already at the first t where
-a fill is a runner-up.  At a regime's argmax and runner-up slots these
-inequalities are affine lower bounds, which hold on 0..k once they hold at
-k (they do at 0), and a bisection stops the jump before the first that
-fails.
+largest weight) steps its bare view when every node keeps a bare edge and
+the reference, if any, lies in it; its states carry per node l its fill,
+the largest filler message into l.  While no filler is a strict argmax, the
+filler u -> l at t is fw - best_u(t-1), so fill_l(t) is fw less the
+smallest best_u among l's filler neighbours.  ``top`` counts the fill among
+the runner-ups, so each node sends what it sends on the full graph; a fill
+equal to the best is a tie there too (Unresolved, w - best on every edge).
+By induction from t=1 the bare messages, fills and beliefs are the full
+graph's while fill_l(t) <= best_l(t) for every l.  The first t where that
+fails rebuilds the full state at t (bare rows kept, fw - best_u(t-1) on the
+fillers) before its beliefs count, and the full graph is stepped on: the
+one rule of ``run_to_horizon`` and ``convergence_time``.  A jump also needs
+every fill below the bare runner-up, so ``_Run.regime`` alone widens, at
+its window's end, where a fill in the window is a runner-up; at the
+regime's slots these are affine lower bounds, which hold on 0..k once they
+hold at k, and a bisection stops the jump before the first that fails.
 """
 
 from __future__ import annotations
@@ -242,13 +240,12 @@ def reference_beliefs(
     return None if None in want[0] + want[1] else want
 
 
-def _start(inst: Instance, degree: int, pairs=()) -> MessageState:
+def _start(inst: Instance, pairs=()) -> MessageState:
     """The state at t=0 on ``inst``'s bare view, with its fillers, when every
-    node keeps ``degree`` bare edges and every (i, j) of ``pairs`` is a bare
-    edge; else ``init_messages(inst)``."""
+    node keeps a bare edge and every (i, j) of ``pairs`` is a bare edge;
+    else ``init_messages(inst)``."""
     bare = bare_view(inst)
-    if (bare is None or min(map(len, bare.adjacency().nbrs)) < degree
-            or not all(bare.has_edge(i, j) for i, j in pairs)):
+    if not (bare and all(bare.adjacency().nbrs) and all(bare.has_edge(*e) for e in pairs)):
         return init_messages(inst)
     adj, full = bare.adjacency(), inst.adjacency()
     nbrs = [frozenset(a).difference(b) for a, b in zip(full.nbrs, adj.nbrs)]
@@ -268,13 +265,11 @@ def _widen(y: MessageState, before: list[int]) -> MessageState:
     return MessageState(rows, y.iteration, full)
 
 
-def _advance(state: MessageState, runner_up: bool = False) -> MessageState:
+def _advance(state: MessageState) -> MessageState:
     """The state one step on; the full graph's from the first iteration
-    where a filler message into some node exceeds its best, or with
-    ``runner_up`` where it is one of its runner-ups."""
+    where a filler message into some node exceeds its best."""
     nxt = step(state)
-    if nxt.fill and any(f is not None and (f > b or runner_up and f == s)
-                        for f, b, s in zip(nxt.fill, *nxt.top[1:])):
+    if nxt.fill and any(f is not None and f > b for f, b in zip(nxt.fill, nxt.top[1])):
         return _widen(nxt, state.top[1])
     return nxt
 
@@ -284,7 +279,7 @@ def run_to_horizon(inst: Instance, horizon: int) -> Iterator[BeliefSnapshot]:
     while it is exact (see the module docstring)."""
     if horizon < 1:
         raise ParameterError("horizon must be >= 1")
-    state = _start(inst, 1)
+    state = _start(inst)
     for _ in range(horizon):
         state = _advance(state)
         yield beliefs(state)
@@ -360,9 +355,8 @@ class _Run:
         self.sels.append(hash(tuple(compress(state.top[0], self.wide))))
 
     def advance(self, state: MessageState) -> MessageState:
-        """The state one step on; the full graph's from the first iteration
-        where a fill is a runner-up, which a jump cannot carry."""
-        nxt = _advance(state, runner_up=True)
+        """The state one step on (``_advance``), seen on the graph it lands on."""
+        nxt = _advance(state)
         if nxt.adj is not state.adj:
             self.use(nxt.adj)
         self.see(nxt)
@@ -374,9 +368,8 @@ class _Run:
         iteration up to a + k'*p.  ``ends`` holds the states at a..a+p with
         their runner-up slots and drifts; the fills into a + j*p + s + 1, from
         the bests at offset s, must stay below the runner-ups at offset s + 1.
-        Each ray a + j*b >= 0 holds on 0..j once it holds at j (it does at 0:
-        the stepped states have every fill below the runner-ups), so a
-        bisection on j finds where the first one ends."""
+        Each ray a + j*b >= 0 holds on 0..j once it holds at j (it does at 0,
+        or ``regime`` widens), so a bisection on j finds where the first ends."""
         fillers = ends[0][0].fillers
 
         def holds(j: int) -> bool:
@@ -427,12 +420,19 @@ class _Run:
         """Steps one p-step window from y = ``state``; if its linear part carries
         d = x(a+p) - y back to d, that proves a regime: judges the beliefs of its
         whole windows and jumps to the last that starts by the horizon and that
-        the filler rays certify.  A widening ends the attempt."""
+        the filler rays certify.  A widening ends the attempt; a fill equal to
+        a runner-up in the window widens at its end."""
         states = [state]
         for _ in range(p):
             states.append(self.advance(states[-1]))
             if states[-1].adj is not state.adj:
                 return states[-1]
+        if state.fill and any(f is not None and f == c for z in states
+                              for f, c in zip(z.fill, z.top[2])):
+            full = _widen(states[-1], states[-2].top[1])
+            self.use(full.adj)
+            self.see(full)
+            return full
         a, y, last = state.iteration, state.rows, states.pop()
         d = ds = [list(map(sub, u, v)) for u, v in zip(last.rows, y)]
         kmax, goods, ends = self.horizon, [], []
@@ -468,12 +468,12 @@ def convergence_time(inst: Instance, reference: Matching, horizon: int) -> int:
     """Smallest T with beliefs(t) == reference for every T <= t <= horizon.
 
     The T, or ``HorizonExhausted``, of stepping every iteration, with proved
-    drift regimes jumped over, on the bare view while every fill stays
-    below its node's runner-up (see the module docstring).
+    drift regimes jumped over, on the bare view while it is exact (see the
+    module docstring).
     """
     if horizon < 1:
         raise ParameterError("horizon must be >= 1")
-    state = _start(inst, 2, reference.pairs)
+    state = _start(inst, reference.pairs)
     run = _Run(state, reference, horizon)
     if run.slots is not None:
         run.see(state)

@@ -626,19 +626,38 @@ def test_multicycle_trace_runs_on_its_bare_view(monkeypatch):
     assert snaps == list(full_graph_snapshots(inst, 300))
 
 
+def cycle_cover(draw, n):
+    """A cycle cover through all but 0..n-2 of the pairs 0..n-1, as (i, k)
+    with k the pair after i; the pairs it leaves out are pads."""
+    cover = draw(st.permutations(range(n)))[draw(st.integers(0, n - 2)):]
+    shift = draw(st.permutations(cover).filter(
+        lambda s: all(i != j for i, j in zip(cover, s))))
+    return list(zip(cover, shift))
+
+
+def test_padded_multicycle_starts_on_its_bare_view(monkeypatch):
+    # n=16, c=2, eps 1/100: the pads' fill is always their runner-up, so the
+    # bare view is exact but cannot jump; it runs to the first regime window
+    # (213 steps) and widens at its end, and the full graph steps on.
+    inst = generators.gen_multicycle(16, F(8), F(1, 100), c=2)
+    calls = stepped_graphs(monkeypatch)
+    assert convergence_time(inst, optimal_matching(inst), certified_horizon(inst)) == 2802
+    full = [adj is inst.adjacency() for adj, _ in calls]
+    assert full.index(True) == 213 and all(full[213:])
+
+
 @st.composite
 def embedded_cases(draw):
     """Embedded-form instances: a bare support of a perfect matching plus
-    one or two cycle covers through it, so every node keeps two or three
-    bare edges, with signed small weights, and -2*W on every other cell; a
-    reference (the optimum or any permutation) and a horizon."""
+    one or two cycle covers through some of its pairs, so every node keeps
+    one to three bare edges, with signed small weights, and -2*W on every
+    other cell; a reference (the optimum or any permutation) and a horizon."""
     n = draw(st.integers(3, 7))
     match = draw(st.permutations(range(n)))
-    covers = draw(st.integers(1, 2))
-    shifts = [draw(st.permutations(range(n)).filter(
-        lambda s: all(i != j for i, j in enumerate(s)))) for _ in range(covers)]
-    bare = {(i, match[k]): draw(st.integers(-6, 9))
-            for i in range(n) for k in [i] + [s[i] for s in shifts]}
+    edges = [(i, match[i]) for i in range(n)]
+    for _ in range(draw(st.integers(1, 2))):
+        edges += [(i, match[k]) for i, k in cycle_cover(draw, n)]
+    bare = {e: draw(st.integers(-6, 9)) for e in edges}
     w = max(bare.values())
     assume(w > 0)
     rows = [[F(bare.get((i, j), -2 * w)) for j in range(n)] for i in range(n)]
@@ -656,30 +675,53 @@ FILL_EXCEEDS_A_BEST = fractions([[4, -10, -3, -10, -10], [-10, 5, -10, 0, -10],
                                  [-2, -10, -10, -10, -3]])
 
 
+#: A padded form: beta_1 and alpha_3 are pads, whose fill is their
+#: runner-up at every t.
+PADS = fractions([[-14, -5, 6], [-14, 5, -1], [7, -14, -14]])
+
+
 #: Embedded forms pinned for each path of the filler check: the case, the
 #: number of bare steps, and the iteration of the first full graph state
-#: stepped (None when none is).  The run rebuilds the full state at the
-#: first t where a fill is a runner-up.
+#: stepped (None when none is).  A fill that is a runner-up keeps the bare
+#: view exact, but a jump cannot carry it: the first regime window with
+#: one rebuilds the full state at its end.
 CERTIFICATE_PATHS = {
     # No fill is a runner-up up to the horizon, jumps included.
     "holds": ((fractions([[3, 2, -8], [-8, 4, 2], [1, -8, 1]]),
                [(0, 0), (1, 1), (2, 2)], 150), 18, None),
-    # A fill is a runner-up at t=17: the full state at t=17 is rebuilt and
-    # stepped on.
+    # A fill is a runner-up at t=17, inside the regime window t=12..18: the
+    # full state at t=18 is rebuilt and stepped on.
     "fails mid-run": ((fractions([[-4, -16, 8], [-3, -2, -16], [-16, -4, 5]]),
-                       [(0, 2), (1, 0), (2, 1)], 40), 17, 17),
-    # It fails at t=21, the first step after a jump to t=20: the fills at
-    # t=21 come from the landing's bests, and the fills at t=20 from the
-    # bests at t=19, which no step visited.
+                       [(0, 2), (1, 0), (2, 1)], 40), 18, 18),
+    # A jump from t=8 to t=20 on the bare view; the fills at t=21 come from
+    # the landing's bests, and the fills at t=20 from the bests at t=19,
+    # which no step visited.  A fill is a runner-up in the next regime
+    # window, t=33..37: the full state at t=37 is rebuilt.
     "fails after a jump": ((fractions([[8, -16, -16, 1], [-16, 7, 8, -16],
                                        [7, -16, -16, 8], [-16, 8, -2, -16]]),
-                            [(0, 0), (1, 2), (2, 3), (3, 1)], 40), 13, 21),
-    # alpha_2's fill -2 is above its bare runner-up -5 at t=1: full from t=1.
+                            [(0, 0), (1, 2), (2, 3), (3, 1)], 48), 29, 37),
+    # alpha_2's fill -2 is above its bare runner-up -5 at t=1: the bare view
+    # runs on to the first regime window, t=13..17, and widens at t=17.
     "fails at t=1": ((fractions([[-2, 1, -1], [-5, -2, 0], [-1, 0, -2]]),
-                      [(0, 1), (1, 2), (2, 0)], 150), 1, 1),
+                      [(0, 1), (1, 2), (2, 0)], 150), 17, 17),
+    # The reference lies in the bare view: the pads step bare until the
+    # first regime window, t=10..14, and widen at t=14.
+    "pads": ((PADS, [(0, 2), (1, 1), (2, 0)], 150), 14, 14),
     # The reference takes the filler edge (alpha_3, beta_3): no bare run.
     "reference on a filler": ((fractions([[-8, -1, 0], [2, -8, 1], [4, 1, -8]]),
                                [(0, 1), (1, 0), (2, 2)], 150), 0, 0),
+}
+
+
+#: Padded forms pinned for the paths of the trace.
+PADDED_PATHS = {
+    # The fill is the pads' runner-up to the horizon.
+    "pad": PADS,
+    # alpha_1's fill ties its best at t=3: it is Unresolved there.
+    "tie": fractions([[-14, 6, -6], [-5, 7, -14], [-1, -14, 7]]),
+    "fill exceeds a best": FILL_EXCEEDS_A_BEST,
+    # alpha_1's only edges are fillers: the full graph from t=0.
+    "no bare edge": fractions([[-2, -2, -2], [-2, 1, -5], [-6, -2, -2]]),
 }
 
 
@@ -710,6 +752,9 @@ def test_filler_certificate_paths(case, bare_steps, first_full, monkeypatch):
 # beta_3's fill is a runner-up at t=2, and alpha_5's exceeds its best at t=8.
 @example((FILL_EXCEEDS_A_BEST, [(i, i) for i in range(5)], 150))
 @example(CERTIFICATE_PATHS["reference on a filler"][0])
+# The padded form against a reference in its bare view that it never settles on.
+@example((PADDED_PATHS["pad"], [(0, 1), (1, 2), (2, 0)], 150))
+@example((PADDED_PATHS["no bare edge"], [(0, 0), (1, 1), (2, 2)], 60))
 def test_embedded_forms_match_stepping_the_full_instance(case):
     rows, pairs, horizon = case
     inst, reference = Instance(rows), Matching.of(pairs)
@@ -768,10 +813,7 @@ def padded_forms(draw):
     cell (a bare weight of -2*W is a filler too)."""
     n = draw(st.integers(3, 7))
     match = draw(st.permutations(range(n)))
-    cover = draw(st.permutations(range(n)))[draw(st.integers(0, n - 2)):]
-    shift = draw(st.permutations(cover).filter(
-        lambda s: all(i != j for i, j in zip(cover, s))))
-    edges = [(i, match[i]) for i in range(n)] + [(i, match[j]) for i, j in zip(cover, shift)]
+    edges = [(i, match[i]) for i in range(n)] + [(i, match[k]) for i, k in cycle_cover(draw, n)]
     bare = {e: draw(st.integers(-6, 9)) for e in edges}
     w = max(bare.values())
     assume(w > 0)
@@ -796,18 +838,6 @@ def first_filler_over_a_best(inst, horizon):
             if over and max(over) > max(m for m, is_filler in zip(row, f) if not is_filler):
                 return t
     return None
-
-
-#: Padded forms pinned for the paths of the trace.
-PADDED_PATHS = {
-    # beta_1 and alpha_3 are pads; the fill is their runner-up to the horizon.
-    "pad": fractions([[-14, -5, 6], [-14, 5, -1], [7, -14, -14]]),
-    # alpha_1's fill ties its best at t=3: it is Unresolved there.
-    "tie": fractions([[-14, 6, -6], [-5, 7, -14], [-1, -14, 7]]),
-    "fill exceeds a best": FILL_EXCEEDS_A_BEST,
-    # alpha_1's only edges are fillers: the full graph from t=0.
-    "no bare edge": fractions([[-2, -2, -2], [-2, 1, -5], [-6, -2, -2]]),
-}
 
 
 @settings(max_examples=100, deadline=None)
