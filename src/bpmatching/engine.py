@@ -31,15 +31,16 @@ slot k2, makes its sends affine: w - x[k], and w - x[k2] on slot k, exact
 while x[k] >= every x[v] and x[k2] >= every other x[v], ties included.
 Nodes with at most two incoming messages send the same whatever it is.  A
 candidate p repeats the wider nodes' argmax slots and the drift of a random
-linear fingerprint over two windows; it only proposes p.  The proof steps
-one window from y = x(a) and carries d = x(a+p) - y through each step's
-linear part L (its selections on zero weights).  The window map is affine,
-y + d + L(z - y), so L(d) = d proves x(a + k*p + s) = y_s + k*d_s until a
-selection comparison a + k*b turns negative; per offset s the k with
-beliefs equal to the reference form an interval.  The run judges those
-iterations unvisited, jumps to the last whole window before the event or
-the horizon, and steps on, holding p + 1 states during a proof and two
-ints per stepped iteration since the last jump.
+linear fingerprint over two windows; it only proposes p.  The proof takes
+the last of them, from y = x(a), from the last 2n + 1 states the run holds
+(a longer window is stepped on from the oldest) and carries d = x(a+p) - y
+through each step's linear part L (its selections on zero weights).  The
+window map is affine, y + d + L(z - y), so L(d) = d proves x(a + k*p + s) =
+y_s + k*d_s until a selection comparison a + k*b turns negative; per offset
+s the k with beliefs equal to the reference form an interval.  The run
+judges those iterations unvisited, jumps to the last whole window before
+the event or the horizon, and steps on; a failed proof defers the next scan
+by p.  It holds 2n + 1 states and two ints per iteration since the last jump.
 
 An instance with filler edges (``core.bare_view``: weight fw = -2*W, W the
 largest weight) steps its bare view when every node keeps a bare edge and
@@ -64,6 +65,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import chain, compress, repeat
 from operator import eq, mul, sub
@@ -88,7 +90,10 @@ def _tops(rows: list[list[int]], fill: Optional[list[Optional[int]]]) -> Tops:
     seconds: list[Optional[int]] = []
     for row, f in zip(rows, fill or repeat(None)):
         k, best, second = -1, 0, None
-        if row:
+        if len(row) == 2:  # most rows: the top pair in one comparison
+            a, b = row
+            k, best, second = (0, a, b) if a >= b else (1, b, a)
+        elif row:
             best = max(row)
             k = row.index(best)
             if len(row) > 1:
@@ -338,10 +343,12 @@ class _Run:
         self.wide = [len(nb) > 2 for nb in adj.nbrs]
         rng = random.Random(0)
         self.coeffs = [rng.getrandbits(31) for _ in chain.from_iterable(adj.nbrs)]
+        self.held = deque(maxlen=len(adj.nbrs) + 1)  # a bare 2n-cycle's window
         self.reset()
 
     def reset(self) -> None:
         self.fps, self.sels, self.next_scan = array("q"), array("q"), 0
+        self.held.clear()
 
     def see(self, state: MessageState) -> None:
         if state.iteration:  # beliefs(state) encodes the reference
@@ -353,6 +360,7 @@ class _Run:
         flat = chain.from_iterable(state.rows)
         self.fps.append(sum(map(mul, self.coeffs, flat)) % _PRIME)
         self.sels.append(hash(tuple(compress(state.top[0], self.wide))))
+        self.held.append(state)
 
     def advance(self, state: MessageState) -> MessageState:
         """The state one step on (``_advance``), seen on the graph it lands on."""
@@ -417,13 +425,15 @@ class _Run:
         return _send(self.zero, (ks, best, second)), _rays(keeps, kmax)[1], good
 
     def regime(self, state: MessageState, p: int) -> MessageState:
-        """Steps one p-step window from y = ``state``; if its linear part carries
-        d = x(a+p) - y back to d, that proves a regime: judges the beliefs of its
-        whole windows and jumps to the last that starts by the horizon and that
-        the filler rays certify.  A widening ends the attempt; a fill equal to
-        a runner-up in the window widens at its end."""
-        states = [state]
-        for _ in range(p):
+        """Takes the p-step window from y = x(a) to ``state`` from the held
+        states (stepped on from the oldest to a + p where fewer are held); if
+        its linear part carries d = x(a+p) - y back to d, that proves a regime:
+        judges the beliefs of its whole windows and jumps to the last that
+        starts by the horizon and that the filler rays certify.  A widening ends
+        the attempt; a fill equal to a runner-up in the window widens at its end."""
+        self.next_scan = max(self.next_scan, len(self.fps) - 1 + p)  # if the proof fails
+        states = list(self.held)[-p - 1:]
+        while len(states) <= p:
             states.append(self.advance(states[-1]))
             if states[-1].adj is not state.adj:
                 return states[-1]
@@ -433,7 +443,7 @@ class _Run:
             self.use(full.adj)
             self.see(full)
             return full
-        a, y, last = state.iteration, state.rows, states.pop()
+        a, y, last = states[0].iteration, states[0].rows, states.pop()
         d = ds = [list(map(sub, u, v)) for u, v in zip(last.rows, y)]
         kmax, goods, ends = self.horizon, [], []
         for z in states:

@@ -451,7 +451,7 @@ def checked_jumps(inst, reference, horizon):
 
     def spy(run, state, p):
         out = check(regime(run, state, p))
-        if out.iteration > state.iteration + p:
+        if out.iteration >= state.iteration + p:
             jumps.append((out.iteration, p))
         return out
 
@@ -551,7 +551,7 @@ def test_convergence_time_matches_stepping(case):
 @pytest.mark.parametrize("n", [3, 12, 101])
 def test_bare_cycle_time_law_far_past_the_cap(n, eps, monkeypatch):
     # T = n*w_max/(2*eps) + 2 on the bare heavy cycle, at a certified
-    # horizon of 4.8e7 or more, in at most 8n steps.
+    # horizon of 4.8e7 or more, in at most 6n steps.
     from bpmatching import engine
 
     inst = generators.gen_cycle(generators.CycleParams(n, F(8), eps))
@@ -567,7 +567,57 @@ def test_bare_cycle_time_law_far_past_the_cap(n, eps, monkeypatch):
     monkeypatch.setattr(engine, "step", spy)
     t = convergence_time(inst, optimal_matching(inst), horizon)
     assert t == n * F(8) / (2 * eps) + 2
-    assert len(calls) <= 8 * n
+    assert len(calls) <= 6 * n
+
+
+def regime_calls(monkeypatch):
+    """Spy on ``_Run.regime``: the list it fills holds (states held, p,
+    landing iteration, ``engine.step`` calls made) of every call."""
+    from bpmatching import engine
+
+    out, real, calls = [], engine._Run.regime, stepped_graphs(monkeypatch)
+
+    def spy(run, state, p):
+        held, before = len(run.held), len(calls)
+        landing = real(run, state, p)
+        out.append((held, p, landing.iteration, len(calls) - before))
+        return landing
+
+    monkeypatch.setattr(engine._Run, "regime", spy)
+    return out
+
+
+def test_a_held_window_proves_without_stepping(monkeypatch):
+    # Bare n=12: the scan proposes p=24 at t=48 from the two windows it
+    # stepped, and the proof on the held window t=24..48 steps nothing and
+    # lands at the horizon.
+    inst = generators.gen_cycle(generators.CycleParams(12, F(8), F(1, 50)))
+    calls = regime_calls(monkeypatch)
+    assert convergence_time(inst, optimal_matching(inst), 9600) == 2402
+    assert calls == [(25, 24, 9600, 0)]
+
+
+#: Two bare heavy cycles, of half-lengths 3 and 4 (w_max 8, eps 1/10): their
+#: periods are 6 and 8, so the run's is 24, more than the 2n + 1 = 15
+#: states a run holds.
+TWO_CYCLES = fractions([[4, None, 8, None, None, None, None],
+                        [F(39, 20), 4, None, None, None, None, None],
+                        [None, F(39, 20), 4, None, None, None, None],
+                        [None, None, None, 4, None, None, 8],
+                        [None, None, None, F(79, 30), 4, None, None],
+                        [None, None, None, None, F(79, 30), 4, None],
+                        [None, None, None, None, None, F(79, 30), 4]])
+
+
+def test_a_window_longer_than_the_held_states_is_stepped(monkeypatch):
+    # The regime's window starts at the oldest held state, t=34, and is
+    # stepped on to t=58; the proof on it jumps to the last window by the
+    # horizon.
+    inst, reference = Instance(TWO_CYCLES), Matching.of([(i, i) for i in range(7)])
+    calls = regime_calls(monkeypatch)
+    t, jumps = checked_jumps(inst, reference, 2000)
+    assert t == reference_convergence_time(inst, reference, 2000) == 162
+    assert calls == [(15, 24, 1978, 10)] and jumps == [(1978, 24)]
 
 
 # -- the bare view of embedded instances and its filler certificate --
@@ -590,27 +640,27 @@ def stepped_graphs(monkeypatch):
 
 def test_embedded_cycle_runs_on_its_bare_view(monkeypatch):
     # converge-dense: the filler certificate holds to the horizon, so the
-    # run is the bare view's 96 steps of degree 2, never the 16x16 table.
+    # run is the bare view's 64 steps of degree 2, never the 16x16 table.
     inst = generators.gen_cycle(generators.CycleParams(16, F(8), F(1, 10)), embed=True)
     calls = stepped_graphs(monkeypatch)
     assert convergence_time(inst, optimal_matching(inst), 2560) == 642
-    assert len(calls) <= 96
+    assert len(calls) <= 64
     assert not any(adj is inst.adjacency() for adj, _ in calls)
     # A bare instance has no fillers and takes the path it always took.
     bare = generators.gen_cycle(generators.CycleParams(12, F(8), F(1, 50)))
     calls.clear()
     assert convergence_time(bare, optimal_matching(bare), certified_horizon(bare)) == 2402
-    assert len(calls) == 72
+    assert len(calls) == 48
     assert all(adj is bare.adjacency() for adj, _ in calls)
 
 
 def test_embedded_forty_cycle_runs_on_its_bare_view(monkeypatch):
-    # n=40, eps 1/100: every step is the bare view's, 560 of a 64000-step
-    # horizon, three windows of 2n per jump.
+    # n=40, eps 1/100: every step is the bare view's, 400 of a 64000-step
+    # horizon, two windows of 2n per jump.
     inst = generators.gen_cycle(generators.CycleParams(40, F(8), F(1, 100)), embed=True)
     calls = stepped_graphs(monkeypatch)
     assert convergence_time(inst, optimal_matching(inst), certified_horizon(inst)) == 16002
-    assert len(calls) <= 560
+    assert len(calls) <= 400
     assert not any(adj is inst.adjacency() for adj, _ in calls)
 
 
@@ -638,12 +688,12 @@ def cycle_cover(draw, n):
 def test_padded_multicycle_starts_on_its_bare_view(monkeypatch):
     # n=16, c=2, eps 1/100: the pads' fill is always their runner-up, so the
     # bare view is exact but cannot jump; it runs to the first regime window
-    # (213 steps) and widens at its end, and the full graph steps on.
+    # (181 steps) and widens at its end, and the full graph steps on.
     inst = generators.gen_multicycle(16, F(8), F(1, 100), c=2)
     calls = stepped_graphs(monkeypatch)
     assert convergence_time(inst, optimal_matching(inst), certified_horizon(inst)) == 2802
     full = [adj is inst.adjacency() for adj, _ in calls]
-    assert full.index(True) == 213 and all(full[213:])
+    assert full.index(True) == 181 and all(full[181:])
 
 
 @st.composite
@@ -688,25 +738,26 @@ PADS = fractions([[-14, -5, 6], [-14, 5, -1], [7, -14, -14]])
 CERTIFICATE_PATHS = {
     # No fill is a runner-up up to the horizon, jumps included.
     "holds": ((fractions([[3, 2, -8], [-8, 4, 2], [1, -8, 1]]),
-               [(0, 0), (1, 1), (2, 2)], 150), 18, None),
-    # A fill is a runner-up at t=17, inside the regime window t=12..18: the
-    # full state at t=18 is rebuilt and stepped on.
+               [(0, 0), (1, 1), (2, 2)], 150), 12, None),
+    # The proof on the window t=6..12 fails, which defers the next scan to
+    # t=18.  A fill is a runner-up at t=17, inside the next regime window,
+    # t=12..18: the full state at t=18 is rebuilt and stepped on.
     "fails mid-run": ((fractions([[-4, -16, 8], [-3, -2, -16], [-16, -4, 5]]),
                        [(0, 2), (1, 0), (2, 1)], 40), 18, 18),
     # A jump from t=8 to t=20 on the bare view; the fills at t=21 come from
     # the landing's bests, and the fills at t=20 from the bests at t=19,
     # which no step visited.  A fill is a runner-up in the next regime
-    # window, t=33..37: the full state at t=37 is rebuilt.
+    # window, t=29..33: the full state at t=33 is rebuilt.
     "fails after a jump": ((fractions([[8, -16, -16, 1], [-16, 7, 8, -16],
                                        [7, -16, -16, 8], [-16, 8, -2, -16]]),
-                            [(0, 0), (1, 2), (2, 3), (3, 1)], 48), 29, 37),
+                            [(0, 0), (1, 2), (2, 3), (3, 1)], 48), 21, 33),
     # alpha_2's fill -2 is above its bare runner-up -5 at t=1: the bare view
-    # runs on to the first regime window, t=13..17, and widens at t=17.
+    # runs on to the first regime window, t=9..13, and widens at t=13.
     "fails at t=1": ((fractions([[-2, 1, -1], [-5, -2, 0], [-1, 0, -2]]),
-                      [(0, 1), (1, 2), (2, 0)], 150), 17, 17),
+                      [(0, 1), (1, 2), (2, 0)], 150), 13, 13),
     # The reference lies in the bare view: the pads step bare until the
-    # first regime window, t=10..14, and widen at t=14.
-    "pads": ((PADS, [(0, 2), (1, 1), (2, 0)], 150), 14, 14),
+    # first regime window, t=6..10, and widen at t=10.
+    "pads": ((PADS, [(0, 2), (1, 1), (2, 0)], 150), 10, 10),
     # The reference takes the filler edge (alpha_3, beta_3): no bare run.
     "reference on a filler": ((fractions([[-8, -1, 0], [2, -8, 1], [4, 1, -8]]),
                                [(0, 1), (1, 0), (2, 2)], 150), 0, 0),
