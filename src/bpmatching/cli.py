@@ -249,6 +249,9 @@ def cmd_exp_approx(args: argparse.Namespace) -> int:
     meta = inst.meta
     c = meta["c"]
     window = generators.failure_window(args.n, c, w_max, eps)
+    if args.iters is None and window < 1:
+        raise ParameterError(
+            f"failure window {format_rational(window)} is below one iteration; give --iters")
     horizon, reference, opt_weight = _horizon(
         inst, int(window) if args.iters is None else args.iters)
     cycles = [(b["offset"], b["offset"] + b["half_length"]) for b in meta["cycles"]]
@@ -404,15 +407,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                 raise ParameterError(
                     f"cannot write {out}: a directory, or its directory is missing")
         return args.func(args)
-    except (ParameterError, MissingEdgeError) as exc:
+    except (ParameterError, MissingEdgeError, HorizonExhausted, OracleCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except HorizonExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OracleCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
 
 
 if __name__ == "__main__":

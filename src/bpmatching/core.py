@@ -23,19 +23,27 @@ from typing import Iterable, Optional
 
 
 class ParameterError(ValueError):
-    """A documented precondition was violated.  CLI exit code 2."""
+    """A documented precondition was violated."""
+
+    exit_code = 2  # of the command-line front end
 
 
 class HorizonExhausted(RuntimeError):
-    """An iteration budget ran out before the requested event.  Exit code 3."""
+    """An iteration budget ran out before the requested event."""
+
+    exit_code = 3
 
 
 class OracleCapExceeded(RuntimeError):
-    """A brute-force or unrolling size cap was exceeded.  Exit code 4."""
+    """A brute-force or unrolling size cap was exceeded."""
+
+    exit_code = 4
 
 
 class MissingEdgeError(ValueError):
     """An operation touched an edge that is absent from the instance."""
+
+    exit_code = 2
 
 
 def parse_rational(text: str) -> Fraction:

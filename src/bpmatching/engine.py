@@ -32,15 +32,16 @@ while x[k] >= every x[v] and x[k2] >= every other x[v], ties included.
 Nodes with at most two incoming messages send the same whatever it is.  A
 candidate p repeats the wider nodes' argmax slots and the drift of a random
 linear fingerprint over two windows; it only proposes p.  The proof takes
-the last of them, from y = x(a), from the last 2n + 1 states the run holds
-(a longer window is stepped on from the oldest) and carries d = x(a+p) - y
-through each step's linear part L (its selections on zero weights).  The
-window map is affine, y + d + L(z - y), so L(d) = d proves x(a + k*p + s) =
-y_s + k*d_s until a selection comparison a + k*b turns negative; per offset
-s the k with beliefs equal to the reference form an interval.  The run
-judges those iterations unvisited, jumps to the last whole window before
-the event or the horizon, and steps on; a failed proof defers the next scan
-by p.  It holds 2n + 1 states and two ints per iteration since the last jump.
+the last of them, from y = x(a), from the states the run holds (2n + 1, or
+p + 1 once a longer p is proposed, whose proof then waits until they are
+held) and carries d = x(a+p) - y through each step's linear part L (its
+selections on zero weights).  The window map is affine, y + d + L(z - y),
+so L(d) = d proves x(a + k*p + s) = y_s + k*d_s until a selection
+comparison a + k*b turns negative; per offset s the k with beliefs equal to
+the reference form an interval.  The run judges those iterations unvisited,
+jumps to the last whole window before the event or the horizon, and steps
+on; a failed proof defers the next scan by p.  It holds those states and
+two ints per iteration since the last jump.
 
 An instance with filler edges (``core.bare_view``: weight fw = -2*W, W the
 largest weight) steps its bare view when every node keeps a bare edge and
@@ -54,8 +55,8 @@ By induction from t=1 the bare messages, fills and beliefs are the full
 graph's while fill_l(t) <= best_l(t) for every l.  The first t where that
 fails rebuilds the full state at t (bare rows kept, fw - best_u(t-1) on the
 fillers) before its beliefs count, and the full graph is stepped on: the
-one rule of ``run_to_horizon`` and ``convergence_time``.  A jump also needs
-every fill below the bare runner-up, so ``_Run.regime`` alone widens, at
+rule of ``step``, which alone steps both kinds of run.  A jump also needs
+every fill below the bare runner-up, so ``_Run.regime`` also widens, at
 its window's end, where a fill in the window is a runner-up; at the
 regime's slots these are affine lower bounds, which hold on 0..k once they
 hold at k, and a bisection stops the jump before the first that fails.
@@ -204,10 +205,14 @@ def _send(adj: Adjacency, tops: Tops) -> list[list[int]]:
 
 def step(state: MessageState) -> MessageState:
     """One synchronous update round on the state's graph; returns the state
-    at iteration t+1."""
+    at iteration t+1, the full graph's (``_widen``) from a bare view where a
+    filler message into some node exceeds its best."""
     fill = state.fillers and _fill(state.fillers, state.top[1])
-    return MessageState(_send(state.adj, state.top), state.iteration + 1, state.adj,
-                        fill, state.fillers)
+    nxt = MessageState(_send(state.adj, state.top), state.iteration + 1, state.adj,
+                       fill, state.fillers)
+    if fill and any(f is not None and f > b for f, b in zip(fill, nxt.top[1])):
+        return _widen(nxt, state.top[1])
+    return nxt
 
 
 def beliefs(state: MessageState) -> BeliefSnapshot:
@@ -270,15 +275,6 @@ def _widen(y: MessageState, before: list[int]) -> MessageState:
     return MessageState(rows, y.iteration, full)
 
 
-def _advance(state: MessageState) -> MessageState:
-    """The state one step on; the full graph's from the first iteration
-    where a filler message into some node exceeds its best."""
-    nxt = step(state)
-    if nxt.fill and any(f is not None and f > b for f, b in zip(nxt.fill, nxt.top[1])):
-        return _widen(nxt, state.top[1])
-    return nxt
-
-
 def run_to_horizon(inst: Instance, horizon: int) -> Iterator[BeliefSnapshot]:
     """Belief snapshots for t = 1..horizon (streaming); on the bare view
     while it is exact (see the module docstring)."""
@@ -286,7 +282,7 @@ def run_to_horizon(inst: Instance, horizon: int) -> Iterator[BeliefSnapshot]:
         raise ParameterError("horizon must be >= 1")
     state = _start(inst)
     for _ in range(horizon):
-        state = _advance(state)
+        state = step(state)
         yield beliefs(state)
 
 
@@ -328,12 +324,12 @@ class _Run:
     def __init__(self, start: MessageState, reference: Matching, horizon: int) -> None:
         self.horizon = horizon
         self.want = reference_beliefs(reference, len(start.rows) // 2)
-        self.last_bad, self.any_good = 0, False
-        self.use(start.adj)
+        self.last_bad, self.any_good, self.adj = 0, False, None
+        self.take(start)
 
     def use(self, adj: Adjacency) -> None:
         """Makes ``adj`` the stepped graph."""
-        n, want = len(adj.nbrs) // 2, self.want
+        n, want, self.adj = len(adj.nbrs) // 2, self.want, adj
         try:  # each row's slot of its reference partner, None if never encoded
             self.slots = want and [nb.index(v) for nb, v in
                                    zip(adj.nbrs, [n + j for j in want[0]] + list(want[1]))]
@@ -362,13 +358,12 @@ class _Run:
         self.sels.append(hash(tuple(compress(state.top[0], self.wide))))
         self.held.append(state)
 
-    def advance(self, state: MessageState) -> MessageState:
-        """The state one step on (``_advance``), seen on the graph it lands on."""
-        nxt = _advance(state)
-        if nxt.adj is not state.adj:
-            self.use(nxt.adj)
-        self.see(nxt)
-        return nxt
+    def take(self, state: MessageState) -> MessageState:
+        """Enters ``state`` into the run, on its graph."""
+        if state.adj is not self.adj:
+            self.use(state.adj)
+        self.see(state)
+        return state
 
     @staticmethod
     def filler_jump(ends: list, k: int) -> int:
@@ -426,23 +421,20 @@ class _Run:
 
     def regime(self, state: MessageState, p: int) -> MessageState:
         """Takes the p-step window from y = x(a) to ``state`` from the held
-        states (stepped on from the oldest to a + p where fewer are held); if
-        its linear part carries d = x(a+p) - y back to d, that proves a regime:
-        judges the beliefs of its whole windows and jumps to the last that
-        starts by the horizon and that the filler rays certify.  A widening ends
-        the attempt; a fill equal to a runner-up in the window widens at its end."""
-        self.next_scan = max(self.next_scan, len(self.fps) - 1 + p)  # if the proof fails
-        states = list(self.held)[-p - 1:]
-        while len(states) <= p:
-            states.append(self.advance(states[-1]))
-            if states[-1].adj is not state.adj:
-                return states[-1]
+        states, stepping none; if its linear part carries d = x(a+p) - y back to
+        d, that proves a regime: judges the beliefs of its whole windows and
+        jumps to the last that starts by the horizon and that the filler rays
+        certify.  With fewer than p + 1 held it holds p + 1 from then on and
+        waits for them; a runner-up fill in the window widens at its end."""
+        i, held = len(self.fps) - 1, self.held
+        if len(held) <= p:
+            self.held, self.next_scan = deque(held, maxlen=p + 1), i + p + 1 - len(held)
+            return state
+        self.next_scan = max(self.next_scan, i + p)  # if the proof fails
+        states = list(held)[-p - 1:]
         if state.fill and any(f is not None and f == c for z in states
                               for f, c in zip(z.fill, z.top[2])):
-            full = _widen(states[-1], states[-2].top[1])
-            self.use(full.adj)
-            self.see(full)
-            return full
+            return self.take(_widen(state, states[-2].top[1]))
         a, y, last = states[0].iteration, states[0].rows, states.pop()
         d = ds = [list(map(sub, u, v)) for u, v in zip(last.rows, y)]
         kmax, goods, ends = self.horizon, [], []
@@ -470,8 +462,7 @@ class _Run:
         rows = [[u + k * v for u, v in zip(*rr)] for rr in zip(y, d)]
         state = MessageState(rows, a + k * p, last.adj, fill, last.fillers)
         self.reset()
-        self.see(state)
-        return state
+        return self.take(state)
 
 
 def convergence_time(inst: Instance, reference: Matching, horizon: int) -> int:
@@ -486,13 +477,12 @@ def convergence_time(inst: Instance, reference: Matching, horizon: int) -> int:
     state = _start(inst, reference.pairs)
     run = _Run(state, reference, horizon)
     if run.slots is not None:
-        run.see(state)
         while state.iteration < horizon:
             p = run.period()
             if p and state.iteration + 2 * p <= horizon:
                 state = run.regime(state, p)
             else:
-                state = run.advance(state)
+                state = run.take(step(state))
     if not run.any_good:
         raise HorizonExhausted(f"no snapshot in t=1..{horizon} matches the reference")
     if run.last_bad == horizon:

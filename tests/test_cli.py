@@ -442,6 +442,20 @@ def test_exp_approx_rejects_nonpositive_iters(tmp_path, capsys, iters):
     assert not out_csv.exists()
 
 
+def test_exp_approx_window_below_one_iteration_needs_iters(tmp_path, capsys):
+    # n=4, c=1, eps 3/2: the failure window is 2/3, so without --iters there
+    # is no iteration to write.
+    out_csv = tmp_path / "curve.csv"
+    code, _, err = run(
+        ["exp", "approx", "--n", "4", "--wmax", "8", "--eps", "3/2", "--c", "1",
+         "-o", str(out_csv)],
+        capsys,
+    )
+    assert code == 2
+    assert err == "error: failure window 2/3 is below one iteration; give --iters\n"
+    assert not out_csv.exists()
+
+
 # -- trace rows against the loop that evaluates every iteration --
 
 

@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction as F
-from itertools import chain
+from itertools import accumulate, chain, islice
 from unittest import mock
 
 import pytest
@@ -609,15 +609,41 @@ TWO_CYCLES = fractions([[4, None, 8, None, None, None, None],
                         [None, None, None, None, None, F(79, 30), 4]])
 
 
-def test_a_window_longer_than_the_held_states_is_stepped(monkeypatch):
-    # The regime's window starts at the oldest held state, t=34, and is
-    # stepped on to t=58; the proof on it jumps to the last window by the
-    # horizon.
+def test_a_window_longer_than_the_held_states_is_held_then_proved(monkeypatch):
+    # p=24 is proposed at t=48, when the run holds t=34..48: the call steps
+    # nothing and waits, holding 25 states from then on.  At t=58 it holds
+    # the window t=34..58, and the proof on it jumps to the last window by
+    # the horizon.
     inst, reference = Instance(TWO_CYCLES), Matching.of([(i, i) for i in range(7)])
     calls = regime_calls(monkeypatch)
     t, jumps = checked_jumps(inst, reference, 2000)
     assert t == reference_convergence_time(inst, reference, 2000) == 162
-    assert calls == [(15, 24, 1978, 10)] and jumps == [(1978, 24)]
+    assert calls == [(15, 24, 48, 0), (25, 24, 1978, 0)] and jumps == [(1978, 24)]
+
+
+@st.composite
+def cycle_unions(draw):
+    """Disjoint unions of two or three bare heavy cycles of half-lengths
+    3..7 (w_max 8, one eps), and a horizon; their optimum is (i, i)."""
+    lengths = draw(st.lists(st.integers(3, 7), min_size=2, max_size=3))
+    eps = draw(st.sampled_from([F(1, 10), F(1, 20), F(1, 50)]))
+    n = sum(lengths)
+    rows = [[None] * n for _ in range(n)]
+    for k, offset in zip(lengths, [0, *accumulate(lengths)]):
+        generators._place_cycle(rows, generators.CycleParams(k, F(8), eps), offset)
+    return rows, draw(st.integers(200, 2000))
+
+
+@settings(max_examples=25, deadline=None)
+@given(cycle_unions())
+def test_cycle_unions_match_stepping(case):
+    # The run's period is the lcm of the cycles' 2k, often more than the
+    # 2n + 1 states it holds: those proposals wait for their window.
+    rows, horizon = case
+    inst = Instance(rows)
+    reference = Matching.of([(i, i) for i in range(inst.n)])
+    t, _ = checked_jumps(inst, reference, horizon)
+    assert t == reference_convergence_time(inst, reference, horizon)
 
 
 # -- the bare view of embedded instances and its filler certificate --
@@ -811,6 +837,49 @@ def test_embedded_forms_match_stepping_the_full_instance(case):
     inst, reference = Instance(rows), Matching.of(pairs)
     t, _ = checked_jumps(inst, reference, horizon)
     assert t == reference_convergence_time(inst, reference, horizon)
+
+
+def test_step_widens_where_a_fill_exceeds_a_best():
+    # alpha_5's fill exceeds its best at t=8: seven steps from the bare view
+    # stay on it, and the eighth returns the full graph's state at t=8.
+    from bpmatching import engine
+
+    inst = Instance(FILL_EXCEEDS_A_BEST)
+    state = engine._start(inst)
+    for _ in range(7):
+        state = step(state)
+        assert state.adj is not inst.adjacency() and state.fill is not None
+    state = step(state)
+    assert state.adj is inst.adjacency() and state.iteration == 8
+    assert state.rows == next(islice(full_graph_states(inst), 8, None)).rows
+
+
+def no_step_cases():
+    """Runs as (instance, reference, horizon, steps of the run or None)."""
+    bare = generators.gen_cycle(generators.CycleParams(12, F(8), F(1, 50)))
+    yield pytest.param(bare, optimal_matching(bare), 9600, 48, id="bare n=12")
+    yield pytest.param(Instance(TWO_CYCLES), Matching.of([(i, i) for i in range(7)]), 2000,
+                       80, id="two cycles")
+    for key, ((rows, pairs, horizon), _, _) in CERTIFICATE_PATHS.items():
+        yield pytest.param(Instance(rows), Matching.of(pairs), horizon, None, id=key)
+    padded = generators.gen_multicycle(16, F(8), F(1, 100), c=2)
+    yield pytest.param(padded, optimal_matching(padded), certified_horizon(padded), 3480,
+                       id="padded multicycle")
+
+
+@pytest.mark.parametrize("inst, reference, horizon, steps", no_step_cases())
+def test_a_regime_call_never_steps(inst, reference, horizon, steps, monkeypatch):
+    # Only the driver steps: a regime call proves from the states the run
+    # holds, waits until it holds them, or widens.  The padded multicycle's
+    # total counts the longer held window kept after its wait.
+    stepped = stepped_graphs(monkeypatch)
+    calls = regime_calls(monkeypatch)
+    try:
+        convergence_time(inst, reference, horizon)
+    except HorizonExhausted:
+        pass
+    assert calls and all(made == 0 for _, _, _, made in calls)
+    assert steps is None or len(stepped) == steps
 
 
 def random_dense_cases(count, seed):
