@@ -18,6 +18,8 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate, chain
 from math import gcd, lcm
 from typing import Iterable, Optional
 
@@ -98,12 +100,34 @@ class Adjacency:
 
     ``nbrs[u]`` holds u's neighbour ids in ascending order, ``w[u]`` the
     aligned scaled weights, and ``slot[u][s]`` the position of u in the
-    list of its neighbour ``nbrs[u][s]``.
+    list of its neighbour ``nbrs[u][s]``.  The rest, derived from these
+    on first use (so ``dataclasses.replace`` rebuilds it), lays one value per
+    incidence out flat, node u's row at ``start[u]:start[u + 1]``, aligned
+    with ``nbrs[u]``: ``src`` holds each entry's neighbour, ``flat_w`` its
+    weight, and ``dst`` the entry of the other end's row on its edge, so
+    ``dst[start[u] + s]`` is u's entry in the row of ``nbrs[u][s]``.
     """
 
     nbrs: list[list[int]]
     w: list[list[int]]
     slot: list[list[int]]
+
+    @cached_property
+    def start(self) -> list[int]:
+        return [0, *accumulate(map(len, self.nbrs))]
+
+    @cached_property
+    def src(self) -> list[int]:
+        return list(chain.from_iterable(self.nbrs))
+
+    @cached_property
+    def flat_w(self) -> list[int]:
+        return list(chain.from_iterable(self.w))
+
+    @cached_property
+    def dst(self) -> list[int]:
+        start = self.start
+        return [start[v] + s for nb, sl in zip(self.nbrs, self.slot) for v, s in zip(nb, sl)]
 
 
 class Instance:

@@ -16,21 +16,21 @@ independent oracle for this equivalence).
 Messages are the true values x(t), stored as integer numerators over the
 instance's common denominator, so every comparison is exact.  They grow
 at most linearly, |x(t)| <= t * max|w| (in scaled units), and Python ints
-are unbounded.  Each graph node u holds one list of its incoming messages,
-aligned with ``Instance.adjacency().nbrs[u]``, so one step costs O(|E|):
-each node's top-2 incoming message (slot k, best, second) is found once
-per state, and it sends w - best on every edge but slot k, which gets
-w - second.  A state carries its graph, so ``step`` and ``beliefs`` take
-the state alone.  A run's horizon is an input; ``oracles.certified_horizon``
-gives the certified one.
+are unbounded.  A state holds them as one flat vector over its graph's
+edge entries (``core.Adjacency``), so one step costs O(|E|): each node's
+top-2 incoming message (entry k, best, second) is found once per state,
+one gather sends w - best on every edge, and each node then writes
+w - second back along entry k.  A state carries its graph, so ``step``
+and ``beliefs`` take the state alone.  A run's horizon is an input;
+``oracles.certified_horizon`` gives the certified one.
 
 ``convergence_time`` jumps over drift regimes x(t+p) = x(t) + d, which
 orbits of this monotone min-max map end in (Cochet-Terrasson, Gaubert and
-Gunawardena 1999).  A node's selection, an argmax slot k and a runner-up
-slot k2, makes its sends affine: w - x[k], and w - x[k2] on slot k, exact
+Gunawardena 1999).  A node's selection, an argmax entry k and a runner-up
+entry k2, makes its sends affine: w - x[k], and w - x[k2] back along k, exact
 while x[k] >= every x[v] and x[k2] >= every other x[v], ties included.
 Nodes with at most two incoming messages send the same whatever it is.  A
-candidate p repeats the wider nodes' argmax slots and the drift of a random
+candidate p repeats the wider nodes' argmax entries and the drift of a random
 linear fingerprint over two windows; it only proposes p.  The proof takes
 the last of them, from y = x(a), from the states the run holds (2n + 1, or
 p + 1 once a longer p is proposed, whose proof then waits until they are
@@ -58,8 +58,8 @@ fillers) before its beliefs count, and the full graph is stepped on: the
 rule of ``step``, which alone steps both kinds of run.  A jump also needs
 every fill below the bare runner-up, so ``_Run.regime`` also widens, at
 its window's end, where a fill in the window is a runner-up; at the
-regime's slots these are affine lower bounds, which hold on 0..k once they
-hold at k, and a bisection stops the jump before the first that fails.
+regime's selections these are affine lower bounds, which hold on 0..k once
+they hold at k, and a bisection stops the jump before the first that fails.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ import random
 from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import eq, mul, sub
 from typing import Iterator, Optional
 
@@ -76,8 +76,8 @@ from .core import (Adjacency, HorizonExhausted, Instance, Matching, ParameterErr
                    bare_view)
 
 
-#: Per graph node: slot of the first maximum incoming message (-1
-#: with none), the maximum (0 with none) and the largest other incoming
+#: Per graph node: the index in ``x`` of its first maximum incoming message
+#: (-1 with none), the maximum (0 with none) and the largest other incoming
 #: message, its fill included (None with none; a tied maximum repeats).
 Tops = tuple[list[int], list[int], list[Optional[int]]]
 
@@ -85,22 +85,20 @@ Tops = tuple[list[int], list[int], list[Optional[int]]]
 _PRIME = 2**61 - 1
 
 
-def _tops(rows: list[list[int]], fill: Optional[list[Optional[int]]]) -> Tops:
-    ks: list[int] = []
-    bests: list[int] = []
-    seconds: list[Optional[int]] = []
-    for row, f in zip(rows, fill or repeat(None)):
+def _tops(x: list[int], start: list[int], fill: Optional[list[Optional[int]]]) -> Tops:
+    ks, bests, seconds = [], [], []
+    for a, e, f in zip(start, start[1:], fill or repeat(None)):
         k, best, second = -1, 0, None
-        if len(row) == 2:  # most rows: the top pair in one comparison
-            a, b = row
-            k, best, second = (0, a, b) if a >= b else (1, b, a)
-        elif row:
+        if e - a == 2:  # most rows: the top pair in one comparison
+            u, v = x[a], x[a + 1]
+            k, best, second = (a, u, v) if u >= v else (a + 1, v, u)
+        elif e > a:
+            row = x[a:e]
             best = max(row)
-            k = row.index(best)
-            if len(row) > 1:
-                row[k] = row[k - 1]  # another slot's value: max is now the runner-up
+            k = x.index(best, a, e)
+            if e - a > 1:
+                row[k - a] = row[k - a - 1]  # another entry's value: max is now the runner-up
                 second = max(row)
-                row[k] = best
         if f is not None and (second is None or f > second):
             second = f  # the largest filler message is a runner-up too
         ks.append(k)
@@ -134,18 +132,17 @@ def _fill(fillers: _Fillers, bests: list[int]) -> list[Optional[int]]:
 
 @dataclass
 class MessageState:
-    """Incoming message lists of every graph node at one iteration.
+    """The messages of every graph node at one iteration, one flat vector.
 
-    ``rows[u][s]`` is the true message into graph node u from
-    ``adj.nbrs[u][s]``, an integer numerator over the instance's ``scale``,
-    and ``top`` holds the ``Tops`` of the rows.  ``to_left`` (alpha_i's
-    rows) and ``to_right`` (beta_j's rows) are read-only slices of ``rows``.
-    On a bare view ``fillers`` holds the edges it leaves out and ``fill[u]``
-    the largest filler message into u (None with none), which ``top``
-    counts among the runner-ups.
+    Node u's row ``x[adj.start[u]:adj.start[u + 1]]`` holds its true incoming
+    messages, numerators over ``scale``; ``top`` holds the rows' ``Tops``.
+    ``rows``, ``to_left`` (alpha_i's) and ``to_right`` (beta_j's) are
+    read-only per-node copies.  On a bare view ``fillers`` holds the edges it
+    leaves out and ``fill[u]`` the largest filler message into u (None with
+    none), which ``top`` counts among the runner-ups.
     """
 
-    rows: list[list[int]]
+    x: list[int]
     iteration: int
     adj: Adjacency = field(repr=False, compare=False)
     fill: Optional[list[Optional[int]]] = None
@@ -153,15 +150,19 @@ class MessageState:
     top: Tops = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.top = _tops(self.rows, self.fill)
+        self.top = _tops(self.x, self.adj.start, self.fill)
+
+    @property
+    def rows(self) -> list[list[int]]:
+        return [self.x[a:e] for a, e in zip(self.adj.start, self.adj.start[1:])]
 
     @property
     def to_left(self) -> list[list[int]]:
-        return self.rows[: len(self.rows) // 2]
+        return self.rows[: len(self.adj.nbrs) // 2]
 
     @property
     def to_right(self) -> list[list[int]]:
-        return self.rows[len(self.rows) // 2 :]
+        return self.rows[len(self.adj.nbrs) // 2 :]
 
 
 @dataclass(frozen=True)
@@ -183,23 +184,22 @@ class PartialBpMatching:
 
 
 def init_messages(inst: Instance) -> MessageState:
-    """All-zero message lists at iteration 0."""
+    """All-zero messages at iteration 0."""
     adj = inst.adjacency()
-    return MessageState([[0] * len(nb) for nb in adj.nbrs], 0, adj)
+    return MessageState([0] * adj.start[-1], 0, adj)
 
 
-def _send(adj: Adjacency, tops: Tops) -> list[list[int]]:
-    """The incoming message lists of every graph node one step on.
-
-    Node u with ``tops`` (k, best, second) sends w - best on every edge but
-    its argmax slot k, which gets w - second; a missing second (an empty
-    maximum) is 0.
-    """
+def _send(adj: Adjacency, tops: Tops) -> list[int]:
+    """The message vector one step on: node u with ``tops`` (k, best, second)
+    sends w - best on every edge but the one x[k] came in on, which gets
+    w - second; a missing second (an empty maximum) is 0."""
     ks, bests, seconds = tops
-    out = [list(map(sub, w, map(bests.__getitem__, nb))) for w, nb in zip(adj.w, adj.nbrs)]
-    for k, second, w, nb, slot in zip(ks, seconds, adj.w, adj.nbrs, adj.slot):
+    w, dst = adj.flat_w, adj.dst
+    out = list(map(sub, w, map(bests.__getitem__, adj.src)))
+    for k, second in zip(ks, seconds):
         if k >= 0:
-            out[nb[k]][slot[k]] = w[k] if second is None else w[k] - second
+            i = dst[k]
+            out[i] = w[i] if second is None else w[i] - second
     return out
 
 
@@ -217,9 +217,8 @@ def step(state: MessageState) -> MessageState:
 
 def beliefs(state: MessageState) -> BeliefSnapshot:
     """Arg-max of incoming messages per node; None when the arg-max ties."""
-    n = len(state.rows) // 2
-    ids = [None if k < 0 or second == best else nb[k] % n
-           for k, best, second, nb in zip(*state.top, state.adj.nbrs)]
+    n, src = len(state.adj.nbrs) // 2, state.adj.src
+    ids = [None if k < 0 or c == b else src[k] % n for k, b, c in zip(*state.top)]
     return BeliefSnapshot(tuple(ids[:n]), tuple(ids[n:]), state.iteration)
 
 
@@ -259,20 +258,19 @@ def _start(inst: Instance, pairs=()) -> MessageState:
         return init_messages(inst)
     adj, full = bare.adjacency(), inst.adjacency()
     nbrs = [frozenset(a).difference(b) for a, b in zip(full.nbrs, adj.nbrs)]
-    fill = [0 if f else None for f in nbrs]
-    return MessageState([[0] * len(nb) for nb in adj.nbrs], 0, adj, fill,
-                        _Fillers(full, -2 * max(map(max, adj.w)), nbrs))
+    return MessageState([0] * adj.start[-1], 0, adj, [0 if f else None for f in nbrs],
+                        _Fillers(full, -2 * max(adj.flat_w), nbrs))
 
 
 def _widen(y: MessageState, before: list[int]) -> MessageState:
     """The full graph's state at y's iteration t, where y's filler messages
     are fw - best_u(t-1) and ``before`` holds those bests: y's messages on
     the bare edges, and fw - before[u] on each filler edge (u, l)."""
-    full, rows = y.fillers.full, []
+    full, x = y.fillers.full, []
     for nb, ws, bare, row in zip(full.nbrs, full.w, y.adj.nbrs, y.rows):
         got = dict(zip(bare, row))
-        rows.append([got[u] if u in got else w - before[u] for u, w in zip(nb, ws)])
-    return MessageState(rows, y.iteration, full)
+        x += [got[u] if u in got else w - before[u] for u, w in zip(nb, ws)]
+    return MessageState(x, y.iteration, full)
 
 
 def run_to_horizon(inst: Instance, horizon: int) -> Iterator[BeliefSnapshot]:
@@ -286,27 +284,30 @@ def run_to_horizon(inst: Instance, horizon: int) -> Iterator[BeliefSnapshot]:
         yield beliefs(state)
 
 
-def _runner_up_slots(y: MessageState) -> list[int]:
-    """Per row of ``y``, the slot of its runner-up (-1 with none); every
-    fill of ``y`` lies below its row's runner-up."""
-    return [-1 if c is None else row.index(b, k + 1) if c == b else row.index(c)
-            for row, k, b, c in zip(y.rows, *y.top)]
+def _runner_ups(y: MessageState) -> list[int]:
+    """Per row of ``y``, the index in ``y.x`` of its runner-up (-1 with
+    none); every fill of ``y`` lies below its row's runner-up."""
+    x, start, (ks, bests, seconds) = y.x, y.adj.start, y.top
+    return [-1 if c is None else x.index(b, k + 1, e) if c == b else x.index(c, a, e)
+            for a, e, k, b, c in zip(start, start[1:], ks, bests, seconds)]
 
 
-def _floors(y: MessageState, k2s: list[int], ds: list[list[int]], j: int):
-    """Lower bounds of every row's best and runner-up at y + j*ds: its value
-    at y's argmax slot k, and the smaller of its values at k and at y's
-    runner-up slot k2 (``k2s``).  Exact at j = 0; each compares affine forms
-    of j."""
-    bests = [row[k] + j * dr[k] for row, dr, k in zip(y.rows, ds, y.top[0])]
-    return bests, [min(b, row[k2] + j * dr[k2])
-                   for b, row, dr, k2 in zip(bests, y.rows, ds, k2s)]
+def _floors(y: MessageState, k2s: list[int], d: list[int], j: int):
+    """Lower bounds of every row's best and runner-up at y + j*d: its value at
+    y's argmax k, and the smaller of its values at k and at its runner-up k2
+    (``k2s``), or at k alone with none.  Exact at j = 0; affine in j."""
+    x = y.x
+    bests = [x[k] + j * d[k] for k in y.top[0]]
+    return bests, [b if k2 < 0 else min(b, x[k2] + j * d[k2]) for b, k2 in zip(bests, k2s)]
 
 
-def _rays(conds, hi: int) -> tuple[int, int]:
-    """Bounds lo..hi of the k in 0..hi with a + k*b >= 0 for every (a, b)."""
-    lo = 0
-    for a, b in conds:
+def _rays(x: list[int], d: list[int], us: list[int], vs: list[int], hi: int,
+          least: int = 0) -> tuple[int, int]:
+    """Bounds lo..hi of the k in 0..hi with z[u] - z[v] >= least at z = x + k*d
+    for every u, v of ``us``, ``vs``: a ray a + k*b >= 0 each."""
+    gx, gd, lo = x.__getitem__, d.__getitem__, 0
+    for a, b in zip(map(sub, map(gx, us), map(gx, vs)), map(sub, map(gd, us), map(gd, vs))):
+        a -= least
         if b > 0:
             lo = max(lo, -(a // b))
         elif b < 0:
@@ -322,23 +323,26 @@ class _Run:
     regimes are looked for."""
 
     def __init__(self, start: MessageState, reference: Matching, horizon: int) -> None:
-        self.horizon = horizon
-        self.want = reference_beliefs(reference, len(start.rows) // 2)
-        self.last_bad, self.any_good, self.adj = 0, False, None
+        self.want = reference_beliefs(reference, len(start.adj.nbrs) // 2)
+        self.horizon, self.last_bad, self.any_good, self.adj = horizon, 0, False, None
         self.take(start)
 
     def use(self, adj: Adjacency) -> None:
         """Makes ``adj`` the stepped graph."""
-        n, want, self.adj = len(adj.nbrs) // 2, self.want, adj
-        try:  # each row's slot of its reference partner, None if never encoded
-            self.slots = want and [nb.index(v) for nb, v in
-                                   zip(adj.nbrs, [n + j for j in want[0]] + list(want[1]))]
+        n, want, self.adj, start = len(adj.nbrs) // 2, self.want, adj, adj.start
+        try:  # each row's index of its reference partner, None if never encoded
+            self.slots = want and [a + nb.index(v) for a, nb, v in zip(
+                start, adj.nbrs, [n + j for j in want[0]] + list(want[1]))]
         except ValueError:  # a non-edge: never encoded
             self.slots = None
+        # Every other entry of each row, and that row's reference entry.
+        pairs = [(q, v) for a, e, q in zip(start, start[1:], self.slots or ())
+                 for v in range(a, e) if v != q]
+        self.refs, self.others = [q for q, _ in pairs], [v for _, v in pairs]
         self.zero = replace(adj, w=[[0] * len(w) for w in adj.w])
         self.wide = [len(nb) > 2 for nb in adj.nbrs]
         rng = random.Random(0)
-        self.coeffs = [rng.getrandbits(31) for _ in chain.from_iterable(adj.nbrs)]
+        self.coeffs = [rng.getrandbits(31) for _ in adj.src]
         self.held = deque(maxlen=len(adj.nbrs) + 1)  # a bare 2n-cycle's window
         self.reset()
 
@@ -353,8 +357,7 @@ class _Run:
                 self.any_good = True
             else:
                 self.last_bad = state.iteration
-        flat = chain.from_iterable(state.rows)
-        self.fps.append(sum(map(mul, self.coeffs, flat)) % _PRIME)
+        self.fps.append(sum(map(mul, self.coeffs, state.x)) % _PRIME)
         self.sels.append(hash(tuple(compress(state.top[0], self.wide))))
         self.held.append(state)
 
@@ -369,7 +372,7 @@ class _Run:
     def filler_jump(ends: list, k: int) -> int:
         """The largest k' <= k for which the filler rays certify every
         iteration up to a + k'*p.  ``ends`` holds the states at a..a+p with
-        their runner-up slots and drifts; the fills into a + j*p + s + 1, from
+        their runner-ups and drifts; the fills into a + j*p + s + 1, from
         the bests at offset s, must stay below the runner-ups at offset s + 1.
         Each ray a + j*b >= 0 holds on 0..j once it holds at j (it does at 0,
         or ``regime`` widens), so a bisection on j finds where the first ends."""
@@ -401,23 +404,21 @@ class _Run:
                 return p
         return 0
 
-    def window_step(self, y: MessageState, k2s: list[int], ds: list[list[int]], kmax: int):
-        """At y with runner-up slots k2s and drift ds: the drift a step on, the
-        largest k <= kmax keeping y's selections at y + k*ds, and the k where
+    def window_step(self, y: MessageState, k2s: list[int], d: list[int], kmax: int):
+        """At y with runner-ups k2s and drift d: the drift a step on, the
+        largest k <= kmax keeping y's selections at y + k*d, and the k where
         its beliefs are the reference's."""
-        rows, ks = y.rows, y.top[0]
-        keeps = []  # x[k] and then x[k2] stay maxima; ties send the same
-        for row, dr, k, k2 in zip(rows, ds, ks, k2s):
-            if len(row) > 2:
-                pairs = [(k, k2)] + [(k2, v) for v in range(len(row)) if v not in (k, k2)]
-                keeps += [(row[u] - row[v], dr[u] - dr[v]) for u, v in pairs]
-        good = _rays(((row[q] - row[v] - 1, dr[q] - dr[v])
-                      for row, dr, q in zip(rows, ds, self.slots)
-                      for v in range(len(row)) if v != q), self.horizon)
+        x, start, ks, us, vs = y.x, y.adj.start, y.top[0], [], []
+        for a, e, k, k2, wide in zip(start, start[1:], ks, k2s, self.wide):
+            if wide:  # x[k] and then x[k2] stay maxima; ties send the same
+                others = [v for v in range(a, e) if v != k and v != k2]
+                us += [k] + [k2] * len(others)
+                vs += [k2] + others
         # The linear part of the step: y's selections on zero weights.
-        best = [dr[k] if k >= 0 else 0 for dr, k in zip(ds, ks)]
-        second = [dr[k2] if k2 >= 0 else None for dr, k2 in zip(ds, k2s)]
-        return _send(self.zero, (ks, best, second)), _rays(keeps, kmax)[1], good
+        best = [d[k] if k >= 0 else 0 for k in ks]
+        second = [d[k2] if k2 >= 0 else None for k2 in k2s]
+        return (_send(self.zero, (ks, best, second)), _rays(x, d, us, vs, kmax)[1],
+                _rays(x, d, self.refs, self.others, self.horizon, 1))
 
     def regime(self, state: MessageState, p: int) -> MessageState:
         """Takes the p-step window from y = x(a) to ``state`` from the held
@@ -435,11 +436,11 @@ class _Run:
         if state.fill and any(f is not None and f == c for z in states
                               for f, c in zip(z.fill, z.top[2])):
             return self.take(_widen(state, states[-2].top[1]))
-        a, y, last = states[0].iteration, states[0].rows, states.pop()
-        d = ds = [list(map(sub, u, v)) for u, v in zip(last.rows, y)]
+        a, y, last = states[0].iteration, states[0].x, states.pop()
+        d = ds = list(map(sub, last.x, y))
         kmax, goods, ends = self.horizon, [], []
         for z in states:
-            ends.append((z, _runner_up_slots(z), ds))
+            ends.append((z, _runner_ups(z), ds))
             ds, kmax, good = self.window_step(*ends[-1], kmax)
             goods.append(good)
         k = min(kmax + 1, (self.horizon - a) // p)
@@ -447,22 +448,21 @@ class _Run:
             return last
         fill = None
         if last.fillers:
-            ends.append((last, _runner_up_slots(last), d))
+            ends.append((last, _runner_ups(last), d))
             k = self.filler_jump(ends, k)
             if k < 2:
                 return last
             z, _, dz = ends[-2]  # the state a jump lands one iteration past
-            fill = _fill(last.fillers, [max(u + (k - 1) * v for u, v in zip(*rr))
-                                        for rr in zip(z.rows, dz)])
+            at, start = [u + (k - 1) * v for u, v in zip(z.x, dz)], z.adj.start
+            fill = _fill(last.fillers, [max(at[a:e]) for a, e in zip(start, start[1:])])
         for s, (lo, hi) in enumerate(goods):  # at a + j*p + s, j = 1..k-1
             lo, hi = max(lo, 1), min(hi, k - 1)
             self.any_good |= lo <= hi
             bad = k - 1 if lo > hi or hi < k - 1 else lo - 1
             self.last_bad = max(self.last_bad, a + bad * p + s if bad else 0)
-        rows = [[u + k * v for u, v in zip(*rr)] for rr in zip(y, d)]
-        state = MessageState(rows, a + k * p, last.adj, fill, last.fillers)
         self.reset()
-        return self.take(state)
+        return self.take(MessageState([u + k * v for u, v in zip(y, d)], a + k * p, last.adj,
+                                      fill, last.fillers))
 
 
 def convergence_time(inst: Instance, reference: Matching, horizon: int) -> int:

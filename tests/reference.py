@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from bpmatching.core import Matching
 from bpmatching.engine import beliefs, init_messages, step
 from bpmatching.trees import unroll
@@ -107,3 +109,21 @@ def class_weight_split(inst, tree) -> dict[str, Fraction]:
         cls = classes.get(frozenset((a, b)), "light")
         totals[cls] = totals.get(cls, Fraction(0)) + w
     return totals
+
+
+@st.composite
+def weight_tables(draw):
+    """Weight matrices of n = 1..5, dense, sparse (rows of 0, 1, 2 or more
+    edges), tied or rational, with at least one edge."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["dense", "sparse", "tied", "rational"]))
+    cell = {
+        "dense": st.integers(-9, 9).map(Fraction),
+        "sparse": st.one_of(st.none(), st.integers(-9, 9).map(Fraction)),
+        "tied": st.integers(0, 2).map(Fraction),
+        "rational": st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6)),
+    }[kind]
+    rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+    if all(w is None for row in rows for w in row):
+        rows[0][0] = Fraction(1)
+    return rows

@@ -1,6 +1,7 @@
 """Tests for instances, matchings, and serialization."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,8 @@ from bpmatching.core import (
     parse_rational,
     relabel,
 )
-from reference import node_neighbors
+from bpmatching.engine import init_messages, step
+from reference import node_neighbors, weight_tables
 
 
 def test_parse_rational():
@@ -93,6 +95,36 @@ def test_bare_view_drops_only_the_fillers():
         [[F(1, 2), None], [F(-3, 2), F(1, 2)]]
     assert bare_view(bare) is None
     assert bare_view(Instance([[0, 0], [0, -1]])) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(weight_tables())
+def test_flat_layout_of_the_adjacency(rows):
+    # One message vector over the edge entries: node u's row is
+    # x[start[u]:start[u + 1]], aligned with nbrs[u], and u's message to
+    # nbrs[u][s] lands at dst[start[u] + s], its entry in that node's row.
+    inst = Instance(rows)
+    adj, n = inst.adjacency(), inst.n
+    start = adj.start
+    assert start[0] == 0 and len(start) == 2 * n + 1
+    for u, (nb, w) in enumerate(zip(adj.nbrs, adj.w)):
+        a, e = start[u], start[u + 1]
+        assert adj.src[a:e] == nb and adj.flat_w[a:e] == w
+        for s, v in enumerate(nb):
+            i = adj.dst[a + s]
+            assert start[v] <= i < start[v + 1] and i - start[v] == adj.slot[u][s]
+            assert adj.src[i] == u and adj.flat_w[i] == w[s] and adj.dst[i] == a + s
+    # At t=1 every message is its edge's weight; t=2 has signed values.
+    state = step(step(init_messages(inst)))
+    assert step(init_messages(inst)).x == adj.flat_w and len(state.x) == start[-1]
+    assert state.rows == [state.x[a:e] for a, e in zip(start, start[1:])]
+    assert state.to_left == state.rows[:n] and state.to_right == state.rows[n:]
+    # The derived layout follows a replaced weight list: a stale flat_w would
+    # carry real weights into the engine's zero-weight linear part.
+    zero = replace(adj, w=[[0] * len(w) for w in adj.w])
+    assert adj.flat_w is inst.adjacency().flat_w  # cached on the instance's view
+    assert zero.flat_w == [0] * start[-1]
+    assert (zero.start, zero.src, zero.dst) == (start, adj.src, adj.dst)
 
 
 def test_node_neighbors():

@@ -22,7 +22,7 @@ from bpmatching.engine import (
 )
 from bpmatching.oracles import certified_horizon, mwm_hungarian
 from reference import (encodes, full_graph_snapshots, full_graph_states, message,
-                       node_neighbors, optimal_matching)
+                       node_neighbors, optimal_matching, weight_tables)
 
 
 def small_cycle():
@@ -338,22 +338,6 @@ def reference_belief(values):
     if not present or present.count(max(present)) > 1:
         return None
     return values.index(max(present))
-
-
-@st.composite
-def weight_tables(draw):
-    n = draw(st.integers(1, 5))
-    kind = draw(st.sampled_from(["dense", "sparse", "tied", "rational"]))
-    cell = {
-        "dense": st.integers(-9, 9).map(F),
-        "sparse": st.one_of(st.none(), st.integers(-9, 9).map(F)),
-        "tied": st.integers(0, 2).map(F),
-        "rational": st.builds(F, st.integers(-20, 20), st.integers(1, 6)),
-    }[kind]
-    rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
-    if all(w is None for row in rows for w in row):
-        rows[0][0] = F(1)
-    return rows
 
 
 @settings(max_examples=150, deadline=None)
@@ -880,6 +864,32 @@ def test_a_regime_call_never_steps(inst, reference, horizon, steps, monkeypatch)
         pass
     assert calls and all(made == 0 for _, _, _, made in calls)
     assert steps is None or len(stepped) == steps
+
+
+#: alpha_1's one edge is bare and it has no filler neighbour, so it has no
+#: runner-up; the other nodes keep two or three bare edges.  The regime at
+#: t=10 jumps 35 periods of 4 to the horizon on the bare view.
+LONE_EDGE = fractions([[5, None, None], [5, 7, -5], [-14, -1, -5]])
+
+
+def test_floors_of_a_row_without_a_runner_up(monkeypatch):
+    # _floors reads a row's runner-up by its index in the flat message
+    # vector; with none (-1) its second floor is its best floor, never a
+    # message of another row.
+    from bpmatching import engine
+
+    inst, reference = Instance(LONE_EDGE), Matching.of([(i, i) for i in range(3)])
+    calls, real = [], engine._floors
+
+    def spy(y, k2s, d, j):
+        bests, seconds = real(y, k2s, d, j)
+        calls.append((k2s[0], bests[0], seconds[0]))
+        return bests, seconds
+
+    monkeypatch.setattr(engine, "_floors", spy)
+    assert checked_jumps(inst, reference, 150) == (3, [(150, 4)])
+    assert reference_convergence_time(inst, reference, 150) == 3
+    assert calls and all(k2 == -1 and second == best for k2, best, second in calls)
 
 
 def random_dense_cases(count, seed):
