@@ -12,9 +12,9 @@ programming.  Nodes still unmatched afterwards are paired greedily in
 ascending index order.
 
 Graph nodes carry the ids of the instance graph view: alpha_i is i and
-beta_j is n + j.  The dynamic programming runs on the integer numerators of
-``Instance.scaled_weights()``; ``Fraction`` appears only in the
-``BranchRecord`` weights and the approximation ratio.
+beta_j is n + j.  The dynamic programming and the ratio's sum run on the
+integer numerators of ``Instance.scaled_weights()``; ``Fraction`` appears
+only in the ``BranchRecord`` weights and, once, in the approximation ratio.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Optional, Sequence
 
-from .core import Instance, Matching, MissingEdgeError, ParameterError, matching_weight
+from .core import Instance, Matching, MissingEdgeError, ParameterError
 from .engine import BeliefSnapshot, PartialBpMatching, partial_bp_matching
 
 
@@ -188,19 +188,25 @@ def forest_mwm(
     return total, chosen
 
 
-def complete(inst: Instance, snap: BeliefSnapshot) -> CompletionResult:
-    """Perfect matching extending the partial BP matching of a snapshot.
+def complete(inst: Instance, snap: BeliefSnapshot,
+             partial: Optional[PartialBpMatching] = None) -> CompletionResult:
+    """Perfect matching extending ``partial``, the snapshot's partial BP
+    matching (``partial_bp_matching(snap)`` unless the caller has it).
 
     Cyclic conflict components are branched on their lexicographically
     smallest cycle edge; the branch with the larger committed weight wins.
-    Leftover nodes are paired greedily in ascending index order.
+    Leftover nodes are paired greedily in ascending index order.  Every
+    edge of the result, the mutual pairs included, is checked present.
     """
     n, rows, scale = inst.n, inst.scaled_weights(), inst.scale
-    partial = partial_bp_matching(snap)
+    partial = partial or partial_bp_matching(snap)
     ptr = _pointers(snap, partial)
     edges = _edges(ptr)
     label, cycle_edge = _components(ptr)
     pairs: set[tuple[int, int]] = set(partial.pairs.pairs)
+    for i, j in pairs:
+        if rows[i][j] is None:
+            raise MissingEdgeError(f"mutual edge ({i},{j}) is absent")
     records: list[BranchRecord] = []
 
     # Sorted edges bucketed by component: components come in the order of
@@ -245,21 +251,17 @@ def complete(inst: Instance, snap: BeliefSnapshot) -> CompletionResult:
     for i, j in edges:
         if i not in covered_left and j not in covered_right:
             greedy.append((i, j))
-            pairs.add((i, j))
             covered_left.add(i)
             covered_right.add(j)
-    leftover_left = sorted(i for i in range(n) if i not in covered_left)
-    leftover_right = sorted(j for j in range(n) if j not in covered_right)
-    for i, j in zip(leftover_left, leftover_right):
-        if not inst.has_edge(i, j):
-            raise MissingEdgeError(
-                "greedy completion needs the full K_{n,n}; edge "
-                f"({i},{j}) is absent"
-            )
+    for i, j in zip([i for i in range(n) if i not in covered_left],
+                    [j for j in range(n) if j not in covered_right]):
+        if rows[i][j] is None:
+            raise MissingEdgeError("greedy completion needs the full K_{n,n}; edge "
+                                   f"({i},{j}) is absent")
         greedy.append((i, j))
-        pairs.add((i, j))
+    pairs.update(greedy)
     return CompletionResult(
-        matching=Matching.of(pairs),
+        matching=Matching(frozenset(pairs)),
         branch_records=tuple(records),
         greedy_pairs=tuple(greedy),
     )
@@ -268,10 +270,13 @@ def complete(inst: Instance, snap: BeliefSnapshot) -> CompletionResult:
 def approximation_ratio(
     inst: Instance, completion: CompletionResult, mwm_weight: Fraction
 ) -> Fraction:
-    """W(completion) / W(optimum) as an exact rational."""
-    mwm_weight = Fraction(mwm_weight)
+    """W(completion) / W(optimum) as one exact ``Fraction``; ``completion``
+    is as ``complete`` returns it, every edge present, so its weight is summed
+    on the scaled integers unchecked.  ``mwm_weight`` is an int or Fraction."""
     if mwm_weight <= 0:
         raise ParameterError("ratio needs a positive optimal weight; shift first")
     if not completion.matching.is_perfect(inst.n):
         raise ParameterError("completion must be a perfect matching")
-    return matching_weight(inst, completion.matching) / mwm_weight
+    rows = inst.scaled_weights()
+    total = sum(rows[i][j] for i, j in completion.matching.pairs)
+    return Fraction(total * mwm_weight.denominator, inst.scale * mwm_weight.numerator)

@@ -31,8 +31,7 @@ from .core import (
 )
 from . import engine, generators, oracles, trees
 from .approx import approximation_ratio, build_conflict_graph, complete
-from .engine import beliefs as engine_beliefs
-from .engine import partial_bp_matching
+from .engine import beliefs as engine_beliefs, partial_bp_matching
 
 TRACE_HEADER = [
     "t",
@@ -118,7 +117,9 @@ def _trace_rows(
     and the completion ratio's numerator and denominator ("" without
     ``opt_weight``).
 
-    Each distinct snapshot is evaluated once and its row reused.
+    Each distinct snapshot is evaluated once, in one pass, and its row
+    reused: one partial BP matching serves the row and the completion, whose
+    ratio is one ``Fraction`` over the scaled integer weights.
     """
     want = engine.reference_beliefs(reference, inst.n)
     seen: dict[tuple, tuple] = {}
@@ -126,19 +127,19 @@ def _trace_rows(
         key = (snap.left_belief, snap.right_belief)
         row = seen.get(key)
         if row is None:
-            pairs = partial_bp_matching(snap).pairs.pairs
+            partial = partial_bp_matching(snap)
             failed = sum(
-                sum(lo <= i < hi and lo <= j < hi for i, j in pairs) < hi - lo
+                sum(lo <= i < hi and lo <= j < hi for i, j in partial.pairs.pairs) < hi - lo
                 for lo, hi in cycles
             )
             num = den = ""
             if opt_weight is not None:
-                ratio = approximation_ratio(inst, complete(inst, snap), opt_weight)
+                ratio = approximation_ratio(inst, complete(inst, snap, partial), opt_weight)
                 num, den = ratio.numerator, ratio.denominator
             if len(seen) == _ROW_CACHE:
                 seen.clear()
             row = seen[key] = (
-                len(pairs), key[0].count(None) + key[1].count(None),
+                len(partial.pairs), key[0].count(None) + key[1].count(None),
                 int(key == want), failed, num, den,
             )
         yield snap.iteration, row

@@ -224,18 +224,12 @@ def beliefs(state: MessageState) -> BeliefSnapshot:
 
 def partial_bp_matching(b: BeliefSnapshot) -> PartialBpMatching:
     """Edges both endpoints believe in, plus uncovered node lists."""
-    n = len(b.left_belief)
-    pairs = [
-        (i, j)
-        for i, j in enumerate(b.left_belief)
-        if j is not None and b.right_belief[j] == i
-    ]
-    covered_left = {i for i, _ in pairs}
-    covered_right = {j for _, j in pairs}
+    left, right = b.left_belief, b.right_belief
     return PartialBpMatching(
-        pairs=Matching.of(pairs),
-        uncovered_left=tuple(i for i in range(n) if i not in covered_left),
-        uncovered_right=tuple(j for j in range(n) if j not in covered_right),
+        pairs=Matching(frozenset(
+            (i, j) for i, j in enumerate(left) if j is not None and right[j] == i)),
+        uncovered_left=tuple(i for i, j in enumerate(left) if j is None or right[j] != i),
+        uncovered_right=tuple(j for j, i in enumerate(right) if i is None or left[i] != j),
     )
 
 

@@ -244,6 +244,30 @@ def test_approximation_ratio():
         approximation_ratio(inst, res, F(0))
 
 
+def test_approximation_ratio_prices_like_matching_weight():
+    # The ratio sums the scaled integers of the completion; the matching
+    # weight route, checked edge by edge, must give the same rational, and a
+    # completion built from a passed partial matching must equal one built
+    # without it.
+    rng = random.Random(43)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        inst = dense_instance(rng, n)
+        snap = random_snapshot(rng, n)
+        res = complete(inst, snap)
+        assert complete(inst, snap, partial_bp_matching(snap)) == res
+        opt = F(rng.randint(1, 40), rng.randint(1, 7))
+        assert approximation_ratio(inst, res, opt) == matching_weight(inst, res.matching) / opt
+
+
+def test_complete_rejects_an_absent_mutual_edge():
+    # alpha_1 and beta_2 believe each other, but the bare cycle lacks (0, 1).
+    inst = generators.gen_cycle(generators.CycleParams(3, F(8), F(1, 2)))
+    snap = BeliefSnapshot((1, None, None), (None, 0, None), 1)
+    with pytest.raises(MissingEdgeError, match=r"edge \(0,1\) is absent"):
+        complete(inst, snap)
+
+
 def test_approximation_ratio_requires_perfect_completion():
     inst = Instance([[F(4), F(1)], [F(1), F(4)]])
     from bpmatching.approx import CompletionResult

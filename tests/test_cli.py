@@ -9,10 +9,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from bpmatching import cli, engine, generators, oracles
-from bpmatching.approx import approximation_ratio, complete
+from bpmatching import approx, cli, engine, generators, oracles
+from bpmatching.approx import complete
 from bpmatching.cli import main
-from bpmatching.core import Instance
+from bpmatching.core import Instance, matching_weight
 from bpmatching.engine import partial_bp_matching
 from reference import encodes, full_graph_snapshots
 
@@ -460,7 +460,8 @@ def test_exp_approx_window_below_one_iteration_needs_iters(tmp_path, capsys):
 
 
 def reference_trace(inst, horizon, with_ratio):
-    """``bp run`` / ``approx`` CSV text, every row computed from scratch."""
+    """``bp run`` / ``approx`` CSV text, every row computed from scratch;
+    a ratio prices its completion through ``core.matching_weight``."""
     reference, _ = oracles.mwm_hungarian(inst)
     if with_ratio:
         _, opt_weight = oracles.mwm_hungarian(inst)
@@ -474,7 +475,7 @@ def reference_trace(inst, horizon, with_ratio):
         )
         num = den = ""
         if with_ratio:
-            ratio = approximation_ratio(inst, complete(inst, snap), opt_weight)
+            ratio = matching_weight(inst, complete(inst, snap).matching) / opt_weight
             num, den = str(ratio.numerator), str(ratio.denominator)
         writer.writerow([snap.iteration, len(partial.pairs), unresolved,
                          int(encodes(snap, reference)), num, den])
@@ -506,7 +507,7 @@ def reference_exp_approx(inst, horizon):
         unresolved = sum(1 for b in snap.left_belief if b is None) + sum(
             1 for b in snap.right_belief if b is None
         )
-        ratio = approximation_ratio(inst, complete(inst, snap), opt_weight)
+        ratio = matching_weight(inst, complete(inst, snap).matching) / opt_weight
         rows.append({
             "instance": inst.content_hash()[:16],
             "t": snap.iteration,
@@ -530,14 +531,20 @@ def random_dense_instance(seed, n):
                      for _ in range(n)])
 
 
-@pytest.mark.parametrize("case", ["embedded-cycle", "multicycle", "random-dense"])
+@pytest.mark.parametrize(
+    "case", ["embedded-cycle", "multicycle", "random-dense", "random-dense-branching"])
 def test_trace_csvs_match_per_iteration_reference(tmp_path, capsys, case):
-    inst, iters = {
+    # (instance, iterations, branch records over its snapshots): the last
+    # case reaches a cyclic conflict component, so its rows branch.
+    inst, iters, branches = {
         "embedded-cycle": (generators.gen_cycle(
-            generators.CycleParams(5, F(8), F(1, 2)), embed=True), 60),
-        "multicycle": (generators.gen_multicycle(16, F(8), F(1, 100), c=2), 80),
-        "random-dense": (random_dense_instance(11, 6), 60),
+            generators.CycleParams(5, F(8), F(1, 2)), embed=True), 60, 0),
+        "multicycle": (generators.gen_multicycle(16, F(8), F(1, 100), c=2), 80, 0),
+        "random-dense": (random_dense_instance(11, 6), 60, 0),
+        "random-dense-branching": (random_dense_instance(52, 4), 40, 5),
     }[case]
+    assert sum(len(complete(inst, snap).branch_records)
+               for snap in full_graph_snapshots(inst, iters)) == branches
     path = tmp_path / "inst.json"
     path.write_text(inst.to_json())
     for command, with_ratio in (["bp", "run"], False), (["approx"], True):
@@ -586,13 +593,19 @@ def test_full_row_cache_is_emptied_without_changing_rows(tmp_path, capsys, monke
 def test_exp_approx_evaluates_each_distinct_snapshot_once(tmp_path, capsys, monkeypatch):
     inst = generators.gen_multicycle(16, F(8), F(1, 100), c=2)
     iters = 80
-    calls = []
+    calls, partials = [], []
 
-    def counted(inst, snap):
+    def counted(inst, snap, partial):
         calls.append((snap.left_belief, snap.right_belief))
-        return complete(inst, snap)
+        return complete(inst, snap, partial)
+
+    def counted_partial(snap):
+        partials.append((snap.left_belief, snap.right_belief))
+        return partial_bp_matching(snap)
 
     monkeypatch.setattr(cli, "complete", counted)
+    for module in (cli, approx):
+        monkeypatch.setattr(module, "partial_bp_matching", counted_partial)
     out_csv = tmp_path / "curve.csv"
     code, _, _ = run(
         ["exp", "approx", "--n", "16", "--wmax", "8", "--eps", "1/100",
@@ -603,6 +616,7 @@ def test_exp_approx_evaluates_each_distinct_snapshot_once(tmp_path, capsys, monk
     distinct = {(s.left_belief, s.right_belief)
                 for s in engine.run_to_horizon(inst, iters)}
     assert len(calls) == len(set(calls)) == len(distinct) < iters
+    assert len(partials) == len(set(partials)) == len(distinct)
     monkeypatch.undo()
     assert out_csv.read_bytes() == reference_exp_approx(inst, iters).encode()
 
