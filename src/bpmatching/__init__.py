@@ -1,21 +1,1 @@
 """Exact-arithmetic max-sum belief propagation lab for the assignment problem."""
-
-from .core import (
-    HorizonExhausted,
-    Instance,
-    Matching,
-    MissingEdgeError,
-    OracleCapExceeded,
-    ParameterError,
-    matching_weight,
-)
-
-__all__ = [
-    "HorizonExhausted",
-    "Instance",
-    "Matching",
-    "MissingEdgeError",
-    "OracleCapExceeded",
-    "ParameterError",
-    "matching_weight",
-]

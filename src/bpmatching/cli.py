@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 precondition violation (an output path that
 cannot be written among them, checked before any work), 3 horizon
 exhausted or an ``exp convergence`` row outside the bound sandwich, 4
-oracle cap exceeded.  Rational flags are 'P/Q' strings.  Results are CSV
+oracle cap exceeded.  A streamed CSV that fails part way leaves its path
+as it was.  Rational flags are 'P/Q' strings.  Results are CSV
 plus a JSON manifest (config, instance hashes, bound values) so runs are
 byte-reproducible.
 """
@@ -11,13 +12,15 @@ byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, Optional, TextIO
 
 from .core import (
     HorizonExhausted,
@@ -66,8 +69,10 @@ def _load_instance(path: str) -> Instance:
 _HORIZON_CAP = 10**6
 
 
-def _horizon(inst: Instance, explicit: Optional[int]) -> tuple[int, Matching, Fraction]:
-    """The explicit horizon, else the certified one if it is at most the cap;
+def _horizon(inst: Instance, explicit: Optional[int],
+             flag: Optional[str] = None) -> tuple[int, Matching, Fraction]:
+    """The explicit horizon, else the certified one if it is at most the cap
+    (the error names ``flag``, the command's explicit horizon, if it has one);
     with the optimum matching and its weight, from one Hungarian solve."""
     if explicit is not None:
         if explicit < 1:
@@ -76,10 +81,9 @@ def _horizon(inst: Instance, explicit: Optional[int]) -> tuple[int, Matching, Fr
     reference, opt_weight, gap = oracles.optimum_and_gap(inst)
     horizon = oracles.certified_horizon(inst, gap)
     if horizon > _HORIZON_CAP:
+        hint = f" (an explicit {flag} is not capped)" if flag else ""
         raise HorizonExhausted(
-            f"certified horizon {horizon} exceeds the cap {_HORIZON_CAP} "
-            "(an explicit horizon is not capped)"
-        )
+            f"certified horizon {horizon} exceeds the cap {_HORIZON_CAP}{hint}")
     return horizon, reference, opt_weight
 
 
@@ -145,6 +149,21 @@ def _trace_rows(
         yield snap.iteration, row
 
 
+@contextlib.contextmanager
+def _csv_file(path: str) -> Iterator[TextIO]:
+    """A text handle for the CSV at ``path`` that leaves no partial file: the
+    rows stream into a temporary file beside it, named by this process,
+    which replaces ``path`` when the block completes and is removed when it
+    raises."""
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_trace(inst: Instance, horizon: int, reference: Matching,
                  opt_weight: Optional[Fraction], out) -> None:
     writer = csv.writer(out)
@@ -158,13 +177,13 @@ def _write_trace(inst: Instance, horizon: int, reference: Matching,
 def cmd_trace(args: argparse.Namespace) -> int:
     """``bp run`` and ``approx``: per-iteration trace CSV, ratios for ``approx``."""
     inst = _load_instance(args.instance)
-    horizon, reference, opt_weight = _horizon(inst, args.iters)
+    horizon, reference, opt_weight = _horizon(inst, args.iters, "--iters")
     if not args.with_ratio:
         opt_weight = None
     elif opt_weight <= 0:
         raise ParameterError("approximation ratios need a positive optimum")
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+        with _csv_file(args.csv) as fh:
             _write_trace(inst, horizon, reference, opt_weight, fh)
     else:
         _write_trace(inst, horizon, reference, opt_weight, sys.stdout)
@@ -173,7 +192,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_bp_converge(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
-    horizon, reference, _ = _horizon(inst, args.horizon)
+    horizon, reference, _ = _horizon(inst, args.horizon, "--horizon")
     t = engine.convergence_time(inst, reference, horizon)
     print(f"converged at t={t} (horizon {horizon})")
     return 0
@@ -258,7 +277,7 @@ def cmd_exp_approx(args: argparse.Namespace) -> int:
     cycles = [(b["offset"], b["offset"] + b["half_length"]) for b in meta["cycles"]]
     digest = inst.content_hash()[:16]
     count = 0
-    with open(args.output, "w", newline="", encoding="utf-8") as fh:
+    with _csv_file(args.output) as fh:
         writer = csv.writer(fh)
         writer.writerow(APPROX_HEADER)
         for t, (pairs, unresolved, _, failed, num, den) in _trace_rows(

@@ -98,19 +98,17 @@ class Matching:
 class Adjacency:
     """Incidence lists over the graph ids 0..2n-1 (alpha_i is i, beta_j n + j).
 
-    ``nbrs[u]`` holds u's neighbour ids in ascending order, ``w[u]`` the
-    aligned scaled weights, and ``slot[u][s]`` the position of u in the
-    list of its neighbour ``nbrs[u][s]``.  The rest, derived from these
-    on first use (so ``dataclasses.replace`` rebuilds it), lays one value per
-    incidence out flat, node u's row at ``start[u]:start[u + 1]``, aligned
-    with ``nbrs[u]``: ``src`` holds each entry's neighbour, ``flat_w`` its
-    weight, and ``dst`` the entry of the other end's row on its edge, so
+    ``nbrs[u]`` holds u's neighbour ids in ascending order and ``w[u]`` the
+    aligned scaled weights.  The rest, derived from these on first use (so
+    ``dataclasses.replace`` rebuilds it), lays one value per incidence out
+    flat, node u's row at ``start[u]:start[u + 1]``, aligned with
+    ``nbrs[u]``: ``src`` holds each entry's neighbour, ``flat_w`` its weight,
+    and ``dst`` the entry of the other end's row on its edge, so
     ``dst[start[u] + s]`` is u's entry in the row of ``nbrs[u][s]``.
     """
 
     nbrs: list[list[int]]
     w: list[list[int]]
-    slot: list[list[int]]
 
     @cached_property
     def start(self) -> list[int]:
@@ -126,8 +124,8 @@ class Adjacency:
 
     @cached_property
     def dst(self) -> list[int]:
-        start = self.start
-        return [start[v] + s for nb, sl in zip(self.nbrs, self.slot) for v, s in zip(nb, sl)]
+        start, nbrs = self.start, self.nbrs
+        return [start[v] + bisect_left(nbrs[v], u) for u, nb in enumerate(nbrs) for v in nb]
 
 
 class Instance:
@@ -207,7 +205,6 @@ class Instance:
             self._adj = Adjacency(
                 nbrs,
                 [[rows[min(u, v)][max(u, v) - n] for v in nb] for u, nb in enumerate(nbrs)],
-                [[bisect_left(nbrs[v], u) for v in nb] for u, nb in enumerate(nbrs)],
             )
         return self._adj
 

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import compress, repeat
@@ -369,21 +370,15 @@ class _Run:
         their runner-ups and drifts; the fills into a + j*p + s + 1, from
         the bests at offset s, must stay below the runner-ups at offset s + 1.
         Each ray a + j*b >= 0 holds on 0..j once it holds at j (it does at 0,
-        or ``regime`` widens), so a bisection on j finds where the first ends."""
+        or ``regime`` widens), so ``bisect_left`` finds k', the first j failing."""
         fillers = ends[0][0].fillers
 
-        def holds(j: int) -> bool:
+        def fails(j: int) -> bool:
             floors = [_floors(*end, j) for end in ends]
-            return all(f is None or f < s for b, (_, ss) in zip(floors, floors[1:])
+            return any(f is not None and f >= s for b, (_, ss) in zip(floors, floors[1:])
                        for f, s in zip(_fill(fillers, b[0]), ss))
 
-        if holds(k - 1):
-            return k
-        lo, hi = 1, k - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            lo, hi = (mid, hi) if holds(mid - 1) else (lo, mid - 1)
-        return lo
+        return bisect_left(range(k - 1), True, key=fails) if fails(k - 1) else k
 
     def period(self) -> int:
         """Smallest p whose last two p-step windows repeat the selections and

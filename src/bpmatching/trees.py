@@ -17,7 +17,8 @@ For cycle-restricted instances every tree is a path (each non-root node has
 exactly one child), so unrolling stays linear in t.  ``unroll`` memoises each
 root's tree and grows it level by level, as the depth-t tree is the BFS
 prefix of any deeper one; the memo holds the last instance's trees (weakly),
-at most ``DEFAULT_NODE_CAP`` nodes in all.  The DP shares nothing across depths.
+at most ``DEFAULT_NODE_CAP`` nodes in all, and drops a root only to store a
+level that fits.  The DP shares nothing across depths.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ class ComputationTree:
 
 def unroll(inst: Instance, v: int, t: int) -> ComputationTree:
     """Depth-t computation tree of graph node ``v``, copied from the BFS
-    prefix of the memo's tree of ``v``.  It grows by whole levels, dropping
-    other roots before the memo holds over ``DEFAULT_NODE_CAP`` nodes; a
-    depth-t tree over the cap raises ``OracleCapExceeded``."""
+    prefix of the memo's tree of ``v``.  It grows by whole levels, each stored
+    once it fits in ``DEFAULT_NODE_CAP`` nodes, dropping other roots if the
+    memo then holds more; a level over the cap raises ``OracleCapExceeded``."""
     global _grown_for
     if not (0 <= v < 2 * inst.n):
         raise ParameterError(f"node id {v} out of range")
@@ -81,28 +82,27 @@ def unroll(inst: Instance, v: int, t: int) -> ComputationTree:
     if _grown_for() is not inst:
         _grown.clear()
         _grown_for = weakref.ref(inst, lambda _: _grown.clear())
-    labels, parent, weight_up, ends = _grown.setdefault(v, ([v], [-1], [None], [0, 1]))
-    others = sum(len(g[0]) for g in _grown.values()) - len(labels)
-    try:
-        while len(ends) < t + 2:
-            for k in range(ends[-2], ends[-1]):
-                u = labels[k]
-                p_label = labels[parent[k]] if k else -1
-                for nb, w in zip(adj.nbrs[u], adj.w[u]):
-                    if nb != p_label:
-                        labels.append(nb)
-                        parent.append(k)
-                        weight_up.append(w)
-                if len(labels) + others > cap:
-                    if len(labels) > cap:
-                        raise OracleCapExceeded(f"computation tree exceeds cap of {cap} nodes")
-                    for r in set(_grown) - {v}:
-                        del _grown[r]
-                    others = 0
-            ends.append(len(labels))
-    except BaseException:  # keep whole levels only
-        del labels[ends[-1]:], parent[ends[-1]:], weight_up[ends[-1]:]
-        raise
+    labels, parent, weight_up, ends = tree = _grown.get(v, ([v], [-1], [None], [0, 1]))
+    while len(ends) < t + 2:  # each level is stored only once it fits
+        lab, par, wu, room = [], [], [], cap - len(labels)
+        for k in range(ends[-2], ends[-1]):
+            u = labels[k]
+            p_label = labels[parent[k]] if k else -1
+            for nb, w in zip(adj.nbrs[u], adj.w[u]):
+                if nb != p_label:
+                    lab.append(nb)
+                    par.append(k)
+                    wu.append(w)
+            if len(lab) > room:
+                raise OracleCapExceeded(f"computation tree exceeds cap of {cap} nodes")
+        labels += lab
+        parent += par
+        weight_up += wu
+        ends.append(len(labels))
+        _grown[v] = tree
+        if sum(len(g[0]) for g in _grown.values()) > cap:
+            _grown.clear()
+            _grown[v] = tree
     e = ends[t + 1]
     if e > cap:
         raise OracleCapExceeded(f"computation tree exceeds cap of {cap} nodes")

@@ -154,9 +154,10 @@ def test_bp_converge_horizon_exhausted(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [
     ["bp", "converge", "--instance", "{inst}"],
-    ["bp", "run", "--instance", "{inst}"],
+    ["bp", "run", "--instance", "{inst}", "--csv", "{out}"],
     ["exp", "convergence", "--n", "3", "--wmax", "8", "--eps", "1/100000",
      "-o", "{out}"],
+    ["approx", "--instance", "{inst}", "--csv", "{out}"],
 ])
 def test_certified_horizon_above_cap_exits_before_any_step(
     tmp_path, capsys, monkeypatch, command
@@ -172,7 +173,11 @@ def test_certified_horizon_above_cap_exits_before_any_step(
     argv = [a.format(inst=path, out=out_csv) for a in command]
     code, out, err = run(argv, capsys)
     assert code == 3
-    assert "4800000" in err and "1000000" in err
+    # The hint names the command's own explicit-horizon flag, if it has one.
+    name = " ".join(a for a in command[:2] if not a.startswith("-"))
+    flag = {"bp converge": "--horizon", "bp run": "--iters", "approx": "--iters"}.get(name)
+    hint = f" (an explicit {flag} is not capped)" if flag else ""
+    assert err == f"error: certified horizon 4800000 exceeds the cap 1000000{hint}\n"
     assert "converged" not in out
     assert not out_csv.exists()
 
@@ -643,6 +648,48 @@ def test_approx_on_bare_cycle_needs_dense_instance(tmp_path, capsys):
     assert code == 2
     assert err == ("error: greedy completion needs the full K_{n,n}; "
                    "edge (3,0) is absent\n")
+
+
+def test_failed_approx_leaves_the_csv_path_as_it_was(tmp_path, capsys):
+    # The t=1 row is written before the t=2 completion meets the absent
+    # edge (2,1); the earlier file at the path keeps its bytes.
+    path, out_csv = tmp_path / "inst.json", tmp_path / "o.csv"
+    path.write_text('{"n":4,"scale":1,"weights":[[5,8,null,1],[1,5,6,null],'
+                    '[-1,null,6,5],[null,null,5,5]],"meta":null}')
+    out_csv.write_bytes(b"earlier\r\n")
+    code, out, err = run(
+        ["approx", "--instance", str(path), "--iters", "2", "--csv", str(out_csv)], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: greedy completion needs the full K_{n,n}; "
+                   "edge (2,1) is absent\n")
+    assert out_csv.read_bytes() == b"earlier\r\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json", "o.csv"]
+
+
+@pytest.mark.parametrize("command", [
+    ["bp", "run", "--instance", "{inst}", "--iters", "30", "--csv", "{out}"],
+    ["exp", "approx", "--n", "16", "--wmax", "8", "--eps", "1/100", "--c", "2",
+     "--iters", "30", "-o", "{out}"],
+], ids=["bp-run", "exp-approx"])
+def test_interrupted_csv_leaves_no_partial_file(tmp_path, capsys, monkeypatch, command):
+    # Interrupted after ten rows: no CSV appears, and no temporary file stays.
+    path, out_csv = gen_cycle_file(tmp_path, capsys), tmp_path / "out.csv"
+    run_to_horizon = engine.run_to_horizon
+
+    def interrupted(inst, horizon):
+        for snap in run_to_horizon(inst, horizon):
+            if snap.iteration > 10:
+                raise KeyboardInterrupt
+            yield snap
+
+    monkeypatch.setattr(engine, "run_to_horizon", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main([a.format(inst=path, out=out_csv) for a in command])
+    assert [p.name for p in tmp_path.iterdir()] == ["inst.json"]
+    monkeypatch.undo()
+    assert main([a.format(inst=path, out=out_csv) for a in command]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json", "out.csv"]
+    assert len(out_csv.read_text().splitlines()) == 31
 
 
 def test_oracle_tree_belief(tmp_path, capsys):

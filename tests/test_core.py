@@ -112,7 +112,7 @@ def test_flat_layout_of_the_adjacency(rows):
         assert adj.src[a:e] == nb and adj.flat_w[a:e] == w
         for s, v in enumerate(nb):
             i = adj.dst[a + s]
-            assert start[v] <= i < start[v + 1] and i - start[v] == adj.slot[u][s]
+            assert start[v] <= i < start[v + 1] and adj.nbrs[v][i - start[v]] == u
             assert adj.src[i] == u and adj.flat_w[i] == w[s] and adj.dst[i] == a + s
     # At t=1 every message is its edge's weight; t=2 has signed values.
     state = step(step(init_messages(inst)))

@@ -377,13 +377,13 @@ def test_step_and_beliefs_match_formula_reference(rows):
 def test_adjacency_lists_every_edge_once_from_both_ends(rows):
     inst = Instance(rows)
     n, adj, scaled = inst.n, inst.adjacency(), inst.scaled_weights()
-    assert len(adj.nbrs) == len(adj.w) == len(adj.slot) == 2 * n
+    assert len(adj.nbrs) == len(adj.w) == 2 * n and len(adj.dst) == adj.start[-1]
     for u, nb in enumerate(adj.nbrs):
         assert nb == sorted(set(nb))
         assert all(n <= v < 2 * n if u < n else 0 <= v < n for v in nb)
         assert nb == [v for v, _ in node_neighbors(inst, u)]
         for s, v in enumerate(nb):
-            back = adj.slot[u][s]
+            back = adj.dst[adj.start[u] + s] - adj.start[v]
             assert adj.nbrs[v][back] == u
             assert adj.w[u][s] == adj.w[v][back] == scaled[min(u, v)][max(u, v) - n]
 

@@ -1,5 +1,6 @@
 """Tests for computation-tree unrolling and the tree-matching oracle."""
 
+import copy
 import dataclasses
 import random
 from fractions import Fraction as F
@@ -329,6 +330,26 @@ def test_unroll_cap_on_grown_trees(monkeypatch):
         unroll(fresh, 0, 10)  # stops inside level 3
     monkeypatch.undo()
     assert_is_reference_tree(fresh, 0, 10, unroll(fresh, 0, 10))
+
+
+def test_unroll_over_the_cap_leaves_the_memo_as_it_found_it(monkeypatch):
+    # Roots 1, 2 and 0 hold 5 + 17 + 17 = 39 nodes; root 0's depth-3 tree
+    # has 53.  Its level 3 does not fit, so no root is dropped for it.
+    inst = Instance([[F(1)] * 4 for _ in range(4)])
+    monkeypatch.setattr(trees, "DEFAULT_NODE_CAP", 50)
+    for v, t in (1, 1), (2, 2), (0, 2):
+        unroll(inst, v, t)
+    for t in 3, 10:
+        before = copy.deepcopy(trees._grown)
+        with pytest.raises(OracleCapExceeded):
+            unroll(inst, 0, t)
+        assert trees._grown == before
+    # Root 3 stores its levels 1 and 2, dropping the others to make room for
+    # them, before its level 3 fails.
+    with pytest.raises(OracleCapExceeded):
+        unroll(inst, 3, 3)
+    assert list(trees._grown) == [3] and trees._grown[3][3] == [0, 1, 5, 17]
+    assert_is_reference_tree(inst, 3, 2, unroll(inst, 3, 2))
 
 
 def test_memo_holds_at_most_the_cap(monkeypatch):
