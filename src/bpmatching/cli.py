@@ -236,7 +236,7 @@ def cmd_exp_convergence(args: argparse.Namespace) -> int:
                 "verdict": "pass" if verdict else "fail",
             }
         )
-    with open(args.output, "w", newline="", encoding="utf-8") as fh:
+    with _csv_file(args.output) as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)

@@ -144,12 +144,11 @@ class Instance:
         weights: list[list[Optional[Fraction]]],
         meta: Optional[dict] = None,
     ) -> None:
-        weights = [[None if w is None else Fraction(w) for w in row] for row in weights]
-        scale = lcm(*[w.denominator for row in weights for w in row if w is not None])
-        self._store(
-            [[None if w is None else int(w * scale) for w in row] for row in weights],
-            scale, meta,
-        )
+        cells = [[w if w is None or isinstance(w, (int, Fraction)) else Fraction(w)
+                  for w in row] for row in weights]
+        scale = lcm(*{w.denominator for row in cells for w in row if w is not None})
+        self._store([[None if w is None else w.numerator * (scale // w.denominator)
+                      for w in row] for row in cells], scale, meta)
 
     @classmethod
     def scaled(

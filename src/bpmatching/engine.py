@@ -48,7 +48,8 @@ largest weight) steps its bare view when every node keeps a bare edge and
 the reference, if any, lies in it; its states carry per node l its fill,
 the largest filler message into l.  While no filler is a strict argmax, the
 filler u -> l at t is fw - best_u(t-1), so fill_l(t) is fw less the
-smallest best_u among l's filler neighbours.  ``top`` counts the fill among
+smallest best_u among l's filler neighbours: the other side's least, save
+at the nodes ``apart`` from its first argmin.  ``top`` counts the fill among
 the runner-ups, so each node sends what it sends on the full graph; a fill
 equal to the best is a tie there too (Unresolved, w - best on every edge).
 By induction from t=1 the bare messages, fills and beliefs are the full
@@ -70,7 +71,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import compress, repeat
-from operator import eq, mul, sub
+from operator import eq, gt, mul, sub
 from typing import Iterator, Optional
 
 from .core import (Adjacency, HorizonExhausted, Instance, Matching, ParameterError,
@@ -93,13 +94,14 @@ def _tops(x: list[int], start: list[int], fill: Optional[list[Optional[int]]]) -
         if e - a == 2:  # most rows: the top pair in one comparison
             u, v = x[a], x[a + 1]
             k, best, second = (a, u, v) if u >= v else (a + 1, v, u)
+        elif e - a == 1:  # a pad
+            k, best = a, x[a]
         elif e > a:
             row = x[a:e]
             best = max(row)
             k = x.index(best, a, e)
-            if e - a > 1:
-                row[k - a] = row[k - a - 1]  # another entry's value: max is now the runner-up
-                second = max(row)
+            row[k - a] = row[k - a - 1]  # another entry's value: max is now the runner-up
+            second = max(row)
         if f is not None and (second is None or f > second):
             second = f  # the largest filler message is a runner-up too
         ks.append(k)
@@ -111,23 +113,30 @@ def _tops(x: list[int], start: list[int], fill: Optional[list[Optional[int]]]) -
 @dataclass(frozen=True)
 class _Fillers:
     """The filler edges a bare view leaves out: the full graph, their one
-    weight ``fw``, and per node its filler neighbours."""
+    weight ``fw``, per node its filler neighbours and the other side's nodes
+    it has none to (``apart``); ``over`` tests the nodes with some (``has``)."""
 
     full: Adjacency
     fw: int
     nbrs: list[frozenset[int]]
+    apart: list[list[int]]
+    has: list[int]
+
+    def over(self, fill: list[Optional[int]], vals: list, op) -> bool:
+        return any(map(op, map(fill.__getitem__, self.has), map(vals.__getitem__, self.has)))
 
 
 def _fill(fillers: _Fillers, bests: list[int]) -> list[Optional[int]]:
     """Per node l, fw - min best_u over its filler neighbours u (None with
-    none): the first filler neighbour in the other side's sorted bests."""
-    n, fw = len(bests) // 2, fillers.fw
-    fill: list[Optional[int]] = []
-    for us, fs in (range(n, 2 * n), fillers.nbrs[:n]), (range(n), fillers.nbrs[n:]):
-        order = sorted(us, key=bests.__getitem__)
-        u0 = order[0]  # a filler neighbour of most nodes of the other side
-        fill += [fw - bests[u0 if u0 in f else next(filter(f.__contains__, order))]
-                 if f else None for f in fs]
+    none): fw less the other side's least best, first at node u0, except at
+    the nodes ``apart`` from u0, which take the least of their own."""
+    n, fw, nbrs, fill, apart = len(bests) // 2, fillers.fw, fillers.nbrs, [], []
+    for lo in n, 0:  # the left nodes' fills come from the right side's bests
+        least = min(bests[lo:lo + n])
+        fill += [fw - least] * n
+        apart += fillers.apart[bests.index(least, lo)]
+    for u in apart:
+        fill[u] = fw - min(map(bests.__getitem__, nbrs[u])) if nbrs[u] else None
     return fill
 
 
@@ -211,7 +220,7 @@ def step(state: MessageState) -> MessageState:
     fill = state.fillers and _fill(state.fillers, state.top[1])
     nxt = MessageState(_send(state.adj, state.top), state.iteration + 1, state.adj,
                        fill, state.fillers)
-    if fill and any(f is not None and f > b for f, b in zip(fill, nxt.top[1])):
+    if fill and state.fillers.over(fill, nxt.top[1], gt):
         return _widen(nxt, state.top[1])
     return nxt
 
@@ -251,10 +260,13 @@ def _start(inst: Instance, pairs=()) -> MessageState:
     bare = bare_view(inst)
     if not (bare and all(bare.adjacency().nbrs) and all(bare.has_edge(*e) for e in pairs)):
         return init_messages(inst)
-    adj, full = bare.adjacency(), inst.adjacency()
+    adj, full, n = bare.adjacency(), inst.adjacency(), inst.n
     nbrs = [frozenset(a).difference(b) for a, b in zip(full.nbrs, adj.nbrs)]
+    apart = [[v for v in vs if v not in f]  # vs: the other side's nodes
+             for vs, f in zip([range(n, 2 * n)] * n + [range(n)] * n, nbrs)]
     return MessageState([0] * adj.start[-1], 0, adj, [0 if f else None for f in nbrs],
-                        _Fillers(full, -2 * max(adj.flat_w), nbrs))
+                        _Fillers(full, -2 * max(adj.flat_w), nbrs, apart,
+                                 [u for u, f in enumerate(nbrs) if f]))
 
 
 def _widen(y: MessageState, before: list[int]) -> MessageState:
@@ -422,8 +434,7 @@ class _Run:
             return state
         self.next_scan = max(self.next_scan, i + p)  # if the proof fails
         states = list(held)[-p - 1:]
-        if state.fill and any(f is not None and f == c for z in states
-                              for f, c in zip(z.fill, z.top[2])):
+        if state.fill and any(z.fillers.over(z.fill, z.top[2], eq) for z in states):
             return self.take(_widen(state, states[-2].top[1]))
         a, y, last = states[0].iteration, states[0].x, states.pop()
         d = ds = list(map(sub, last.x, y))

@@ -692,6 +692,23 @@ def test_interrupted_csv_leaves_no_partial_file(tmp_path, capsys, monkeypatch, c
     assert len(out_csv.read_text().splitlines()) == 31
 
 
+def test_interrupted_sweep_leaves_the_csv_path_as_it_was(tmp_path, monkeypatch):
+    # The sweep's rows are interrupted as they are written: the earlier file
+    # at the path keeps its bytes, and no temporary file stays.
+    out_csv = tmp_path / "sweep.csv"
+    out_csv.write_bytes(b"earlier\r\n")
+
+    def interrupted(self, rows):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(csv.DictWriter, "writerows", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["exp", "convergence", "--n", "3", "--wmax", "8", "--eps", "3/5",
+              "-o", str(out_csv)])
+    assert out_csv.read_bytes() == b"earlier\r\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
 def test_oracle_tree_belief(tmp_path, capsys):
     path = gen_cycle_file(tmp_path, capsys, n=3, wmax="8", eps="1/2", embed=False)
     code, out, _ = run(

@@ -81,6 +81,11 @@ def test_scale_and_scaled_weights():
     inst = Instance([[F(1, 2), F(1, 3)], [None, F(5)]])
     assert inst.scale == 6
     assert inst.scaled_weights() == [[3, 2], [None, 30]]
+    # int, float, Fraction and None cells in one matrix: lcm(1, 4, 6, 2) = 12.
+    mixed = Instance([[3, 0.25, None], [F(1, 6), -2, 0.5], [None, F(5, 4), 1]])
+    assert mixed.scale == 12
+    assert mixed.scaled_weights() == [[36, 3, None], [2, -24, 6], [None, 15, 12]]
+    assert mixed.weights[0][1] == F(1, 4)
 
 
 def test_bare_view_drops_only_the_fillers():

@@ -706,21 +706,36 @@ def test_padded_multicycle_starts_on_its_bare_view(monkeypatch):
     assert full.index(True) == 181 and all(full[181:])
 
 
+def filled_rows(draw, n, bare):
+    """The n x n weights with ``bare`` on its cells and -2*W (W its largest
+    weight, drawn positive) on the others, but those left absent: none, or
+    each but one kept filler with a drawn chance of 1/4 to 3/4, so nodes keep
+    all, some or none of their filler neighbours."""
+    w = max(bare.values())
+    assume(w > 0)
+    off = [(i, j) for i in range(n) for j in range(n) if (i, j) not in bare]
+    level = draw(st.integers(0, 3)) if len(off) > 1 else 0
+    absent = set()
+    if level:
+        keep = draw(st.sampled_from(off))
+        absent = {e for e in off if e != keep and draw(st.integers(1, 4)) <= level}
+    return [[None if (i, j) in absent else F(bare.get((i, j), -2 * w)) for j in range(n)]
+            for i in range(n)]
+
+
 @st.composite
 def embedded_cases(draw):
     """Embedded-form instances: a bare support of a perfect matching plus
     one or two cycle covers through some of its pairs, so every node keeps
     one to three bare edges, with signed small weights, and -2*W on every
-    other cell; a reference (the optimum or any permutation) and a horizon."""
+    other cell but those left absent (``filled_rows``); a reference (the
+    optimum or any permutation) and a horizon."""
     n = draw(st.integers(3, 7))
     match = draw(st.permutations(range(n)))
     edges = [(i, match[i]) for i in range(n)]
     for _ in range(draw(st.integers(1, 2))):
         edges += [(i, match[k]) for i, k in cycle_cover(draw, n)]
-    bare = {e: draw(st.integers(-6, 9)) for e in edges}
-    w = max(bare.values())
-    assume(w > 0)
-    rows = [[F(bare.get((i, j), -2 * w)) for j in range(n)] for i in range(n)]
+    rows = filled_rows(draw, n, {e: draw(st.integers(-6, 9)) for e in edges})
     pairs = list(enumerate(draw(st.permutations(range(n)))))
     if draw(st.booleans()):
         pairs = mwm_hungarian(Instance(rows))[0].sorted_pairs()
@@ -940,14 +955,12 @@ def padded_forms(draw):
     """Embedded-form weights with pads: a bare support of a perfect matching
     plus a cycle cover through all but 0..n-2 of its pairs, whose nodes are
     pads with one bare edge; signed small weights, and -2*W on every other
-    cell (a bare weight of -2*W is a filler too)."""
+    cell but those left absent (``filled_rows``; a bare weight of -2*W is a
+    filler too)."""
     n = draw(st.integers(3, 7))
     match = draw(st.permutations(range(n)))
     edges = [(i, match[i]) for i in range(n)] + [(i, match[k]) for i, k in cycle_cover(draw, n)]
-    bare = {e: draw(st.integers(-6, 9)) for e in edges}
-    w = max(bare.values())
-    assume(w > 0)
-    return [[F(bare.get((i, j), -2 * w)) for j in range(n)] for i in range(n)]
+    return filled_rows(draw, n, {e: draw(st.integers(-6, 9)) for e in edges})
 
 
 def first_filler_over_a_best(inst, horizon):
