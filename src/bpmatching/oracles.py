@@ -7,16 +7,16 @@ gap comes from the same solve: every other perfect matching is the optimum
 with partners permuted along disjoint exchange cycles, each of nonnegative
 cost, so the second-best matching differs from the best by one cheapest
 exchange cycle (Murty 1968).  The gap also fixes the certified horizon,
-the Bayati-Shah-Sharma bound on how long BP runs.  Factorial enumeration
-is kept as an independent small-n reference; it breaks ties toward the
-lexicographically smallest permutation.  Like ``trees``, this module
-imports only ``core``, so it checks the engine without sharing its code.
+the Bayati-Shah-Sharma bound on how long BP runs.  An exhaustive dynamic
+program over column subsets, n * 2^n steps, is kept as an independent
+small-n reference; it breaks ties toward the lexicographically smallest
+permutation.  Like ``trees``, this module imports only ``core``, so it
+checks the engine without sharing its code.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 from typing import Optional
 
 from .core import (
@@ -32,32 +32,36 @@ BRUTE_FORCE_CAP = 10
 
 
 def mwm_bruteforce(inst: Instance) -> tuple[Matching, Fraction]:
-    """Maximum-weight perfect matching by n! enumeration (n <= 10).
+    """Maximum-weight perfect matching by exhaustive dynamic programming
+    over column subsets (n <= 10), n * 2^n steps on the scaled integers.
 
-    Ties are broken toward the lexicographically smallest permutation.
-    Permutations that would use an absent edge are skipped.
+    ``best[used]`` is the largest weight with which rows popcount(used) to
+    n - 1 take the columns outside ``used`` on present edges, or None if
+    they cannot.  Row by row, the smallest column that keeps the optimum is
+    taken, so ties are broken toward the lexicographically smallest
+    permutation.
     """
     n = inst.n
     if n > BRUTE_FORCE_CAP:
         raise OracleCapExceeded(f"brute force limited to n <= {BRUTE_FORCE_CAP}")
-    best_perm: Optional[tuple[int, ...]] = None
-    best_weight = 0
     rows = inst.scaled_weights()
-    for perm in permutations(range(n)):
-        total = 0
-        ok = True
-        for i, j in enumerate(perm):
-            w = rows[i][j]
-            if w is None:
-                ok = False
-                break
-            total += w
-        if ok and (best_perm is None or total > best_weight):
-            best_perm = perm
-            best_weight = total
-    if best_perm is None:
+    best: list[Optional[int]] = [None] * (1 << n)
+    best[-1] = 0
+    for used in range(len(best) - 2, -1, -1):
+        for j, w in enumerate(rows[used.bit_count()]):
+            if w is None or used >> j & 1 or (rest := best[used | 1 << j]) is None:
+                continue
+            if best[used] is None or w + rest > best[used]:
+                best[used] = w + rest
+    if best[0] is None:
         raise ParameterError("instance has no perfect matching on present edges")
-    return Matching.of(enumerate(best_perm)), Fraction(best_weight, inst.scale)
+    used, perm = 0, []
+    for row in rows:
+        perm.append(next(j for j, w in enumerate(row) if w is not None and not used >> j & 1
+                         and (rest := best[used | 1 << j]) is not None
+                         and w + rest == best[used]))
+        used |= 1 << perm[-1]
+    return Matching.of(enumerate(perm)), Fraction(best[0], inst.scale)
 
 
 def mwm_hungarian(inst: Instance) -> tuple[Matching, Fraction]:
@@ -160,7 +164,8 @@ def optimum_and_gap(inst: Instance) -> tuple[Matching, Fraction, Fraction]:
     cheapest = min(d[i][i] for i in range(n))
     if cheapest == inf:
         raise ParameterError("fewer than two perfect matchings exist")
-    assert cheapest >= 0, "Hungarian optimum admits an improving exchange cycle"
+    if cheapest < 0:
+        raise RuntimeError("Hungarian optimum admits an improving exchange cycle")
     return best, best_weight, Fraction(cheapest, inst.scale)
 
 

@@ -1,11 +1,14 @@
 """Reference helpers that tests compare the package against."""
 
 from fractions import Fraction
+from itertools import permutations
+from typing import Optional
 
 from hypothesis import strategies as st
 
-from bpmatching.core import Matching
+from bpmatching.core import Matching, OracleCapExceeded, ParameterError
 from bpmatching.engine import beliefs, init_messages, step
+from bpmatching.oracles import BRUTE_FORCE_CAP
 from bpmatching.trees import unroll
 
 
@@ -54,6 +57,35 @@ def message(inst, state, i: int, j: int, into_right: bool) -> Fraction:
     n = inst.n
     u, v = (n + j, i) if into_right else (i, n + j)
     return Fraction(state.rows[u][state.adj.nbrs[u].index(v)], inst.scale)
+
+
+def mwm_enumeration(inst) -> tuple[Matching, Fraction]:
+    """Maximum-weight perfect matching by n! enumeration (n <= 10).
+
+    Ties are broken toward the lexicographically smallest permutation.
+    Permutations that would use an absent edge are skipped.
+    """
+    n = inst.n
+    if n > BRUTE_FORCE_CAP:
+        raise OracleCapExceeded(f"brute force limited to n <= {BRUTE_FORCE_CAP}")
+    best_perm: Optional[tuple[int, ...]] = None
+    best_weight = 0
+    rows = inst.scaled_weights()
+    for perm in permutations(range(n)):
+        total = 0
+        ok = True
+        for i, j in enumerate(perm):
+            w = rows[i][j]
+            if w is None:
+                ok = False
+                break
+            total += w
+        if ok and (best_perm is None or total > best_weight):
+            best_perm = perm
+            best_weight = total
+    if best_perm is None:
+        raise ParameterError("instance has no perfect matching on present edges")
+    return Matching.of(enumerate(best_perm)), Fraction(best_weight, inst.scale)
 
 
 def optimal_matching(inst) -> Matching:

@@ -1,13 +1,18 @@
-"""Tests for the matching oracles: enumeration vs Hungarian, gap computation."""
+"""Tests for the matching oracles: the subset DP against n! enumeration,
+the DP against Hungarian, gap computation."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
-from bpmatching import generators
+from bpmatching import generators, oracles
 from bpmatching.core import (
     Instance,
     Matching,
@@ -18,10 +23,11 @@ from bpmatching.core import (
 from bpmatching.oracles import (
     mwm_bruteforce,
     mwm_hungarian,
+    optimum_and_gap,
     second_best_weight,
     uniqueness_gap,
 )
-from reference import optimal_matching
+from reference import mwm_enumeration, optimal_matching
 
 
 def random_instance(rng, n, sparse=False):
@@ -70,6 +76,39 @@ def test_no_perfect_matching_raises():
         mwm_hungarian(inst)
 
 
+def test_subset_dp_matches_enumeration():
+    # The same matching (the lexicographically smallest optimal
+    # permutation), the same weight and the same ParameterError as n!
+    # enumeration, on tied and small rational weights with about 30% of
+    # the cells absent.
+    rng = random.Random(2025)
+    draws = [
+        lambda: F(rng.randint(0, 2)),
+        lambda: F(rng.randint(-20, 20), rng.randint(1, 6)),
+    ]
+    tied = unmatchable = 0
+    for k in range(480):
+        n = 1 + k % 8
+        draw = draws[k // 8 % 2]
+        rows = [[None if rng.random() < 0.3 else draw() for _ in range(n)] for _ in range(n)]
+        inst = Instance(rows)
+        try:
+            want = mwm_enumeration(inst)
+        except ParameterError:
+            with pytest.raises(ParameterError):
+                mwm_bruteforce(inst)
+            unmatchable += 1
+            continue
+        m, w = mwm_bruteforce(inst)
+        assert (m, w) == want
+        assert type(w) is F
+        try:
+            tied += uniqueness_gap(inst) == 0
+        except ParameterError:
+            pass
+    assert tied >= 50 and unmatchable >= 20
+
+
 def test_hungarian_equals_bruteforce_on_random_instances():
     rng = random.Random(20240817)
     for _ in range(500):
@@ -94,6 +133,61 @@ def test_hungarian_equals_bruteforce_larger():
         _, wb = mwm_bruteforce(inst)
         _, wh = mwm_hungarian(inst)
         assert wh == wb
+
+
+def test_hungarian_equals_bruteforce_at_the_cap():
+    # n = 9 and 10, where the DP visits n * 2^n states instead of n!
+    # permutations, on tied weights and with absent edges.
+    rng = random.Random(910)
+    outcomes = set()
+    for k in range(32):
+        n = 9 + k % 2
+        absent = 0.3 if k % 4 >= 2 else 0.0
+        rows = [[None if rng.random() < absent else F(rng.randint(0, 2)) for _ in range(n)]
+                for _ in range(n)]
+        if k % 8 == 7:  # a column without edges: no perfect matching
+            for row in rows:
+                row[k % n] = None
+        inst = Instance(rows)
+        try:
+            mb, wb = mwm_bruteforce(inst)
+        except ParameterError:
+            with pytest.raises(ParameterError):
+                mwm_hungarian(inst)
+            outcomes.add("unmatchable")
+            continue
+        mh, wh = mwm_hungarian(inst)
+        assert wh == wb == matching_weight(inst, mb)
+        assert mb.is_perfect(n) and mh.is_perfect(n)
+        outcomes.add("tied" if uniqueness_gap(inst) == 0 else "unique")
+    assert outcomes == {"tied", "unique", "unmatchable"}
+
+
+def test_gap_rejects_a_suboptimal_assignment(monkeypatch):
+    # A suboptimal "optimum" admits an improving exchange cycle; the gap
+    # must say so rather than report a negative gap.
+    inst = Instance([[F(3), F(1)], [F(1), F(3)]])
+    monkeypatch.setattr(oracles, "_min_cost_assignment", lambda cost: [1, 0])
+    with pytest.raises(RuntimeError, match="improving exchange cycle"):
+        optimum_and_gap(inst)
+
+
+def test_gap_check_survives_optimized_mode():
+    # Under python -O every assert is stripped; the check must not be one.
+    script = (
+        "from fractions import Fraction as F\n"
+        "from bpmatching import oracles\n"
+        "from bpmatching.core import Instance\n"
+        "oracles._min_cost_assignment = lambda cost: [1, 0]\n"
+        "oracles.optimum_and_gap(Instance([[F(3), F(1)], [F(1), F(3)]]))\n"
+    )
+    src = Path(oracles.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert proc.returncode != 0
+    assert "improving exchange cycle" in proc.stderr
 
 
 def test_second_best_small_enumeration():
