@@ -1,12 +1,14 @@
 """Command-line front end: generation, BP runs, and experiment sweeps.
 
-Exit codes: 0 success, 2 precondition violation (an output path that
-cannot be written among them, checked before any work), 3 horizon
-exhausted or an ``exp convergence`` row outside the bound sandwich, 4
-oracle cap exceeded.  A streamed CSV that fails part way leaves its path
-as it was.  Rational flags are 'P/Q' strings.  Results are CSV
-plus a JSON manifest (config, instance hashes, bound values) so runs are
-byte-reproducible.
+Exit codes: 0 success, 2 precondition violation, 3 horizon exhausted or
+an ``exp convergence`` row outside the bound sandwich, 4 oracle cap
+exceeded, 141 (128 + SIGPIPE) stdout closed by its reader.  Every output
+file (``-o``, ``--csv``, ``--manifest``) is opened before any work, as a
+temporary file beside its path (a symlink is written through), so a path
+the system refuses exits 2 with nothing written; the files replace their
+paths only when the command returns, all together, else none of them.
+Rational flags are 'P/Q' strings.  Results are CSV plus a JSON manifest
+(config, instance hashes, bound values) so runs are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import functools
 import json
 import os
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Optional, TextIO
@@ -36,25 +39,11 @@ from . import engine, generators, oracles, trees
 from .approx import approximation_ratio, build_conflict_graph, complete
 from .engine import beliefs as engine_beliefs, partial_bp_matching
 
-TRACE_HEADER = [
-    "t",
-    "pairs",
-    "unresolved",
-    "is_reference",
-    "completion_ratio_num",
-    "completion_ratio_den",
-]
+TRACE_HEADER = ["t", "pairs", "unresolved", "is_reference",
+                "completion_ratio_num", "completion_ratio_den"]
 
-APPROX_HEADER = [
-    "instance",
-    "t",
-    "pairs",
-    "unresolved",
-    "in_window",
-    "failed_cycles",
-    "ratio_num",
-    "ratio_den",
-]
+APPROX_HEADER = ["instance", "t", "pairs", "unresolved", "in_window", "failed_cycles",
+                 "ratio_num", "ratio_den"]
 
 
 def _load_instance(path: str) -> Instance:
@@ -87,7 +76,7 @@ def _horizon(inst: Instance, explicit: Optional[int],
     return horizon, reference, opt_weight
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
+def cmd_gen(args: argparse.Namespace, output: TextIO) -> tuple[int, str]:
     w_max = parse_rational(args.wmax)
     eps = parse_rational(args.eps)
     if args.family == "cycle":
@@ -101,9 +90,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         if args.embed:
             raise ParameterError("--embed applies to --family cycle only")
         inst = generators.gen_multicycle(args.n, w_max, eps, c=args.c)
-    Path(args.output).write_text(inst.to_json() + "\n", encoding="utf-8")
-    print(f"wrote {args.output} (hash {inst.content_hash()[:16]})")
-    return 0
+    output.write(inst.to_json() + "\n")
+    return 0, f"wrote {args.output} (hash {inst.content_hash()[:16]})"
 
 
 #: Distinct belief snapshots whose rows ``_trace_rows`` keeps at a time; a
@@ -149,21 +137,6 @@ def _trace_rows(
         yield snap.iteration, row
 
 
-@contextlib.contextmanager
-def _csv_file(path: str) -> Iterator[TextIO]:
-    """A text handle for the CSV at ``path`` that leaves no partial file: the
-    rows stream into a temporary file beside it, named by this process,
-    which replaces ``path`` when the block completes and is removed when it
-    raises."""
-    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _write_trace(inst: Instance, horizon: int, reference: Matching,
                  opt_weight: Optional[Fraction], out) -> None:
     writer = csv.writer(out)
@@ -174,42 +147,37 @@ def _write_trace(inst: Instance, horizon: int, reference: Matching,
         writer.writerow([t, pairs, unresolved, is_reference, num, den])
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
-    """``bp run`` and ``approx``: per-iteration trace CSV, ratios for ``approx``."""
+def cmd_trace(args: argparse.Namespace, csv: Optional[TextIO] = None) -> tuple[int, str]:
+    """``bp run`` and ``approx``: per-iteration trace CSV, to stdout without
+    ``--csv``; ratios for ``approx``."""
     inst = _load_instance(args.instance)
     horizon, reference, opt_weight = _horizon(inst, args.iters, "--iters")
     if not args.with_ratio:
         opt_weight = None
     elif opt_weight <= 0:
         raise ParameterError("approximation ratios need a positive optimum")
-    if args.csv:
-        with _csv_file(args.csv) as fh:
-            _write_trace(inst, horizon, reference, opt_weight, fh)
-    else:
-        _write_trace(inst, horizon, reference, opt_weight, sys.stdout)
-    return 0
+    _write_trace(inst, horizon, reference, opt_weight, csv or sys.stdout)
+    return 0, ""
 
 
-def cmd_bp_converge(args: argparse.Namespace) -> int:
+def cmd_bp_converge(args: argparse.Namespace) -> tuple[int, str]:
     inst = _load_instance(args.instance)
     horizon, reference, _ = _horizon(inst, args.horizon, "--horizon")
     t = engine.convergence_time(inst, reference, horizon)
-    print(f"converged at t={t} (horizon {horizon})")
-    return 0
+    return 0, f"converged at t={t} (horizon {horizon})"
 
 
-def _manifest(path: str, config: dict, instances: list[Instance], bounds: dict) -> None:
+def _manifest(out: TextIO, config: dict, instances: list[Instance], bounds: dict) -> None:
     doc = {
         "config": config,
         "instance_hashes": [inst.content_hash() for inst in instances],
         "bounds": bounds,
     }
-    Path(path).write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    out.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def cmd_exp_convergence(args: argparse.Namespace) -> int:
+def cmd_exp_convergence(args: argparse.Namespace, output: TextIO,
+                        manifest: Optional[TextIO] = None) -> tuple[int, str]:
     """Convergence-time sweep over heavy-cycle instances with bound verdicts."""
     w_max = parse_rational(args.wmax)
     rows = []
@@ -236,13 +204,12 @@ def cmd_exp_convergence(args: argparse.Namespace) -> int:
                 "verdict": "pass" if verdict else "fail",
             }
         )
-    with _csv_file(args.output) as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    if args.manifest:
+    writer = csv.DictWriter(output, fieldnames=list(rows[0].keys()))
+    writer.writeheader()
+    writer.writerows(rows)
+    if manifest:
         _manifest(
-            args.manifest,
+            manifest,
             {
                 "command": "exp convergence",
                 "n": args.n,
@@ -256,12 +223,12 @@ def cmd_exp_convergence(args: argparse.Namespace) -> int:
                 "upper": [r["upper_bound"] for r in rows],
             },
         )
-    failures = [r for r in rows if r["verdict"] != "pass"]
-    print(f"{len(rows)} instances, {len(failures)} outside the bound sandwich")
-    return 0 if not failures else 3
+    failures = sum(r["verdict"] != "pass" for r in rows)
+    return 3 if failures else 0, f"{len(rows)} instances, {failures} outside the bound sandwich"
 
 
-def cmd_exp_approx(args: argparse.Namespace) -> int:
+def cmd_exp_approx(args: argparse.Namespace, output: TextIO,
+                   manifest: Optional[TextIO] = None) -> tuple[int, str]:
     """Completion-ratio curve on a multi-cycle instance."""
     w_max = parse_rational(args.wmax)
     eps = parse_rational(args.eps)
@@ -276,20 +243,15 @@ def cmd_exp_approx(args: argparse.Namespace) -> int:
         inst, int(window) if args.iters is None else args.iters)
     cycles = [(b["offset"], b["offset"] + b["half_length"]) for b in meta["cycles"]]
     digest = inst.content_hash()[:16]
-    count = 0
-    with _csv_file(args.output) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(APPROX_HEADER)
-        for t, (pairs, unresolved, _, failed, num, den) in _trace_rows(
-            inst, horizon, reference, opt_weight, cycles
-        ):
-            writer.writerow(
-                [digest, t, pairs, unresolved, int(t <= window), failed, num, den]
-            )
-            count += 1
-    if args.manifest:
+    writer = csv.writer(output)
+    writer.writerow(APPROX_HEADER)
+    for t, (pairs, unresolved, _, failed, num, den) in _trace_rows(
+        inst, horizon, reference, opt_weight, cycles
+    ):
+        writer.writerow([digest, t, pairs, unresolved, int(t <= window), failed, num, den])
+    if manifest:
         _manifest(
-            args.manifest,
+            manifest,
             {
                 "command": "exp approx",
                 "n": args.n,
@@ -301,18 +263,16 @@ def cmd_exp_approx(args: argparse.Namespace) -> int:
             [inst],
             {"window": format_rational(window), "opt_weight": format_rational(opt_weight)},
         )
-    print(f"{count} iterations written to {args.output}")
-    return 0
+    return 0, f"{horizon} iterations written to {args.output}"
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args: argparse.Namespace) -> tuple[int, str]:
     if args.oracle_cmd == "mwm":
         inst = _load_instance(args.instance)
         solver = oracles.mwm_bruteforce if args.brute else oracles.mwm_hungarian
         m, w = solver(inst)
-        print(f"weight {format_rational(w)}")
-        for i, j in m.sorted_pairs():
-            print(f"  a{i + 1} - b{j + 1}")
+        text = "\n".join([f"weight {format_rational(w)}",
+                          *(f"  a{i + 1} - b{j + 1}" for i, j in m.sorted_pairs())])
     elif args.oracle_cmd == "tree-belief":
         inst = _load_instance(args.instance)
         names = [f"{side}{k}" for side in "ab" for k in range(1, inst.n + 1)]
@@ -321,20 +281,17 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             raise ParameterError(
                 f"--node must be a<k> or b<k>, 1 <= k <= {inst.n}: {args.node!r}")
         belief = trees.oracle_belief(inst, names.index(node), args.depth)
-        if belief is trees.TIE:
-            print("tie")
-        else:
-            other = "b" if node[0] == "a" else "a"
-            print(f"{other}{belief + 1}")
+        other = "b" if node[0] == "a" else "a"
+        text = "tie" if belief is trees.TIE else f"{other}{belief + 1}"
     elif args.oracle_cmd == "nibbling":
         delta = trees.nibbling_delta(
             args.n, parse_rational(args.wmax), parse_rational(args.eps), args.l
         )
-        print(format_rational(delta))
+        text = format_rational(delta)
     elif args.oracle_cmd == "gap":
         inst = _load_instance(args.instance)
-        print(format_rational(oracles.uniqueness_gap(inst)))
-    return 0
+        text = format_rational(oracles.uniqueness_gap(inst))
+    return 0, text
 
 
 @functools.cache
@@ -417,19 +374,56 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+@contextlib.contextmanager
+def _outputs(args: argparse.Namespace) -> Iterator[dict[str, TextIO]]:
+    """Handles, by flag name, on temporary files beside the output paths'
+    targets (a symlink's is the file it names), each named "." + its target's
+    name less 9 bytes + 8 random ones, never longer, so the system refuses
+    both alike.  They replace their targets together, or go if the block raises."""
+    os.umask(umask := os.umask(0o022))
+    opened: dict[str, tuple[TextIO, bytes, str]] = {}
     try:
         for key in ("output", "csv", "manifest"):
-            out = getattr(args, key, None)
-            if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
-                raise ParameterError(
-                    f"cannot write {out}: a directory, or its directory is missing")
-        return args.func(args)
+            if (path := getattr(args, key, None)) is None:
+                continue
+            target = os.path.realpath(path)
+            if not os.path.basename(path) or os.path.isdir(target):
+                raise ParameterError(f"cannot write {path}: Is a directory")
+            head, name = os.path.split(os.fsencode(target))
+            try:
+                fd, tmp = tempfile.mkstemp(prefix=b"." + name[:-9], dir=head)
+            except OSError as exc:
+                raise ParameterError(f"cannot write {path}: {exc.strerror}") from exc
+            opened[key] = open(fd, "w", newline="", encoding="utf-8"), tmp, target
+            os.fchmod(fd, 0o666 & ~umask)  # the mode open() would give, not 0600
+        yield {key: fh for key, (fh, _, _) in opened.items()}
+        for fh, _, _ in opened.values():
+            fh.close()
+        while opened:
+            _, (_, tmp, target) = opened.popitem()
+            os.replace(tmp, target)
+    finally:
+        for fh, tmp, _ in opened.values():
+            fh.close()
+            os.remove(tmp)
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        with _outputs(args) as files:
+            code, report = args.func(args, **files)
+        if report:
+            print(report)
+        sys.stdout.flush()
+        return code
     except (ParameterError, MissingEdgeError, HorizonExhausted, OracleCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # The reader is gone: send what stdout still buffers to /dev/null.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + 13  # SIGPIPE
 
 
 if __name__ == "__main__":

@@ -4,15 +4,19 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from bpmatching import approx, cli, engine, generators, oracles
 from bpmatching.approx import complete
 from bpmatching.cli import main
-from bpmatching.core import Instance, matching_weight
+from bpmatching.core import Instance, ParameterError, matching_weight
 from bpmatching.engine import partial_bp_matching
 from reference import encodes, full_graph_snapshots
 
@@ -199,7 +203,9 @@ def test_unreadable_instance_file_exit_code(tmp_path, capsys):
         assert err.startswith(f"error: cannot read instance {path}")
 
 
-@pytest.mark.parametrize("bad", ["{tmp}/missing/out", "{tmp}"], ids=["no-dir", "is-dir"])
+@pytest.mark.parametrize(
+    "bad", ["{tmp}/missing/out", "{tmp}", "{tmp}/out/", "{tmp}/" + "x" * 300],
+    ids=["no-dir", "is-dir", "dir-name", "too-long"])
 @pytest.mark.parametrize("command", [
     ["gen", "--family", "cycle", "--n", "3", "--wmax", "8", "--eps", "3/5", "-o", "{bad}"],
     ["bp", "run", "--instance", "{inst}", "--csv", "{bad}"],
@@ -216,7 +222,21 @@ def test_unwritable_output_exits_before_any_work(tmp_path, capsys, command, bad)
     code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write {bad}")
-    assert not (tmp_path / "sweep.csv").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["inst.json"]
+
+
+def test_output_names_up_to_the_system_limit_are_written(tmp_path, capsys):
+    # The temporary file is named no longer than its path, so a name of the
+    # longest length the directory takes is written, with the mode open()
+    # would give it, and no temporary file stays.
+    path, name = gen_cycle_file(tmp_path, capsys), "x" * os.pathconf(tmp_path, "PC_NAME_MAX")
+    code, _, _ = run(["bp", "run", "--instance", str(path), "--iters", "3",
+                      "--csv", str(tmp_path / name)], capsys)
+    assert code == 0
+    with open(tmp_path / "by-open", "w"):
+        pass
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["by-open", "inst.json", name]
+    assert (tmp_path / name).stat().st_mode == (tmp_path / "by-open").stat().st_mode
 
 
 def write_meta(path, meta):
@@ -707,6 +727,73 @@ def test_interrupted_sweep_leaves_the_csv_path_as_it_was(tmp_path, monkeypatch):
               "-o", str(out_csv)])
     assert out_csv.read_bytes() == b"earlier\r\n"
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+def test_symlinked_outputs_replace_the_files_they_link_to(tmp_path, capsys):
+    # Each output is written through its link: the links stay, and the
+    # files they name get the bytes that plain paths get.
+    argv = ["exp", "convergence", "--n", "3", "--wmax", "8", "--eps", "3/5",
+            "-o", "{}.csv", "--manifest", "{}.json"]
+    for name in "link.csv", "link.json":
+        (tmp_path / f"real-{name}").write_bytes(b"earlier\n")
+        (tmp_path / name).symlink_to(f"real-{name}")
+    for stem in "link", "plain":
+        assert run([a.format(tmp_path / stem) for a in argv], capsys)[0] == 0
+    for ext in "csv", "json":
+        assert (tmp_path / f"link.{ext}").is_symlink()
+        assert (tmp_path / f"real-link.{ext}").read_bytes() == (
+            tmp_path / f"plain.{ext}").read_bytes()
+    assert len(os.listdir(tmp_path)) == 6
+
+
+def test_failed_manifest_leaves_every_output_path_as_it_was(tmp_path, monkeypatch):
+    # The sweep's CSV is complete when its manifest fails: the outputs
+    # replace their paths together or not at all.
+    out_csv, manifest = tmp_path / "s.csv", tmp_path / "m.json"
+    out_csv.write_bytes(b"earlier\r\n")
+    manifest.write_bytes(b"earlier\n")
+
+    def failed(*args):
+        raise ParameterError("manifest failed")
+
+    monkeypatch.setattr(cli, "_manifest", failed)
+    assert main(["exp", "convergence", "--n", "3", "--wmax", "8", "--eps", "3/5",
+                 "-o", str(out_csv), "--manifest", str(manifest)]) == 2
+    assert (out_csv.read_bytes(), manifest.read_bytes()) == (b"earlier\r\n", b"earlier\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "s.csv"]
+
+
+@pytest.mark.parametrize("command, files", [
+    (["exp", "convergence", "--n", "3", "--wmax", "8", "--eps", "3/5",
+      "-o", "s.csv", "--manifest", "m.json"], ["m.json", "s.csv"]),
+    (["gen", "--family", "cycle", "--n", "3", "--wmax", "8", "--eps", "3/5", "-o", "c.json"],
+     ["c.json"]),
+    (["bp", "run", "--instance", "{inst}", "--iters", "100000"], []),
+], ids=["exp-convergence", "gen", "bp-run"])
+def test_closed_stdout_exits_141_after_writing_the_files(
+    tmp_path, capsys, monkeypatch, command, files
+):
+    # The reader of stdout is gone before the command starts: the run ends
+    # quietly with 128 + SIGPIPE, and its files are those of a normal run.
+    inst = gen_cycle_file(tmp_path, capsys)
+    argv = [a.format(inst=inst) for a in command]
+    closed, normal = tmp_path / "closed", tmp_path / "normal"
+    closed.mkdir()
+    normal.mkdir()
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bpmatching.cli", *argv], cwd=closed,
+                              env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+    monkeypatch.chdir(normal)
+    assert main(argv) == 0
+    assert sorted(p.name for p in closed.iterdir()) == files
+    for name in files:
+        assert (closed / name).read_bytes() == (normal / name).read_bytes()
 
 
 def test_oracle_tree_belief(tmp_path, capsys):
