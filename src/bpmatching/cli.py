@@ -5,8 +5,9 @@ an ``exp convergence`` row outside the bound sandwich, 4 oracle cap
 exceeded, 141 (128 + SIGPIPE) stdout closed by its reader.  Every output
 file (``-o``, ``--csv``, ``--manifest``) is opened before any work, as a
 temporary file beside its path (a symlink is written through), so a path
-the system refuses exits 2 with nothing written; the files replace their
-paths only when the command returns, all together, else none of them.
+the system refuses, or two outputs naming one file, exits 2 with nothing
+written; the files replace their paths only when the command returns, all
+together, else none of them.
 Rational flags are 'P/Q' strings.  Results are CSV plus a JSON manifest
 (config, instance hashes, bound values) so runs are byte-reproducible.
 """
@@ -167,12 +168,8 @@ def cmd_bp_converge(args: argparse.Namespace) -> tuple[int, str]:
     return 0, f"converged at t={t} (horizon {horizon})"
 
 
-def _manifest(out: TextIO, config: dict, instances: list[Instance], bounds: dict) -> None:
-    doc = {
-        "config": config,
-        "instance_hashes": [inst.content_hash() for inst in instances],
-        "bounds": bounds,
-    }
+def _manifest(out: TextIO, config: dict, hashes: list[str], bounds: dict) -> None:
+    doc = {"config": config, "instance_hashes": hashes, "bounds": bounds}
     out.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
@@ -180,13 +177,11 @@ def cmd_exp_convergence(args: argparse.Namespace, output: TextIO,
                         manifest: Optional[TextIO] = None) -> tuple[int, str]:
     """Convergence-time sweep over heavy-cycle instances with bound verdicts."""
     w_max = parse_rational(args.wmax)
-    rows = []
-    instances = []
-    for eps_text in args.eps:
-        eps = parse_rational(eps_text)
+    rows, hashes = [], []
+    for eps in map(parse_rational, args.eps):
         params = generators.CycleParams(n=args.n, w_max=w_max, eps=eps)
         inst = generators.gen_cycle(params, embed=args.embed)
-        instances.append(inst)
+        hashes.append(inst.content_hash())
         lower = Fraction(args.n) * w_max / (2 * eps)
         upper = Fraction(2 * args.n) * w_max / eps
         horizon, reference, _ = _horizon(inst, None)
@@ -194,7 +189,7 @@ def cmd_exp_convergence(args: argparse.Namespace, output: TextIO,
         verdict = (lower - args.n <= t) and (Fraction(t) <= upper)
         rows.append(
             {
-                "instance": inst.content_hash()[:16],
+                "instance": hashes[-1][:16],
                 "n": args.n,
                 "w_max": format_rational(w_max),
                 "eps": format_rational(eps),
@@ -214,10 +209,10 @@ def cmd_exp_convergence(args: argparse.Namespace, output: TextIO,
                 "command": "exp convergence",
                 "n": args.n,
                 "w_max": format_rational(w_max),
-                "eps": [format_rational(parse_rational(e)) for e in args.eps],
+                "eps": [r["eps"] for r in rows],
                 "embed": args.embed,
             },
-            instances,
+            hashes,
             {
                 "lower": [r["lower_bound"] for r in rows],
                 "upper": [r["upper_bound"] for r in rows],
@@ -242,7 +237,7 @@ def cmd_exp_approx(args: argparse.Namespace, output: TextIO,
     horizon, reference, opt_weight = _horizon(
         inst, int(window) if args.iters is None else args.iters)
     cycles = [(b["offset"], b["offset"] + b["half_length"]) for b in meta["cycles"]]
-    digest = inst.content_hash()[:16]
+    digest = (content_hash := inst.content_hash())[:16]
     writer = csv.writer(output)
     writer.writerow(APPROX_HEADER)
     for t, (pairs, unresolved, _, failed, num, den) in _trace_rows(
@@ -260,7 +255,7 @@ def cmd_exp_approx(args: argparse.Namespace, output: TextIO,
                 "c": c,
                 "primes": meta["primes"],
             },
-            [inst],
+            [content_hash],
             {"window": format_rational(window), "opt_weight": format_rational(opt_weight)},
         )
     return 0, f"{horizon} iterations written to {args.output}"
@@ -377,9 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
 @contextlib.contextmanager
 def _outputs(args: argparse.Namespace) -> Iterator[dict[str, TextIO]]:
     """Handles, by flag name, on temporary files beside the output paths'
-    targets (a symlink's is the file it names), each named "." + its target's
-    name less 9 bytes + 8 random ones, never longer, so the system refuses
-    both alike.  They replace their targets together, or go if the block raises."""
+    targets (a symlink's is the file it names; one an earlier flag opened is
+    refused), each named "." + its target's name less 9 bytes + 8 random ones,
+    never longer, so the system refuses both alike.  They replace their
+    targets together, or go if the block raises."""
     os.umask(umask := os.umask(0o022))
     opened: dict[str, tuple[TextIO, bytes, str]] = {}
     try:
@@ -387,6 +383,8 @@ def _outputs(args: argparse.Namespace) -> Iterator[dict[str, TextIO]]:
             if (path := getattr(args, key, None)) is None:
                 continue
             target = os.path.realpath(path)
+            if any(target == t for _, _, t in opened.values()):
+                raise ParameterError(f"cannot write {path}: another output names the same file")
             if not os.path.basename(path) or os.path.isdir(target):
                 raise ParameterError(f"cannot write {path}: Is a directory")
             head, name = os.path.split(os.fsencode(target))

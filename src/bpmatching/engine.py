@@ -69,7 +69,7 @@ import random
 from array import array
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import eq, gt, mul, sub
 from typing import Iterator, Optional
@@ -199,12 +199,12 @@ def init_messages(inst: Instance) -> MessageState:
     return MessageState([0] * adj.start[-1], 0, adj)
 
 
-def _send(adj: Adjacency, tops: Tops) -> list[int]:
-    """The message vector one step on: node u with ``tops`` (k, best, second)
-    sends w - best on every edge but the one x[k] came in on, which gets
-    w - second; a missing second (an empty maximum) is 0."""
+def _send(adj: Adjacency, tops: Tops, w: list[int]) -> list[int]:
+    """The message vector one step on, with entry weights ``w``: node u with
+    ``tops`` (k, best, second) sends w - best on every edge but the one x[k]
+    came in on, which gets w - second; a missing second (an empty maximum) is 0."""
     ks, bests, seconds = tops
-    w, dst = adj.flat_w, adj.dst
+    dst = adj.dst
     out = list(map(sub, w, map(bests.__getitem__, adj.src)))
     for k, second in zip(ks, seconds):
         if k >= 0:
@@ -217,9 +217,9 @@ def step(state: MessageState) -> MessageState:
     """One synchronous update round on the state's graph; returns the state
     at iteration t+1, the full graph's (``_widen``) from a bare view where a
     filler message into some node exceeds its best."""
-    fill = state.fillers and _fill(state.fillers, state.top[1])
-    nxt = MessageState(_send(state.adj, state.top), state.iteration + 1, state.adj,
-                       fill, state.fillers)
+    adj, fill = state.adj, state.fillers and _fill(state.fillers, state.top[1])
+    nxt = MessageState(_send(adj, state.top, adj.flat_w), state.iteration + 1, adj, fill,
+                       state.fillers)
     if fill and state.fillers.over(fill, nxt.top[1], gt):
         return _widen(nxt, state.top[1])
     return nxt
@@ -346,7 +346,7 @@ class _Run:
         pairs = [(q, v) for a, e, q in zip(start, start[1:], self.slots or ())
                  for v in range(a, e) if v != q]
         self.refs, self.others = [q for q, _ in pairs], [v for _, v in pairs]
-        self.zero = replace(adj, w=[[0] * len(w) for w in adj.w])
+        self.zero = [0] * len(adj.flat_w)
         self.wide = [len(nb) > 2 for nb in adj.nbrs]
         rng = random.Random(0)
         self.coeffs = [rng.getrandbits(31) for _ in adj.src]
@@ -418,7 +418,7 @@ class _Run:
         # The linear part of the step: y's selections on zero weights.
         best = [d[k] if k >= 0 else 0 for k in ks]
         second = [d[k2] if k2 >= 0 else None for k2 in k2s]
-        return (_send(self.zero, (ks, best, second)), _rays(x, d, us, vs, kmax)[1],
+        return (_send(y.adj, (ks, best, second), self.zero), _rays(x, d, us, vs, kmax)[1],
                 _rays(x, d, self.refs, self.others, self.horizon, 1))
 
     def regime(self, state: MessageState, p: int) -> MessageState:

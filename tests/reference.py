@@ -34,6 +34,32 @@ def encodes(snap, reference) -> bool:
     )
 
 
+def is_pseudoforest(cg) -> bool:
+    """True iff every component of the conflict graph ``cg`` has at most as
+    many edges as nodes."""
+    nodes = {("L", i) for i in cg.left_nodes} | {("R", j) for j in cg.right_nodes}
+    adj = {u: [] for u in nodes}
+    for i, j in cg.edges:
+        adj[("L", i)].append(("R", j))
+        adj[("R", j)].append(("L", i))
+    seen = set()
+    for start in nodes:
+        if start in seen:
+            continue
+        comp = set()
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            if u in seen:
+                continue
+            seen.add(u)
+            comp.add(u)
+            stack.extend(adj[u])
+        if sum(1 for i, j in cg.edges if ("L", i) in comp) > len(comp):
+            return False
+    return True
+
+
 def full_graph_states(inst):
     """The message states of ``inst`` at t = 0, 1, 2, ..., each stepped from
     the last on the full graph ``inst.adjacency()``."""

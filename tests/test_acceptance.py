@@ -17,6 +17,7 @@ from bpmatching.engine import partial_bp_matching, run_to_horizon
 from reference import (
     class_weight_split,
     heavy_tail_tree,
+    is_pseudoforest,
     node_neighbors,
     optimal_matching,
     suboptimal_matching,
@@ -25,31 +26,6 @@ from reference import (
 
 def report(num, ok, detail):
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} — {detail}")
-
-
-def _is_pseudoforest(cg):
-    """True iff every component has at most as many edges as nodes."""
-    nodes = {("L", i) for i in cg.left_nodes} | {("R", j) for j in cg.right_nodes}
-    adj = {u: [] for u in nodes}
-    for i, j in cg.edges:
-        adj[("L", i)].append(("R", j))
-        adj[("R", j)].append(("L", i))
-    seen = set()
-    for start in nodes:
-        if start in seen:
-            continue
-        comp = set()
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            comp.add(u)
-            stack.extend(adj[u])
-        if sum(1 for i, j in cg.edges if ("L", i) in comp) > len(comp):
-            return False
-    return True
 
 
 def test_criterion_1_weight_identities():
@@ -308,7 +284,7 @@ def test_criterion_8_structural_suites():
         )
         for snap in run_to_horizon(inst, 4):
             cg = build_conflict_graph(inst, snap)
-            ok = ok and _is_pseudoforest(cg)
+            ok = ok and is_pseudoforest(cg)
             res = complete(inst, snap)
             partial = partial_bp_matching(snap)
             ok = ok and res.matching.is_perfect(n)

@@ -16,6 +16,7 @@ from bpmatching.approx import (
 from bpmatching.core import Instance, MissingEdgeError, ParameterError, matching_weight
 from bpmatching.engine import BeliefSnapshot, partial_bp_matching, run_to_horizon
 from bpmatching.oracles import mwm_hungarian
+from reference import is_pseudoforest
 
 
 def dense_instance(rng, n):
@@ -53,30 +54,6 @@ def brute_force_forest_weight(edges):
             if len(ends) == len(set(ends)):
                 best = max(best, sum((w for _, _, w in subset), start=F(0)))
     return best
-
-
-def assert_pseudoforest(cg):
-    """Every conflict-graph component has at most as many edges as nodes."""
-    nodes = {("L", i) for i in cg.left_nodes} | {("R", j) for j in cg.right_nodes}
-    adj = {u: [] for u in nodes}
-    for i, j in cg.edges:
-        adj[("L", i)].append(("R", j))
-        adj[("R", j)].append(("L", i))
-    seen = set()
-    for start in nodes:
-        if start in seen:
-            continue
-        comp = set()
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            comp.add(u)
-            stack.extend(adj[u])
-        comp_edges = sum(1 for i, j in cg.edges if ("L", i) in comp)
-        assert comp_edges <= len(comp)
 
 
 def test_forest_mwm_hand_cases():
@@ -158,7 +135,7 @@ def test_conflict_graph_is_pseudoforest_on_random_snapshots():
         inst = dense_instance(rng, n)
         cg = build_conflict_graph(inst, random_snapshot(rng, n))
         assert len(cg.edges) <= len(cg.left_nodes) + len(cg.right_nodes)
-        assert_pseudoforest(cg)
+        assert is_pseudoforest(cg)
 
 
 def test_complete_resolves_cyclic_component():

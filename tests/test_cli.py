@@ -746,6 +746,58 @@ def test_symlinked_outputs_replace_the_files_they_link_to(tmp_path, capsys):
     assert len(os.listdir(tmp_path)) == 6
 
 
+EXPERIMENTS = [
+    ["exp", "convergence", "--n", "3", "--wmax", "8", "--eps", "3/5", "1/2", "1/3"],
+    ["exp", "approx", "--n", "16", "--wmax", "8", "--eps", "1/100", "--c", "2"],
+]
+
+
+@pytest.mark.parametrize("manifest", ["x.csv", "y.json"], ids=["same-path", "symlink"])
+@pytest.mark.parametrize("command", EXPERIMENTS, ids=["exp-convergence", "exp-approx"])
+def test_two_outputs_naming_one_file_exit_before_any_work(
+    tmp_path, capsys, monkeypatch, command, manifest
+):
+    # The manifest would replace the CSV, or the CSV the manifest: the
+    # command is refused before it generates its instances, and the
+    # directory keeps its files and their bytes.
+    (tmp_path / "x.csv").write_bytes(b"earlier\r\n")
+    (tmp_path / "y.json").symlink_to("x.csv")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    for name in "gen_cycle", "gen_multicycle":
+        monkeypatch.setattr(generators, name, no_work)
+    bad = tmp_path / manifest
+    code, out, err = run(command + ["-o", str(tmp_path / "x.csv"), "--manifest", str(bad)],
+                         capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {bad}")
+    assert sorted(os.listdir(tmp_path)) == ["x.csv", "y.json"]
+    assert (tmp_path / "y.json").is_symlink()
+    assert (tmp_path / "x.csv").read_bytes() == b"earlier\r\n"
+
+
+@pytest.mark.parametrize("command, hashes", zip(EXPERIMENTS, [3, 1]),
+                         ids=["exp-convergence", "exp-approx"])
+def test_experiments_hash_each_instance_once(tmp_path, capsys, monkeypatch, command, hashes):
+    # One hash per instance serves both the CSV's instance column and the
+    # manifest's instance_hashes.
+    calls, real = [], Instance.content_hash
+
+    def counted(inst):
+        calls.append(1)
+        return real(inst)
+
+    monkeypatch.setattr(Instance, "content_hash", counted)
+    code, _, err = run(command + ["-o", str(tmp_path / "x.csv"),
+                                  "--manifest", str(tmp_path / "m.json")], capsys)
+    assert code == 0, err
+    assert len(calls) == hashes
+    doc = json.loads((tmp_path / "m.json").read_text())
+    assert len(doc["instance_hashes"]) == hashes
+
+
 def test_failed_manifest_leaves_every_output_path_as_it_was(tmp_path, monkeypatch):
     # The sweep's CSV is complete when its manifest fails: the outputs
     # replace their paths together or not at all.

@@ -74,7 +74,7 @@ def test_select_primes_open_interval_and_shortage():
 
 
 def test_select_primes_matches_sympy():
-    # The sieve against sympy's primes, shortages (ParameterError) included.
+    # Trial division against sympy's primes, shortages (ParameterError) included.
     shortages = 0
     for n in range(1, 300):
         for c in range(1, 7):
