@@ -5,9 +5,9 @@ an ``exp convergence`` row outside the bound sandwich, 4 oracle cap
 exceeded, 141 (128 + SIGPIPE) stdout closed by its reader.  Every output
 file (``-o``, ``--csv``, ``--manifest``) is opened before any work, as a
 temporary file beside its path (a symlink is written through), so a path
-the system refuses, or two outputs naming one file, exits 2 with nothing
-written; the files replace their paths only when the command returns, all
-together, else none of them.
+the system refuses, two outputs naming one file, or an output naming the
+``--instance`` file, exits 2 with nothing written; the files replace their
+paths only when the command returns, all together, else none of them.
 Rational flags are 'P/Q' strings.  Results are CSV plus a JSON manifest
 (config, instance hashes, bound values) so runs are byte-reproducible.
 """
@@ -372,17 +372,20 @@ def build_parser() -> argparse.ArgumentParser:
 @contextlib.contextmanager
 def _outputs(args: argparse.Namespace) -> Iterator[dict[str, TextIO]]:
     """Handles, by flag name, on temporary files beside the output paths'
-    targets (a symlink's is the file it names; one an earlier flag opened is
-    refused), each named "." + its target's name less 9 bytes + 8 random ones,
-    never longer, so the system refuses both alike.  They replace their
-    targets together, or go if the block raises."""
+    targets (a symlink's is the file it names; one that ``--instance`` or an
+    earlier flag names is refused), each named "." + its target's name less
+    9 bytes + 8 random ones, never longer, so the system refuses both alike.
+    They replace their targets together, or go if the block raises."""
     os.umask(umask := os.umask(0o022))
     opened: dict[str, tuple[TextIO, bytes, str]] = {}
+    instance = getattr(args, "instance", None)
     try:
         for key in ("output", "csv", "manifest"):
             if (path := getattr(args, key, None)) is None:
                 continue
             target = os.path.realpath(path)
+            if instance is not None and target == os.path.realpath(instance):
+                raise ParameterError(f"cannot write {path}: it names the input instance")
             if any(target == t for _, _, t in opened.values()):
                 raise ParameterError(f"cannot write {path}: another output names the same file")
             if not os.path.basename(path) or os.path.isdir(target):

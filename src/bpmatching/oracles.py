@@ -17,6 +17,7 @@ checks the engine without sharing its code.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf
 from typing import Optional
 
 from .core import (
@@ -94,30 +95,29 @@ def _min_cost_assignment(cost: list[list[int]]) -> list[int]:
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv: list[Optional[int]] = [None] * (n + 1)
+        minv = [inf] * (n + 1)
         used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
-            delta: Optional[int] = None
+            delta = inf
             j1 = 0
             for j in range(1, n + 1):
                 if used[j]:
                     continue
                 cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
-                if minv[j] is None or cur < minv[j]:
+                if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
-                if delta is None or minv[j] < delta:
+                if minv[j] < delta:
                     delta = minv[j]
                     j1 = j
-            assert delta is not None
             for j in range(n + 1):
                 if used[j]:
                     u[p[j]] += delta
                     v[j] -= delta
                 else:
-                    minv[j] -= delta  # type: ignore[operator]
+                    minv[j] -= delta
             j0 = j1
             if p[j0] == 0:
                 break
@@ -143,7 +143,6 @@ def optimum_and_gap(inst: Instance) -> tuple[Matching, Fraction, Fraction]:
     n = inst.n
     w = inst.scaled_weights()
     partner = best.partner_of_left()
-    inf = float("inf")
     d = [
         [
             inf if k == i or w[i][partner[k]] is None

@@ -1,4 +1,5 @@
-"""Reference helpers that tests compare the package against."""
+"""Every reference and helper the tests share: the brute-force matchers,
+the random and Hypothesis instance builders, and a call counter."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -85,6 +86,18 @@ def message(inst, state, i: int, j: int, into_right: bool) -> Fraction:
     return Fraction(state.rows[u][state.adj.nbrs[u].index(v)], inst.scale)
 
 
+def best_matching_weight(edges) -> Fraction:
+    """Largest total weight of a matching inside the (u, v, w) triples
+    ``edges``, 0 for none, by include/exclude recursion.  A bipartite edge
+    (i, j) enters as (i, n + j, w)."""
+    if not edges:
+        return Fraction(0)
+    (u, v, w), rest = edges[0], edges[1:]
+    skip = best_matching_weight(rest)
+    keep = w + best_matching_weight([e for e in rest if e[0] not in (u, v) and e[1] not in (u, v)])
+    return max(skip, keep)
+
+
 def mwm_enumeration(inst) -> tuple[Matching, Fraction]:
     """Maximum-weight perfect matching by n! enumeration (n <= 10).
 
@@ -167,6 +180,44 @@ def class_weight_split(inst, tree) -> dict[str, Fraction]:
         cls = classes.get(frozenset((a, b)), "light")
         totals[cls] = totals.get(cls, Fraction(0)) + w
     return totals
+
+
+def random_rows(rng, n: int, kind: str) -> list[list[Optional[Fraction]]]:
+    """An n x n weight table of ``kind`` dense, sparse, tied or rational,
+    one draw per cell row by row, with at least one edge."""
+    cell = {
+        "dense": lambda: Fraction(rng.randint(-9, 9)),
+        "sparse": lambda: None if rng.random() < 0.4 else Fraction(rng.randint(-9, 9)),
+        "tied": lambda: None if rng.random() < 0.2 else Fraction(rng.randint(0, 2)),
+        "rational": lambda: Fraction(rng.randint(-20, 20), rng.randint(1, 6)),
+    }[kind]
+    rows = [[cell() for _ in range(n)] for _ in range(n)]
+    if all(w is None for row in rows for w in row):
+        rows[0][0] = Fraction(1)
+    return rows
+
+
+def random_forest(rng) -> list[tuple[int, int, Fraction]]:
+    """A shuffled prefix of the edges of a random forest on 2..15 nodes,
+    each node after the first joined to an earlier one by a weight in
+    -9..9."""
+    size = rng.randint(2, 15)
+    edges = [(rng.randint(0, v - 1), v, Fraction(rng.randint(-9, 9))) for v in range(1, size)]
+    rng.shuffle(edges)
+    return edges[: rng.randint(0, min(len(edges), 14))]
+
+
+def count_calls(monkeypatch, owner, name: str) -> list[tuple]:
+    """Wrap ``owner.name`` for the test: the returned list records the
+    positional arguments of every call, which then goes through."""
+    calls, real = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 @st.composite

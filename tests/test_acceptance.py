@@ -5,7 +5,6 @@ plain `pytest -s tests/test_acceptance.py` shows the scoreboard even when a
 criterion fails.
 """
 
-import itertools
 import random
 import time
 from fractions import Fraction as F
@@ -15,11 +14,14 @@ from bpmatching.approx import approximation_ratio, build_conflict_graph, complet
 from bpmatching.core import Instance, matching_weight
 from bpmatching.engine import partial_bp_matching, run_to_horizon
 from reference import (
+    best_matching_weight,
     class_weight_split,
     heavy_tail_tree,
     is_pseudoforest,
     node_neighbors,
     optimal_matching,
+    random_forest,
+    random_rows,
     suboptimal_matching,
 )
 
@@ -105,9 +107,7 @@ def test_criterion_4_engine_matches_tree_oracle():
     ok = True
     for _ in range(200):
         n = rng.randint(2, 4)
-        inst = Instance(
-            [[F(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
-        )
+        inst = Instance(random_rows(rng, n, "dense"))
         for snap in run_to_horizon(inst, 6):
             t = snap.iteration
             for v in range(2 * n):
@@ -279,9 +279,7 @@ def test_criterion_8_structural_suites():
     # Pseudoforest + completion containment over random runs.
     for _ in range(40):
         n = rng.randint(2, 6)
-        inst = Instance(
-            [[F(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
-        )
+        inst = Instance(random_rows(rng, n, "dense"))
         for snap in run_to_horizon(inst, 4):
             cg = build_conflict_graph(inst, snap)
             ok = ok and is_pseudoforest(cg)
@@ -299,20 +297,9 @@ def test_criterion_8_structural_suites():
             )
     # forest_mwm against subset brute force.
     for _ in range(500):
-        size = rng.randint(2, 15)
-        edges = []
-        for v in range(1, size):
-            edges.append((rng.randint(0, v - 1), v, F(rng.randint(-9, 9))))
-        rng.shuffle(edges)
-        kept = edges[: rng.randint(0, min(len(edges), 14))]
+        kept = random_forest(rng)
         got, _ = forest_mwm(kept)
-        best = F(0)
-        for r in range(1, len(kept) + 1):
-            for subset in itertools.combinations(kept, r):
-                ends = [x for u, v, _ in subset for x in (u, v)]
-                if len(ends) == len(set(ends)):
-                    best = max(best, sum((w for _, _, w in subset), start=F(0)))
-        ok = ok and got == best
+        ok = ok and got == best_matching_weight(kept)
     elapsed = time.perf_counter() - start
     report(8, ok and elapsed < 60.0, f"structural + 500 forests, {elapsed:.1f}s")
     assert ok

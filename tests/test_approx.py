@@ -1,6 +1,5 @@
 """Tests for conflict graphs and completion of partial BP matchings."""
 
-import itertools
 import random
 from fractions import Fraction as F
 
@@ -16,11 +15,7 @@ from bpmatching.approx import (
 from bpmatching.core import Instance, MissingEdgeError, ParameterError, matching_weight
 from bpmatching.engine import BeliefSnapshot, partial_bp_matching, run_to_horizon
 from bpmatching.oracles import mwm_hungarian
-from reference import is_pseudoforest
-
-
-def dense_instance(rng, n):
-    return Instance([[F(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)])
+from reference import best_matching_weight, is_pseudoforest, random_forest, random_rows
 
 
 def random_snapshot(rng, n):
@@ -30,30 +25,6 @@ def random_snapshot(rng, n):
         )
 
     return BeliefSnapshot(left_belief=side(), right_belief=side(), iteration=1)
-
-
-def brute_force_matching_weight(edges, weight_of):
-    """Best matching weight over a small bipartite edge list, by enumeration."""
-    best = F(0)
-    for r in range(1, len(edges) + 1):
-        for subset in itertools.combinations(edges, r):
-            lefts = [i for i, _ in subset]
-            rights = [j for _, j in subset]
-            if len(set(lefts)) == len(subset) and len(set(rights)) == len(subset):
-                total = sum((weight_of(i, j) for i, j in subset), start=F(0))
-                best = max(best, total)
-    return best
-
-
-def brute_force_forest_weight(edges):
-    """Best node-disjoint edge-set weight over a small general edge list."""
-    best = F(0)
-    for r in range(1, len(edges) + 1):
-        for subset in itertools.combinations(edges, r):
-            ends = [x for u, v, _ in subset for x in (u, v)]
-            if len(ends) == len(set(ends)):
-                best = max(best, sum((w for _, _, w in subset), start=F(0)))
-    return best
 
 
 def test_forest_mwm_hand_cases():
@@ -81,16 +52,9 @@ def test_forest_mwm_rejects_cycles_and_loops():
 def test_forest_mwm_matches_bruteforce_on_random_forests():
     rng = random.Random(20240818)
     for _ in range(500):
-        # Random forest: attach each new node to a random earlier node.
-        size = rng.randint(2, 15)
-        edges = []
-        for v in range(1, size):
-            u = rng.randint(0, v - 1)
-            edges.append((u, v, F(rng.randint(-9, 9))))
-        rng.shuffle(edges)
-        kept = edges[: rng.randint(0, min(len(edges), 14))]
+        kept = random_forest(rng)
         got, chosen = forest_mwm(kept)
-        assert got == brute_force_forest_weight(kept)
+        assert got == best_matching_weight(kept)
         # The reconstruction is a matching achieving the DP value.
         ends = [x for e in chosen for x in e]
         assert len(ends) == len(set(ends))
@@ -101,7 +65,7 @@ def test_forest_mwm_matches_bruteforce_on_random_forests():
 
 def test_conflict_graph_single_sided_beliefs():
     rng = random.Random(3)
-    inst = dense_instance(rng, 6)
+    inst = Instance(random_rows(rng, 6, "dense"))
     snap = BeliefSnapshot(
         left_belief=(1, 1, 2, 3, 4, 3),
         right_belief=(1, 2, 3, 2, 4, 4),
@@ -132,7 +96,7 @@ def test_conflict_graph_is_pseudoforest_on_random_snapshots():
     rng = random.Random(77)
     for _ in range(200):
         n = rng.randint(2, 7)
-        inst = dense_instance(rng, n)
+        inst = Instance(random_rows(rng, n, "dense"))
         cg = build_conflict_graph(inst, random_snapshot(rng, n))
         assert len(cg.edges) <= len(cg.left_nodes) + len(cg.right_nodes)
         assert is_pseudoforest(cg)
@@ -165,7 +129,7 @@ def test_complete_extends_partial_matching_on_random_runs():
     rng = random.Random(13)
     for _ in range(30):
         n = rng.randint(2, 6)
-        inst = dense_instance(rng, n)
+        inst = Instance(random_rows(rng, n, "dense"))
         for snap in run_to_horizon(inst, 4):
             partial = partial_bp_matching(snap)
             res = complete(inst, snap)
@@ -179,7 +143,7 @@ def test_complete_componentwise_weight_is_optimal():
     rng = random.Random(29)
     for _ in range(100):
         n = rng.randint(2, 6)
-        inst = dense_instance(rng, n)
+        inst = Instance(random_rows(rng, n, "dense"))
         snap = random_snapshot(rng, n)
         cg = build_conflict_graph(inst, snap)
         if not cg.edges:
@@ -190,7 +154,7 @@ def test_complete_componentwise_weight_is_optimal():
             if (i, j) in set(cg.edges)
         ]
         got = sum((inst.weight(i, j) for i, j in committed), start=F(0))
-        want = brute_force_matching_weight(list(cg.edges), inst.weight)
+        want = best_matching_weight([(i, n + j, inst.weight(i, j)) for i, j in cg.edges])
         assert got == want
 
 
@@ -229,7 +193,7 @@ def test_approximation_ratio_prices_like_matching_weight():
     rng = random.Random(43)
     for _ in range(200):
         n = rng.randint(1, 6)
-        inst = dense_instance(rng, n)
+        inst = Instance(random_rows(rng, n, "dense"))
         snap = random_snapshot(rng, n)
         res = complete(inst, snap)
         assert complete(inst, snap, partial_bp_matching(snap)) == res

@@ -18,7 +18,7 @@ from bpmatching.approx import complete
 from bpmatching.cli import main
 from bpmatching.core import Instance, ParameterError, matching_weight
 from bpmatching.engine import partial_bp_matching
-from reference import encodes, full_graph_snapshots
+from reference import count_calls, encodes, full_graph_snapshots
 
 
 def run(argv, capsys):
@@ -311,13 +311,7 @@ def test_bp_converge_solves_the_hungarian_oracle_once_per_view(
     # One solve gives the reference and the gap; an embedded instance adds
     # one for its bare view.
     path = gen_cycle_file(tmp_path, capsys, embed=embed)
-    calls, real = [], oracles.mwm_hungarian
-
-    def counted(inst):
-        calls.append(1)
-        return real(inst)
-
-    monkeypatch.setattr(oracles, "mwm_hungarian", counted)
+    calls = count_calls(monkeypatch, oracles, "mwm_hungarian")
     code, out, err = run(["bp", "converge", "--instance", str(path)], capsys)
     assert (code, out, err) == (0, "converged at t=20 (horizon 80)\n", "")
     assert len(calls) == solves
@@ -339,13 +333,7 @@ def test_bp_converge_ignores_wrong_optimum_in_metadata(tmp_path, capsys):
 
 def test_bp_run_solves_the_hungarian_oracle_once(tmp_path, capsys, monkeypatch):
     path = gen_cycle_file(tmp_path, capsys)
-    calls, real = [], oracles.mwm_hungarian
-
-    def counted(inst):
-        calls.append(1)
-        return real(inst)
-
-    monkeypatch.setattr(oracles, "mwm_hungarian", counted)
+    calls = count_calls(monkeypatch, oracles, "mwm_hungarian")
     code, _, err = run(["bp", "run", "--instance", str(path), "--iters", "30"], capsys)
     assert code == 0, err
     assert len(calls) == 1
@@ -484,26 +472,26 @@ def test_exp_approx_window_below_one_iteration_needs_iters(tmp_path, capsys):
 # -- trace rows against the loop that evaluates every iteration --
 
 
+def reference_row(inst, snap, opt_weight):
+    """(mutual pairs, unresolved nodes, completion ratio) of ``snap``,
+    computed from scratch; the ratio prices its completion through
+    ``core.matching_weight``."""
+    unresolved = snap.left_belief.count(None) + snap.right_belief.count(None)
+    ratio = matching_weight(inst, complete(inst, snap).matching) / opt_weight
+    return len(partial_bp_matching(snap).pairs), unresolved, ratio
+
+
 def reference_trace(inst, horizon, with_ratio):
-    """``bp run`` / ``approx`` CSV text, every row computed from scratch;
-    a ratio prices its completion through ``core.matching_weight``."""
-    reference, _ = oracles.mwm_hungarian(inst)
-    if with_ratio:
-        _, opt_weight = oracles.mwm_hungarian(inst)
+    """``bp run`` / ``approx`` CSV text, every row computed from scratch."""
+    reference, opt_weight = oracles.mwm_hungarian(inst)
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(cli.TRACE_HEADER)
     for snap in full_graph_snapshots(inst, horizon):
-        partial = partial_bp_matching(snap)
-        unresolved = sum(1 for b in snap.left_belief if b is None) + sum(
-            1 for b in snap.right_belief if b is None
-        )
-        num = den = ""
-        if with_ratio:
-            ratio = matching_weight(inst, complete(inst, snap).matching) / opt_weight
-            num, den = str(ratio.numerator), str(ratio.denominator)
-        writer.writerow([snap.iteration, len(partial.pairs), unresolved,
-                         int(encodes(snap, reference)), num, den])
+        pairs, unresolved, ratio = reference_row(inst, snap, opt_weight)
+        num, den = (ratio.numerator, ratio.denominator) if with_ratio else ("", "")
+        writer.writerow([snap.iteration, pairs, unresolved, int(encodes(snap, reference)),
+                         num, den])
     return out.getvalue()
 
 
@@ -528,15 +516,11 @@ def reference_exp_approx(inst, horizon):
     _, opt_weight = oracles.mwm_hungarian(inst)
     rows = []
     for snap in full_graph_snapshots(inst, horizon):
-        partial = partial_bp_matching(snap)
-        unresolved = sum(1 for b in snap.left_belief if b is None) + sum(
-            1 for b in snap.right_belief if b is None
-        )
-        ratio = matching_weight(inst, complete(inst, snap).matching) / opt_weight
+        pairs, unresolved, ratio = reference_row(inst, snap, opt_weight)
         rows.append({
             "instance": inst.content_hash()[:16],
             "t": snap.iteration,
-            "pairs": len(partial.pairs),
+            "pairs": pairs,
             "unresolved": unresolved,
             "in_window": int(snap.iteration <= window),
             "failed_cycles": reference_failed_cycles(inst, snap),
@@ -587,13 +571,7 @@ def test_approx_solves_the_hungarian_oracle_once(tmp_path, capsys, monkeypatch):
     inst = random_dense_instance(5, 5)
     path = tmp_path / "inst.json"
     path.write_text(inst.to_json())
-    calls, real = [], oracles.mwm_hungarian
-
-    def counted(inst):
-        calls.append(1)
-        return real(inst)
-
-    monkeypatch.setattr(oracles, "mwm_hungarian", counted)
+    calls = count_calls(monkeypatch, oracles, "mwm_hungarian")
     out_csv = tmp_path / "trace.csv"
     code, _, err = run(["approx", "--instance", str(path), "--iters", "40",
                         "--csv", str(out_csv)], capsys)
@@ -778,18 +756,29 @@ def test_two_outputs_naming_one_file_exit_before_any_work(
     assert (tmp_path / "x.csv").read_bytes() == b"earlier\r\n"
 
 
+@pytest.mark.parametrize("out_name", ["inst.json", "link.json"], ids=["same-path", "symlink"])
+@pytest.mark.parametrize("command", [["bp", "run"], ["approx"]], ids=["bp-run", "approx"])
+def test_an_output_naming_the_instance_exits_before_any_work(tmp_path, capsys, command,
+                                                             out_name):
+    # The CSV would replace the instance the command reads: the command is
+    # refused, and the instance keeps its bytes.
+    path = gen_cycle_file(tmp_path, capsys)
+    (tmp_path / "link.json").symlink_to("inst.json")
+    before, bad = path.read_bytes(), tmp_path / out_name
+    code, out, err = run(command + ["--instance", str(path), "--iters", "3",
+                                    "--csv", str(bad)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {bad}")
+    assert sorted(os.listdir(tmp_path)) == ["inst.json", "link.json"]
+    assert path.read_bytes() == before
+
+
 @pytest.mark.parametrize("command, hashes", zip(EXPERIMENTS, [3, 1]),
                          ids=["exp-convergence", "exp-approx"])
 def test_experiments_hash_each_instance_once(tmp_path, capsys, monkeypatch, command, hashes):
     # One hash per instance serves both the CSV's instance column and the
     # manifest's instance_hashes.
-    calls, real = [], Instance.content_hash
-
-    def counted(inst):
-        calls.append(1)
-        return real(inst)
-
-    monkeypatch.setattr(Instance, "content_hash", counted)
+    calls = count_calls(monkeypatch, Instance, "content_hash")
     code, _, err = run(command + ["-o", str(tmp_path / "x.csv"),
                                   "--manifest", str(tmp_path / "m.json")], capsys)
     assert code == 0, err

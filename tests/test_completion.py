@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bpmatching.approx import build_conflict_graph, complete
 from bpmatching.core import Instance
 from bpmatching.engine import BeliefSnapshot, partial_bp_matching, run_to_horizon
+from reference import best_matching_weight
 
 
 @st.composite
@@ -39,17 +40,6 @@ def dense_cases(draw):
             left[ls[a]] = rs[a]
             right[rs[a]] = ls[(a + 1) % k]
     return inst, BeliefSnapshot(tuple(left), tuple(right), 1)
-
-
-def best_matching_weight(inst, edges):
-    """Largest Fraction weight of a matching inside ``edges``, by enumeration."""
-    if not edges:
-        return F(0)
-    (i, j), rest = edges[0], edges[1:]
-    skip = best_matching_weight(inst, rest)
-    keep = inst.weight(i, j) + best_matching_weight(
-        inst, [(a, b) for a, b in rest if a != i and b != j])
-    return max(skip, keep)
 
 
 @settings(max_examples=300, deadline=None)
@@ -88,11 +78,11 @@ def test_completion_properties(case):
         ring = nx.find_cycle(g.subgraph(comp))
         assert record.cycle_edge == min((min(u, v), max(u, v) - n) for u, v in ring)
         ei, ej = record.cycle_edge
-        edges = [(i, j) for i, j in cg.edges if i in comp]
+        edges = {(i, j): (i, n + j, inst.weight(i, j)) for i, j in cg.edges if i in comp}
         with_edge = inst.weight(ei, ej) + best_matching_weight(
-            inst, [(i, j) for i, j in edges if i != ei and j != ej])
+            [e for (i, j), e in edges.items() if i != ei and j != ej])
         without_edge = best_matching_weight(
-            inst, [e for e in edges if e != record.cycle_edge])
+            [e for ij, e in edges.items() if ij != record.cycle_edge])
         assert record.weight_with_edge == with_edge
         assert record.weight_without_edge == without_edge
         assert record.chose_edge == (with_edge > without_edge)

@@ -124,8 +124,8 @@ def test_flat_layout_of_the_adjacency(rows):
     assert step(init_messages(inst)).x == adj.flat_w and len(state.x) == start[-1]
     assert state.rows == [state.x[a:e] for a, e in zip(start, start[1:])]
     assert state.to_left == state.rows[:n] and state.to_right == state.rows[n:]
-    # The derived layout follows a replaced weight list: a stale flat_w would
-    # carry real weights into the engine's zero-weight linear part.
+    # The derived layout follows a replaced field (test_trees' counting proxy
+    # is what still replaces one): a stale flat_w would keep the old weights.
     zero = replace(adj, w=[[0] * len(w) for w in adj.w])
     assert adj.flat_w is inst.adjacency().flat_w  # cached on the instance's view
     assert zero.flat_w == [0] * start[-1]

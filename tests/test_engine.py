@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bpmatching import generators
+from bpmatching import engine, generators
 from bpmatching.core import HorizonExhausted, Instance, Matching, ParameterError, relabel
 from bpmatching.engine import (
     beliefs,
@@ -417,8 +417,6 @@ def checked_jumps(inst, reference, horizon):
     instance reaches, on the edges of the graph it carries (the instance or
     its bare view), with the largest of the others as its fill; and so must
     each rebuild of the full instance's state from its bare view."""
-    from bpmatching import engine
-
     regime, widen, jumps = engine._Run.regime, engine._widen, []
     stepped, states = [], full_graph_states(inst)
 
@@ -536,19 +534,10 @@ def test_convergence_time_matches_stepping(case):
 def test_bare_cycle_time_law_far_past_the_cap(n, eps, monkeypatch):
     # T = n*w_max/(2*eps) + 2 on the bare heavy cycle, at a certified
     # horizon of 4.8e7 or more, in at most 6n steps.
-    from bpmatching import engine
-
     inst = generators.gen_cycle(generators.CycleParams(n, F(8), eps))
     horizon = certified_horizon(inst)
     assert horizon >= 48 * 10**6
-    calls = []
-    real = engine.step
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "step", spy)
+    calls = stepped_graphs(monkeypatch)
     t = convergence_time(inst, optimal_matching(inst), horizon)
     assert t == n * F(8) / (2 * eps) + 2
     assert len(calls) <= 6 * n
@@ -557,8 +546,6 @@ def test_bare_cycle_time_law_far_past_the_cap(n, eps, monkeypatch):
 def regime_calls(monkeypatch):
     """Spy on ``_Run.regime``: the list it fills holds (states held, p,
     landing iteration, ``engine.step`` calls made) of every call."""
-    from bpmatching import engine
-
     out, real, calls = [], engine._Run.regime, stepped_graphs(monkeypatch)
 
     def spy(run, state, p):
@@ -636,8 +623,6 @@ def test_cycle_unions_match_stepping(case):
 def stepped_graphs(monkeypatch):
     """Spy on ``engine.step``: the list it fills holds (graph, iteration)
     of every state stepped."""
-    from bpmatching import engine
-
     calls, real = [], engine.step
 
     def spy(state):
@@ -841,8 +826,6 @@ def test_embedded_forms_match_stepping_the_full_instance(case):
 def test_step_widens_where_a_fill_exceeds_a_best():
     # alpha_5's fill exceeds its best at t=8: seven steps from the bare view
     # stay on it, and the eighth returns the full graph's state at t=8.
-    from bpmatching import engine
-
     inst = Instance(FILL_EXCEEDS_A_BEST)
     state = engine._start(inst)
     for _ in range(7):
@@ -891,8 +874,6 @@ def test_floors_of_a_row_without_a_runner_up(monkeypatch):
     # _floors reads a row's runner-up by its index in the flat message
     # vector; with none (-1) its second floor is its best floor, never a
     # message of another row.
-    from bpmatching import engine
-
     inst, reference = Instance(LONE_EDGE), Matching.of([(i, i) for i in range(3)])
     calls, real = [], engine._floors
 
@@ -926,8 +907,6 @@ def test_a_wrong_period_costs_steps_never_a_result(monkeypatch):
     # The fingerprint only proposes p; the window proof decides.  Proposing a
     # random p <= i/2 on about 30% of the calls must leave T and
     # HorizonExhausted as stepping every iteration gives them.
-    from bpmatching import engine
-
     rng, period = random.Random(7), engine._Run.period
 
     def guess(run):
@@ -993,8 +972,6 @@ def test_padded_forms_trace_as_the_full_graph(rows):
     # run_to_horizon steps the bare view, pads included, until a filler
     # message exceeds a best, and the full graph from that t on; its
     # snapshots are those of stepping the full graph every iteration.
-    from bpmatching import engine
-
     inst, horizon = Instance(rows), 60
     calls, real = [], engine.step
 

@@ -27,11 +27,11 @@ from bpmatching.oracles import (
     second_best_weight,
     uniqueness_gap,
 )
-from reference import mwm_enumeration, optimal_matching
+from reference import mwm_enumeration, optimal_matching, random_rows
 
 
 def random_instance(rng, n, sparse=False):
-    rows = [[F(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
+    rows = random_rows(rng, n, "dense")
     if sparse:
         # Knock out off-diagonal edges but keep one perfect matching alive.
         for i in range(n):

@@ -19,7 +19,8 @@ from bpmatching.trees import (
     oracle_belief,
     unroll,
 )
-from reference import class_weight_split, heavy_tail_tree, node_neighbors, tree_edges
+from reference import (class_weight_split, heavy_tail_tree, node_neighbors, random_rows,
+                       tree_edges)
 
 
 def test_unroll_shapes_on_dense_graph():
@@ -84,9 +85,7 @@ def test_oracle_agrees_with_engine_on_random_instances():
     rng = random.Random(42)
     for _ in range(15):
         n = rng.randint(2, 3)
-        inst = Instance(
-            [[F(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
-        )
+        inst = Instance(random_rows(rng, n, "dense"))
         snaps = list(run_to_horizon(inst, 5))
         for snap in snaps:
             t = snap.iteration
@@ -197,19 +196,6 @@ def reference_max_t_matching(inst, tree):
     if len(winners) > 1:
         return total, TIE
     return total, (tree.root, tree.labels[winners[0]])
-
-
-def random_rows(rng, n, kind):
-    cell = {
-        "dense": lambda: F(rng.randint(-9, 9)),
-        "sparse": lambda: None if rng.random() < 0.4 else F(rng.randint(-9, 9)),
-        "tied": lambda: None if rng.random() < 0.2 else F(rng.randint(0, 2)),
-        "rational": lambda: F(rng.randint(-20, 20), rng.randint(1, 6)),
-    }[kind]
-    rows = [[cell() for _ in range(n)] for _ in range(n)]
-    if all(w is None for row in rows for w in row):
-        rows[0][0] = F(1)
-    return rows
 
 
 def test_integer_dp_matches_fraction_reference():
