@@ -86,7 +86,12 @@ def mwm_hungarian(inst: Instance) -> tuple[Matching, Fraction]:
 
 
 def _min_cost_assignment(cost: list[list[int]]) -> list[int]:
-    """Exact O(n^3) assignment minimizing total cost; returns column per row."""
+    """Exact O(n^3) assignment minimizing total cost; returns column per row.
+
+    Each scan visits only the ``free`` columns, those off the alternating
+    tree, in ascending order with a strict ``<``, and the duals shift over
+    the ``done`` ones on it; a scan of every column that skips the tree's
+    picks the same column, so the assignment is the same."""
     n = len(cost)
     u = [0] * (n + 1)
     v = [0] * (n + 1)
@@ -96,28 +101,26 @@ def _min_cost_assignment(cost: list[list[int]]) -> list[int]:
         p[0] = i
         j0 = 0
         minv = [inf] * (n + 1)
-        used = [False] * (n + 1)
+        free, done = list(range(1, n + 1)), [0]
         while True:
-            used[j0] = True
-            i0 = p[j0]
+            row, ui = cost[p[j0] - 1], u[p[j0]]
             delta = inf
             j1 = 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
+            for j in free:
+                cur = row[j - 1] - ui - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
                 if minv[j] < delta:
                     delta = minv[j]
                     j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            for j in done:
+                u[p[j]] += delta
+                v[j] -= delta
+            for j in free:
+                minv[j] -= delta
+            free.remove(j1)
+            done.append(j1)
             j0 = j1
             if p[j0] == 0:
                 break

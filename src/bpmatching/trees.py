@@ -27,6 +27,7 @@ import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Callable, Optional, Union
 
 from .core import Instance, OracleCapExceeded, ParameterError
@@ -82,7 +83,7 @@ def unroll(inst: Instance, v: int, t: int) -> ComputationTree:
     if _grown_for() is not inst:
         _grown.clear()
         _grown_for = weakref.ref(inst, lambda _: _grown.clear())
-    labels, parent, weight_up, ends = tree = _grown.get(v, ([v], [-1], [None], [0, 1]))
+    labels, parent, weight_up, ends = tree = _grown.get(v) or ([v], [-1], [None], [0, 1])
     while len(ends) < t + 2:  # each level is stored only once it fits
         lab, par, wu, room = [], [], [], cap - len(labels)
         for k in range(ends[-2], ends[-1]):
@@ -119,9 +120,11 @@ def max_t_matching(
     upward (edge weight counted at the parent), and B(u), the best weight
     when u is matched to one of its children.  Leaves may stay unmatched
     (A = B = 0); inner nodes are covered structurally, so A(u) is the sum
-    of B over u's children (``below``) and B(u) = A(u) + ``best``(u), the
-    best child score w(c) + A(c) - B(c) = w(c) - best(c).  Returns TIE when
-    several optima disagree on the root edge.
+    of B over u's children and B(u) = A(u) + ``best``(u), the best child
+    score w(c) + A(c) - B(c) = w(c) - best(c).  With best = 0 at a node
+    without children, the optimum's weight B(root) telescopes to the sum of
+    ``best`` over the tree, so one reverse BFS pass keeps ``best`` alone.
+    Returns TIE when several optima disagree on the root edge.
     """
     if tree.depth < 1:
         raise ParameterError("T-matchings need depth >= 1")
@@ -129,17 +132,16 @@ def max_t_matching(
     if m == 1:
         raise ParameterError("root has no incident edge")
     parent, w = tree.parent, tree.weight_up
-    best: list[Optional[int]] = [None] * m
-    below = [0] * m
+    best, q = [0] * m, -1
     for k in range(m - 1, 0, -1):
-        p, b = parent[k], best[k] or 0  # a leaf has no child: A = B = 0
-        s = w[k] - b
-        below[p] += below[k] + b
-        if best[p] is None or s > best[p]:
+        p, s = parent[k], w[k] - best[k]
+        if p != q:  # children are contiguous: p's last child is met first
+            best[p], q = s, p
+        elif s > best[p]:
             best[p] = s
-    top = best[0]
-    root_scores = [w[k] - (best[k] or 0) for k in range(1, bisect_right(parent, 0))]
-    total = Fraction(below[0] + top, tree.scale)
+    top, r = best[0], bisect_right(parent, 0)
+    root_scores = list(map(sub, w[1:r], best[1:r]))
+    total = Fraction(sum(best), tree.scale)
     if root_scores.count(top) > 1:
         return total, TIE
     return total, (tree.root, tree.labels[1 + root_scores.index(top)])
@@ -150,13 +152,8 @@ def oracle_belief(inst: Instance, v: int, t: int) -> Union[int, _Tie]:
 
     The partner is reported as an index on the opposite side (0..n-1).
     """
-    tree = unroll(inst, v, t)
-    _, root_edge = max_t_matching(tree)
-    if root_edge is TIE:
-        return TIE
-    _, other = root_edge
-    n = inst.n
-    return other - n if other >= n else other
+    _, root_edge = max_t_matching(unroll(inst, v, t))
+    return TIE if root_edge is TIE else root_edge[1] % inst.n
 
 
 def nibbling_delta(n: int, w_max: Fraction, eps: Fraction, l: int) -> Fraction:

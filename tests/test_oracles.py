@@ -1,7 +1,9 @@
 """Tests for the matching oracles: the subset DP against n! enumeration,
 the DP against Hungarian, gap computation."""
 
+import hashlib
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -161,6 +163,27 @@ def test_hungarian_equals_bruteforce_at_the_cap():
         assert mb.is_perfect(n) and mh.is_perfect(n)
         outcomes.add("tied" if uniqueness_gap(inst) == 0 else "unique")
     assert outcomes == {"tied", "unique", "unmatchable"}
+
+
+def test_hungarian_pairs_are_pinned_on_tied_optima():
+    # Pins which optimum the Hungarian method returns, not only its weight:
+    # 144 of these draws have several optima, 10 have no perfect matching.
+    rng = random.Random(29)
+    found, tied = [], 0
+    for _ in range(300):
+        inst = Instance(random_rows(rng, rng.randint(2, 7), "tied"))
+        try:
+            found.append(mwm_hungarian(inst)[0].sorted_pairs())
+        except ParameterError:
+            found.append(None)
+            continue
+        try:
+            tied += uniqueness_gap(inst) == 0
+        except ParameterError:
+            pass
+    assert (tied, found.count(None)) == (144, 10)
+    digest = hashlib.sha256(json.dumps(found).encode()).hexdigest()
+    assert digest == "558a5305547a16ac46f2f952d3d3d7480d310772def3a9d3458789f1abd71c8d"
 
 
 def test_gap_rejects_a_suboptimal_assignment(monkeypatch):
