@@ -3,13 +3,19 @@
 The conflict graph joins the uncovered nodes by the edges that exactly one
 uncovered endpoint believes in: an edge both endpoints believe in is
 mutual, hence covered.  Each node thus has at most one out-pointer, its
-belief, and the graph is functional.  Following pointers from a node
-either ends at a node without one, and the component is a tree, or enters
-the component's single cycle.  Cyclic components are resolved by
-branching on their lexicographically smallest cycle edge being in or out
-of the matching; both residual forests are solved exactly by tree dynamic
-programming.  Nodes still unmatched afterwards are paired greedily in
-ascending index order.
+belief, so every component is a tree, rooted at its one node without a
+pointer, or holds a single cycle.  The tree stage runs on the pointers
+alone.  A Kahn peel finishes nodes leaves first, each folding its weights
+into the node it points to; it solves every tree and leaves exactly the
+cycle nodes.  A cycle branches on its smallest edge e = (a, b), a pointing
+to b: with e, the chain from b's target to the node pointing to a, plus
+w_e and the trees of a and b; without e, the chain from b round to a.  A
+chain is the tree that its cut leaves, solved by the same fold, and the
+branch with the larger weight wins (without e on a tie).  Ties among
+maximum-weight matchings follow one rule: each tree is solved from its
+root, and a node matches the smallest-id child among those with the
+largest positive gain.  Nodes still unmatched afterwards are paired
+greedily in ascending index order.
 
 Graph nodes carry the ids of the instance graph view: alpha_i is i and
 beta_j is n + j.  The dynamic programming and the ratio's sum run on the
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Optional, Sequence
+from typing import Optional
 
 from .core import Instance, Matching, MissingEdgeError, ParameterError
 from .engine import BeliefSnapshot, PartialBpMatching, partial_bp_matching
@@ -96,96 +102,74 @@ def build_conflict_graph(inst: Instance, snap: BeliefSnapshot) -> ConflictGraph:
     )
 
 
-def _components(ptr: list[int]) -> tuple[list[int], list[Optional[tuple[int, int]]]]:
-    """Component label of every graph node (-1 off every edge) and, per
-    label, the smallest edge of the component's cycle (None for a tree).
+def _fold(u: int, p: int, wt: dict, free: dict, gain: dict, pick: dict) -> None:
+    """Finish node u into p = ptr[u].  free[u] is the best weight of u's
+    subtree with u unmatched; gain[u] is what matching u to its pick adds
+    (0, pick -1, for none).  Matching u to p gains wt[u] - gain[u]."""
+    free[p] += free[u] + gain[u]
+    c = wt[u] - gain[u]
+    if c > gain[p] or c == gain[p] and u < pick[p]:
+        gain[p], pick[p] = c, u
 
-    Each walk follows pointers until it meets a labelled node, runs out of
-    pointers (a tree's root) or meets its own path (the cycle); O(nodes).
-    """
-    n, on_path = len(ptr) // 2, -2
-    label = [-1] * len(ptr)
-    cycle_edge: list[Optional[tuple[int, int]]] = []
-    for start, nxt in enumerate(ptr):
-        if nxt < 0 or label[start] != -1:
+
+def _chain(path: list[int], wt: dict, free: dict, gain: dict, pick: dict) -> tuple[int, dict]:
+    """Fold path[0] into path[1], ..., into path[-1] on copies; the best
+    weight of the tree so rooted at path[-1] and the copied picks."""
+    free, gain, pick = free.copy(), gain.copy(), pick.copy()
+    for u, p in zip(path, path[1:]):
+        _fold(u, p, wt, free, gain, pick)
+    return free[path[-1]] + gain[path[-1]], pick
+
+
+def _solve(ptr: list[int], wt: dict) -> tuple[list, list]:
+    """Maximum weight matching of the pointer graph with an edge (u, ptr[u])
+    of weight wt[u] per key u of ``wt``; no two nodes point at each other.
+    Returns the matched pairs (ptr[u], u) and, per cycle, (its component's
+    smallest node, a, weight with e, weight without e, whether with won),
+    e = (a, ptr[a]) its smallest edge by (smaller end, larger end)."""
+    nodes = [*wt, *(ptr[u] for u in wt)]
+    free, gain, indeg = dict.fromkeys(nodes, 0), dict.fromkeys(nodes, 0), dict.fromkeys(nodes, 0)
+    pick, lo, taken = dict.fromkeys(nodes, -1), dict(zip(nodes, nodes)), set()
+    for u in wt:
+        indeg[ptr[u]] += 1
+    order = [u for u in indeg if not indeg[u]]
+    for u in order:  # leaves first: a node joins once its children are done
+        if u in wt:
+            p = ptr[u]
+            _fold(u, p, wt, free, gain, pick)
+            lo[p] = min(lo[p], lo[u])
+            indeg[p] -= 1
+            if not indeg[p]:
+                order.append(p)
+    matched, cycles, top = [], [], []
+    for u in wt:
+        if not indeg[u]:  # peeled, or on a cycle already solved
             continue
-        path, u = [], start
-        while u >= 0 and label[u] == -1:
-            label[u] = on_path
-            path.append(u)
-            u = ptr[u]
-        if u >= 0 and label[u] != on_path:
-            comp = label[u]
+        ring = [u]
+        while ptr[ring[-1]] != u:
+            ring.append(ptr[ring[-1]])
+        k = ring.index(min(ring, key=lambda x: sorted((x, ptr[x]))))
+        ring = ring[k + 1:] + ring[:k + 1]  # b = ptr[a] round to a
+        a, b = ring[-1], ring[0]
+        w_in, picks = _chain(ring[1:-1], wt, free, gain, pick)
+        w_in += free[a] + free[b] + wt[a]
+        w_out, out_picks = _chain(ring, wt, free, gain, pick)
+        chose = w_in > w_out
+        if chose:
+            picks[b] = a
+            taken.add(a)
         else:
-            comp = len(cycle_edge)
-            ring = path[path.index(u):] if u >= 0 else []
-            cycle_edge.append(min((_edge(v, ptr[v], n) for v in ring), default=None))
-        for v in path:
-            label[v] = comp
-    return label, cycle_edge
-
-
-def forest_mwm(
-    edges: Sequence[tuple[Hashable, Hashable, object]],
-) -> tuple[object, list[tuple[Hashable, Hashable]]]:
-    """Maximum weight matching of a weighted forest (nodes optional).
-
-    The weights may be any exactly ordered numbers (ints, ``Fraction``s);
-    the total is their sum, 0 for no edge.  Negative edges are only taken
-    when they improve the total, which on a forest with optional coverage
-    means never.  Raises on self-loops and on cyclic input, parallel edges
-    included.
-    """
-    adj: dict[Hashable, list[tuple[Hashable, object]]] = {}
-    for u, v, w in edges:
-        if u == v:
-            raise ParameterError("self-loop in forest input")
-        adj.setdefault(u, []).append((v, w))
-        adj.setdefault(v, []).append((u, w))
-
-    total = 0
-    chosen: list[tuple[Hashable, Hashable]] = []
-    visited: set[Hashable] = set()
-    for root in adj:
-        if root in visited:
-            continue
-        # Iterative pre-order over the tree containing root; a node reached
-        # twice closes a cycle.
-        order: list[tuple[Hashable, Optional[Hashable]]] = []
-        stack: list[tuple[Hashable, Optional[Hashable]]] = [(root, None)]
-        while stack:
-            u, p = stack.pop()
-            if u in visited:
-                raise ParameterError("cycle detected in forest input")
-            visited.add(u)
-            order.append((u, p))
-            for v, _ in adj[u]:
-                if v != p:
-                    stack.append((v, u))
-        # free[u]: best weight of u's subtree with u unmatched.
-        # best[u]: best weight of u's subtree (u free or matched to a child).
-        free: dict[Hashable, object] = {}
-        best: dict[Hashable, object] = {}
-        pick: dict[Hashable, Optional[Hashable]] = {}
-        for u, p in reversed(order):
-            kids = [(v, w) for v, w in adj[u] if v != p]
-            f = sum(best[v] for v, _ in kids)
-            free[u] = best[u] = f
-            pick[u] = None
-            for v, w in kids:
-                cand = f - best[v] + free[v] + w
-                if cand > best[u]:
-                    best[u] = cand
-                    pick[u] = v
-        total += best[root]
-        # Top-down reconstruction: a node matched to its parent is free.
-        forced_free: set[Hashable] = set()
-        for u, _ in order:
-            v = None if u in forced_free else pick[u]
-            if v is not None:
-                chosen.append((u, v))
-                forced_free.add(v)
-    return total, chosen
+            picks = out_picks
+        for x in ring:
+            indeg[x], pick[x] = 0, picks[x]
+        top += reversed(ring)
+        cycles.append((min(lo[x] for x in ring), a, w_in, w_out, chose))
+    # Top-down, cycles from a, then the peel reversed; a taken node keeps no pick.
+    for u in top + order[::-1]:
+        if u not in taken and pick[u] >= 0:
+            matched.append((u, pick[u]))
+            taken.add(pick[u])
+    return matched, cycles
 
 
 def complete(inst: Instance, snap: BeliefSnapshot,
@@ -193,55 +177,29 @@ def complete(inst: Instance, snap: BeliefSnapshot,
     """Perfect matching extending ``partial``, the snapshot's partial BP
     matching (``partial_bp_matching(snap)`` unless the caller has it).
 
-    Cyclic conflict components are branched on their lexicographically
-    smallest cycle edge; the branch with the larger committed weight wins.
-    Leftover nodes are paired greedily in ascending index order.  Every
-    edge of the result, the mutual pairs included, is checked present.
+    The conflict graph is solved as the module docstring says; branch
+    records come in the order of each cyclic component's smallest node.
+    Every edge of the result, the mutual pairs included, is checked present.
     """
     n, rows, scale = inst.n, inst.scaled_weights(), inst.scale
     partial = partial or partial_bp_matching(snap)
     ptr = _pointers(snap, partial)
     edges = _edges(ptr)
-    label, cycle_edge = _components(ptr)
     pairs: set[tuple[int, int]] = set(partial.pairs.pairs)
     for i, j in pairs:
         if rows[i][j] is None:
             raise MissingEdgeError(f"mutual edge ({i},{j}) is absent")
-    records: list[BranchRecord] = []
-
-    # Sorted edges bucketed by component: components come in the order of
-    # their smallest left node, each with its edges sorted.
-    comps: dict[int, list[tuple[int, int, int]]] = {}
+    wt = {}
     for i, j in edges:
         w = rows[i][j]
         if w is None:
             raise MissingEdgeError(f"edge ({i},{j}) is absent")
-        comps.setdefault(label[i], []).append((i, n + j, w))
-    for comp, weighted in comps.items():
-        e = cycle_edge[comp]
-        if e is None:
-            _, committed = forest_mwm(weighted)
-        else:
-            ei, ej = e
-            w_e = rows[ei][ej]
-            weight_a, matched_a = forest_mwm(
-                [x for x in weighted if x[0] != ei and x[1] != n + ej])
-            weight_b, matched_b = forest_mwm(
-                [x for x in weighted if x[:2] != (ei, n + ej)])
-            chose_edge = weight_a + w_e > weight_b
-            committed = matched_a if chose_edge else matched_b
-            records.append(
-                BranchRecord(
-                    cycle_edge=e,
-                    weight_with_edge=Fraction(weight_a + w_e, scale),
-                    weight_without_edge=Fraction(weight_b, scale),
-                    chose_edge=chose_edge,
-                )
-            )
-            if chose_edge:
-                pairs.add(e)
-        pairs.update(_edge(u, v, n) for u, v in committed)
-
+        wt[i if ptr[i] == n + j else n + j] = w
+    matched, cycles = _solve(ptr, wt)
+    pairs.update(_edge(u, v, n) for u, v in matched)
+    records = tuple(
+        BranchRecord(_edge(a, ptr[a], n), Fraction(w_in, scale), Fraction(w_out, scale), chose)
+        for _, a, w_in, w_out, chose in sorted(cycles))
     covered_left = {i for i, _ in pairs}
     covered_right = {j for _, j in pairs}
     greedy = []
@@ -262,7 +220,7 @@ def complete(inst: Instance, snap: BeliefSnapshot,
     pairs.update(greedy)
     return CompletionResult(
         matching=Matching(frozenset(pairs)),
-        branch_records=tuple(records),
+        branch_records=records,
         greedy_pairs=tuple(greedy),
     )
 

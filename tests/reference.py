@@ -207,6 +207,15 @@ def random_forest(rng) -> list[tuple[int, int, Fraction]]:
     return edges[: rng.randint(0, min(len(edges), 14))]
 
 
+def forest_pointers(edges) -> tuple[list[int], dict]:
+    """``random_forest``'s edges (p, v, w), p < v, as the pointer forest
+    ptr[v] = p, wt[v] = w on nodes 0..14."""
+    ptr, wt = [-1] * 15, {}
+    for p, v, w in edges:
+        ptr[v], wt[v] = p, w
+    return ptr, wt
+
+
 def count_calls(monkeypatch, owner, name: str) -> list[tuple]:
     """Wrap ``owner.name`` for the test: the returned list records the
     positional arguments of every call, which then goes through."""

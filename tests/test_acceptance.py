@@ -10,12 +10,13 @@ import time
 from fractions import Fraction as F
 
 from bpmatching import engine, generators, oracles, trees
-from bpmatching.approx import approximation_ratio, build_conflict_graph, complete, forest_mwm
+from bpmatching.approx import _solve, approximation_ratio, build_conflict_graph, complete
 from bpmatching.core import Instance, matching_weight
 from bpmatching.engine import partial_bp_matching, run_to_horizon
 from reference import (
     best_matching_weight,
     class_weight_split,
+    forest_pointers,
     heavy_tail_tree,
     is_pseudoforest,
     node_neighbors,
@@ -295,11 +296,12 @@ def test_criterion_8_structural_suites():
             ok = ok and not any(
                 i in zip_left and j in zip_right for i, j in conflict
             )
-    # forest_mwm against subset brute force.
+    # The completion's pointer-graph solver against subset brute force.
     for _ in range(500):
         kept = random_forest(rng)
-        got, _ = forest_mwm(kept)
-        ok = ok and got == best_matching_weight(kept)
+        ptr, wt = forest_pointers(kept)
+        chosen, _ = _solve(ptr, wt)
+        ok = ok and sum((wt[u] for _, u in chosen), start=F(0)) == best_matching_weight(kept)
     elapsed = time.perf_counter() - start
     report(8, ok and elapsed < 60.0, f"structural + 500 forests, {elapsed:.1f}s")
     assert ok

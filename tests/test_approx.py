@@ -6,16 +6,17 @@ from fractions import Fraction as F
 import pytest
 
 from bpmatching import generators
-from bpmatching.approx import (
-    approximation_ratio,
-    build_conflict_graph,
-    complete,
-    forest_mwm,
-)
+from bpmatching.approx import _solve, approximation_ratio, build_conflict_graph, complete
 from bpmatching.core import Instance, MissingEdgeError, ParameterError, matching_weight
 from bpmatching.engine import BeliefSnapshot, partial_bp_matching, run_to_horizon
 from bpmatching.oracles import mwm_hungarian
-from reference import best_matching_weight, is_pseudoforest, random_forest, random_rows
+from reference import (
+    best_matching_weight,
+    forest_pointers,
+    is_pseudoforest,
+    random_forest,
+    random_rows,
+)
 
 
 def random_snapshot(rng, n):
@@ -27,40 +28,48 @@ def random_snapshot(rng, n):
     return BeliefSnapshot(left_belief=side(), right_belief=side(), iteration=1)
 
 
-def test_forest_mwm_hand_cases():
-    w, chosen = forest_mwm([("a", "b", F(5))])
-    assert w == F(5)
-    assert chosen == [("a", "b")]
+def test_solve_hand_cases():
+    # One edge; pairs come as (ptr[u], u).
+    assert _solve([-1, 0], {1: F(5)}) == ([(0, 1)], [])
     # Alternating path: take both end edges, skip the middle one.
-    w, chosen = forest_mwm([(0, 1, F(5)), (1, 2, F(-1)), (2, 3, F(5))])
-    assert w == F(10)
-    assert sorted(chosen) == [(0, 1), (2, 3)]
+    assert _solve([-1, 0, 1, 2], {1: F(5), 2: F(-1), 3: F(5)}) == ([(0, 1), (2, 3)], [])
     # Negative edges are never forced.
-    w, chosen = forest_mwm([(0, 1, F(-3))])
-    assert w == F(0)
-    assert chosen == []
-    assert forest_mwm([]) == (F(0), [])
+    assert _solve([-1, 0], {1: F(-3)}) == ([], [])
+    assert _solve([], {}) == ([], [])
+    # The ring 0 -> 1 -> 2 -> 3 -> 0 branches on (0, 1): with it, 5 plus the
+    # chain 2 -> 3; without it, the chain 1 -> 2 -> 3 -> 0, best 5.
+    assert _solve([1, 2, 3, 0], {0: F(5), 1: F(1), 2: F(5), 3: F(1)}) == (
+        [(3, 2), (1, 0)], [(0, 0, F(10), F(5), True)])
 
 
-def test_forest_mwm_rejects_cycles_and_loops():
-    with pytest.raises(ParameterError):
-        forest_mwm([(0, 1, F(1)), (1, 2, F(1)), (2, 0, F(1))])
-    with pytest.raises(ParameterError):
-        forest_mwm([(0, 0, F(1))])
-
-
-def test_forest_mwm_matches_bruteforce_on_random_forests():
+def test_solve_matches_bruteforce_on_random_forests():
     rng = random.Random(20240818)
     for _ in range(500):
         kept = random_forest(rng)
-        got, chosen = forest_mwm(kept)
-        assert got == best_matching_weight(kept)
-        # The reconstruction is a matching achieving the DP value.
+        ptr, wt = forest_pointers(kept)
+        chosen, cycles = _solve(ptr, wt)
+        assert cycles == []
+        # The pairs are forest edges, disjoint, of the brute-force weight.
+        assert all(ptr[u] == v for v, u in chosen)
         ends = [x for e in chosen for x in e]
         assert len(ends) == len(set(ends))
-        weights = {(u, v): w for u, v, w in kept}
-        weights.update({(v, u): w for u, v, w in kept})
-        assert sum((weights[e] for e in chosen), start=F(0)) == got
+        assert sum((wt[u] for _, u in chosen), start=F(0)) == best_matching_weight(kept)
+
+
+def test_complete_breaks_a_tie_toward_the_smallest_child():
+    # At t=1, a2-b4 is mutual and a1, a3 and a4 each believe the unresolved
+    # b3 with weight 3: a star whose gains tie.  b3 matches its smallest
+    # child a1, which leaves a3-b1 and a4-b2 to the greedy stage, an optimum.
+    inst = Instance([[F(w) for w in row]
+                     for row in [[1, 2, 3, 2], [2, 2, 0, 3], [2, 0, 3, 1], [0, 2, 3, 2]]])
+    snap = next(run_to_horizon(inst, 1))
+    assert build_conflict_graph(inst, snap).edges == ((0, 2), (2, 2), (3, 2))
+    res = complete(inst, snap)
+    assert sorted(res.matching.pairs) == [(0, 2), (1, 3), (2, 0), (3, 1)]
+    assert res.greedy_pairs == ((2, 0), (3, 1))
+    assert res.branch_records == ()
+    _, opt = mwm_hungarian(inst)
+    assert approximation_ratio(inst, res, opt) == 1
 
 
 def test_conflict_graph_single_sided_beliefs():
@@ -123,6 +132,15 @@ def test_complete_resolves_cyclic_component():
     assert record.weight_without_edge == F(19)
     assert record.chose_edge
     assert res.greedy_pairs == ((0, 0), (3, 5))
+
+
+def test_complete_orders_records_by_component_smallest_node():
+    # Rings a2 b1 a3 b2 and a4 b3 a5 b4; a1 hangs off the second by a1 -> b3,
+    # so that component's smallest node, a1, comes before a2.
+    inst = Instance(random_rows(random.Random(5), 5, "dense"))
+    snap = BeliefSnapshot((2, 0, 1, 2, 3), (2, 1, 4, 3, None), 1)
+    res = complete(inst, snap)
+    assert [r.cycle_edge for r in res.branch_records] == [(3, 2), (1, 0)]
 
 
 def test_complete_extends_partial_matching_on_random_runs():

@@ -409,9 +409,9 @@ def test_exp_approx_curve(tmp_path, capsys):
 
 
 def test_exp_approx_curve_bytes_are_pinned(tmp_path, capsys):
-    # The n=24 multi-cycle curve as the Fraction-based completion wrote it:
-    # the branch edge, the greedy order and the forest DP's tie-breaking
-    # all reach these bytes.
+    # The n=24 multi-cycle curve as the Fraction-based completion wrote it.
+    # No snapshot of it has a conflict edge, so the mutual pairs and the
+    # greedy order make these bytes.
     out_csv = tmp_path / "curve.csv"
     code, _, _ = run(
         ["exp", "approx", "--n", "24", "--wmax", "8", "--eps", "1/1000",

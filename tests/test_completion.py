@@ -68,9 +68,15 @@ def test_completion_properties(case):
     assert res.matching.is_perfect(n)
     assert partial.pairs.pairs <= res.matching.pairs
 
-    # Each record's weights, recomputed on Fractions over its component.
+    # Every component commits an optimal matching of its own conflict edges.
     g = nx.Graph()
     g.add_edges_from((i, n + j) for i, j in cg.edges)
+    committed = res.matching.pairs - partial.pairs.pairs - set(res.greedy_pairs)
+    for comp in nx.connected_components(g):
+        assert sum((inst.weight(i, j) for i, j in committed if i in comp), start=F(0)) == \
+            best_matching_weight([(i, n + j, inst.weight(i, j)) for i, j in cg.edges if i in comp])
+
+    # Each record's weights, recomputed on Fractions over its component.
     cyclic = [c for c in nx.connected_components(g)
               if g.subgraph(c).number_of_edges() == len(c)]
     assert len(res.branch_records) == len(cyclic)
