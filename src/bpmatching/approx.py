@@ -54,26 +54,23 @@ class BranchRecord:
 
 @dataclass(frozen=True)
 class CompletionResult:
-    """A perfect matching extending the partial BP matching."""
+    """A perfect matching extending the partial BP matching, whose pairs
+    ``mutual_pairs`` lists in ascending order; ``scaled_weight`` is the
+    matching's weight over ``Instance.scale``, None unless ``complete`` built it."""
 
     matching: Matching
     branch_records: tuple[BranchRecord, ...]
     greedy_pairs: tuple[tuple[int, int], ...]
+    mutual_pairs: tuple[tuple[int, int], ...] = ()
+    scaled_weight: Optional[int] = None
 
 
-def _pointers(snap: BeliefSnapshot, partial: PartialBpMatching) -> list[int]:
-    """Out-pointer of every graph node in the conflict graph, -1 for none."""
-    n = len(snap.left_belief)
-    unc_left, unc_right = set(partial.uncovered_left), set(partial.uncovered_right)
-    ptr = [-1] * (2 * n)
-    for i in partial.uncovered_left:
-        j = snap.left_belief[i]
-        if j in unc_right:
-            ptr[i] = n + j
-    for j in partial.uncovered_right:
-        i = snap.right_belief[j]
-        if i in unc_left:
-            ptr[n + j] = i
+def _pointers(snap: BeliefSnapshot, unc_left, unc_right) -> dict[int, int]:
+    """Out-pointer of every uncovered graph node that believes an uncovered node."""
+    n, left, right = len(snap.left_belief), snap.left_belief, snap.right_belief
+    lset, rset = set(unc_left), set(unc_right)
+    ptr = {i: n + left[i] for i in unc_left if left[i] in rset}
+    ptr.update({n + j: right[j] for j in unc_right if right[j] in lset})
     return ptr
 
 
@@ -82,10 +79,9 @@ def _edge(u: int, v: int, n: int) -> tuple[int, int]:
     return (u, v - n) if u < n else (v, u - n)
 
 
-def _edges(ptr: list[int]) -> list[tuple[int, int]]:
+def _edges(ptr: dict[int, int], n: int) -> list[tuple[int, int]]:
     """The conflict edges, one per pointer, sorted."""
-    n = len(ptr) // 2
-    return sorted(_edge(u, v, n) for u, v in enumerate(ptr) if v >= 0)
+    return sorted(_edge(u, v, n) for u, v in ptr.items())
 
 
 def build_conflict_graph(inst: Instance, snap: BeliefSnapshot) -> ConflictGraph:
@@ -95,10 +91,11 @@ def build_conflict_graph(inst: Instance, snap: BeliefSnapshot) -> ConflictGraph:
     endpoint is covered by the partial BP matching is dropped.
     """
     partial = partial_bp_matching(snap)
+    ptr = _pointers(snap, partial.uncovered_left, partial.uncovered_right)
     return ConflictGraph(
         left_nodes=partial.uncovered_left,
         right_nodes=partial.uncovered_right,
-        edges=tuple(_edges(_pointers(snap, partial))),
+        edges=tuple(_edges(ptr, len(snap.left_belief))),
     )
 
 
@@ -121,7 +118,7 @@ def _chain(path: list[int], wt: dict, free: dict, gain: dict, pick: dict) -> tup
     return free[path[-1]] + gain[path[-1]], pick
 
 
-def _solve(ptr: list[int], wt: dict) -> tuple[list, list]:
+def _solve(ptr, wt: dict) -> tuple[list, list]:
     """Maximum weight matching of the pointer graph with an edge (u, ptr[u])
     of weight wt[u] per key u of ``wt``; no two nodes point at each other.
     Returns the matched pairs (ptr[u], u) and, per cycle, (its component's
@@ -174,67 +171,75 @@ def _solve(ptr: list[int], wt: dict) -> tuple[list, list]:
 
 def complete(inst: Instance, snap: BeliefSnapshot,
              partial: Optional[PartialBpMatching] = None) -> CompletionResult:
-    """Perfect matching extending ``partial``, the snapshot's partial BP
-    matching (``partial_bp_matching(snap)`` unless the caller has it).
+    """Perfect matching extending the snapshot's partial BP matching.
 
-    The conflict graph is solved as the module docstring says; branch
-    records come in the order of each cyclic component's smallest node.
-    Every edge of the result, the mutual pairs included, is checked present.
+    One scan of the beliefs finds the mutual pairs and the uncovered nodes;
+    every later stage runs on the uncovered nodes and the conflict edges
+    only.  ``partial``, that partial BP matching if the caller has it, is
+    not read: the snapshot alone determines the result.  The conflict graph
+    is solved as the module docstring says; branch records come in the
+    order of each cyclic component's smallest node.  Every edge of the
+    result, the mutual pairs included, is checked present, and its weight
+    summed once on the scaled integers.
     """
     n, rows, scale = inst.n, inst.scaled_weights(), inst.scale
-    partial = partial or partial_bp_matching(snap)
-    ptr = _pointers(snap, partial)
-    edges = _edges(ptr)
-    pairs: set[tuple[int, int]] = set(partial.pairs.pairs)
-    for i, j in pairs:
-        if rows[i][j] is None:
-            raise MissingEdgeError(f"mutual edge ({i},{j}) is absent")
+    left, right = snap.left_belief, snap.right_belief
+    mutual, unc_left = [], []
+    for i, j in enumerate(left):
+        if j is not None and right[j] == i:
+            mutual.append((i, j))
+        else:
+            unc_left.append(i)
+    unc_right = [j for j, i in enumerate(right) if i is None or left[i] != j]
+    ws = [rows[i][j] for i, j in mutual]
+    if None in ws:
+        raise MissingEdgeError("mutual edge ({},{}) is absent".format(*mutual[ws.index(None)]))
+    ptr = _pointers(snap, unc_left, unc_right)
+    edges = _edges(ptr, n)
     wt = {}
     for i, j in edges:
         w = rows[i][j]
         if w is None:
             raise MissingEdgeError(f"edge ({i},{j}) is absent")
-        wt[i if ptr[i] == n + j else n + j] = w
+        wt[i if ptr.get(i) == n + j else n + j] = w
     matched, cycles = _solve(ptr, wt)
-    pairs.update(_edge(u, v, n) for u, v in matched)
+    solved = [_edge(u, v, n) for u, v in matched]
     records = tuple(
         BranchRecord(_edge(a, ptr[a], n), Fraction(w_in, scale), Fraction(w_out, scale), chose)
         for _, a, w_in, w_out, chose in sorted(cycles))
-    covered_left = {i for i, _ in pairs}
-    covered_right = {j for _, j in pairs}
+    done = {x for pair in matched for x in pair}
     greedy = []
     # Pair leftovers joined by a conflict edge first (the tree stage may
     # skip a negative believed edge); afterwards no conflict edge joins
     # the two remaining leftover sets.
     for i, j in edges:
-        if i not in covered_left and j not in covered_right:
+        if i not in done and n + j not in done:
             greedy.append((i, j))
-            covered_left.add(i)
-            covered_right.add(j)
-    for i, j in zip([i for i in range(n) if i not in covered_left],
-                    [j for j in range(n) if j not in covered_right]):
+            done.update((i, n + j))
+    for i, j in zip([i for i in unc_left if i not in done],
+                    [j for j in unc_right if n + j not in done]):
         if rows[i][j] is None:
             raise MissingEdgeError("greedy completion needs the full K_{n,n}; edge "
                                    f"({i},{j}) is absent")
         greedy.append((i, j))
-    pairs.update(greedy)
+    weight = sum(ws) + sum(wt[c] for _, c in matched) + sum(rows[i][j] for i, j in greedy)
     return CompletionResult(
-        matching=Matching(frozenset(pairs)),
+        matching=Matching(frozenset((*mutual, *solved, *greedy))),
         branch_records=records,
         greedy_pairs=tuple(greedy),
+        mutual_pairs=tuple(mutual),
+        scaled_weight=weight,
     )
 
 
 def approximation_ratio(
     inst: Instance, completion: CompletionResult, mwm_weight: Fraction
 ) -> Fraction:
-    """W(completion) / W(optimum) as one exact ``Fraction``; ``completion``
-    is as ``complete`` returns it, every edge present, so its weight is summed
-    on the scaled integers unchecked.  ``mwm_weight`` is an int or Fraction."""
+    """W(completion) / W(optimum) as one exact ``Fraction``, from the scaled
+    weight that ``complete`` summed; ``mwm_weight`` is an int or Fraction."""
     if mwm_weight <= 0:
         raise ParameterError("ratio needs a positive optimal weight; shift first")
-    if not completion.matching.is_perfect(inst.n):
-        raise ParameterError("completion must be a perfect matching")
-    rows = inst.scaled_weights()
-    total = sum(rows[i][j] for i, j in completion.matching.pairs)
-    return Fraction(total * mwm_weight.denominator, inst.scale * mwm_weight.numerator)
+    if completion.scaled_weight is None or not completion.matching.is_perfect(inst.n):
+        raise ParameterError("completion must be a perfect matching from complete")
+    return Fraction(completion.scaled_weight * mwm_weight.denominator,
+                    inst.scale * mwm_weight.numerator)

@@ -106,34 +106,39 @@ def _trace_rows(
 ) -> Iterator[tuple[int, tuple]]:
     """(t, row) for t = 1..horizon, where row holds what the beliefs at t
     determine: mutual pairs, unresolved nodes, is_reference, the ``cycles``
-    (index ranges lo..hi-1) that the partial BP matching leaves imperfect,
-    and the completion ratio's numerator and denominator ("" without
-    ``opt_weight``).
+    (disjoint index ranges lo..hi-1) that the partial BP matching leaves
+    imperfect, and the completion ratio's numerator and denominator (""
+    without ``opt_weight``).
 
-    Each distinct snapshot is evaluated once, in one pass, and its row
-    reused: one partial BP matching serves the row and the completion, whose
-    ratio is one ``Fraction`` over the scaled integer weights.
+    Each distinct snapshot is evaluated once and its row reused.  With
+    ``opt_weight`` one ``complete`` call gives the mutual pairs and the
+    weight the ratio divides; without it the completion never runs.
     """
     want = engine.reference_beliefs(reference, inst.n)
+    owner = [len(cycles)] * inst.n  # each node's cycle index, len(cycles) for none
+    for k, (lo, hi) in enumerate(cycles):
+        owner[lo:hi] = [k] * (hi - lo)
     seen: dict[tuple, tuple] = {}
     for snap in engine.run_to_horizon(inst, horizon):
         key = (snap.left_belief, snap.right_belief)
         row = seen.get(key)
         if row is None:
-            partial = partial_bp_matching(snap)
-            failed = sum(
-                sum(lo <= i < hi and lo <= j < hi for i, j in partial.pairs.pairs) < hi - lo
-                for lo, hi in cycles
-            )
             num = den = ""
-            if opt_weight is not None:
-                ratio = approximation_ratio(inst, complete(inst, snap, partial), opt_weight)
+            if opt_weight is None:
+                mutual = partial_bp_matching(snap).pairs.pairs
+            else:
+                result = complete(inst, snap)
+                mutual, ratio = result.mutual_pairs, approximation_ratio(inst, result, opt_weight)
                 num, den = ratio.numerator, ratio.denominator
+            inside = [0] * (len(cycles) + 1)
+            for i, j in mutual:
+                if owner[i] == owner[j]:
+                    inside[owner[i]] += 1
             if len(seen) == _ROW_CACHE:
                 seen.clear()
             row = seen[key] = (
-                len(partial.pairs), key[0].count(None) + key[1].count(None),
-                int(key == want), failed, num, den,
+                len(mutual), key[0].count(None) + key[1].count(None), int(key == want),
+                sum(c < hi - lo for c, (lo, hi) in zip(inside, cycles)), num, den,
             )
         yield snap.iteration, row
 

@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Optional
 
 
@@ -69,9 +70,8 @@ class Matching:
     pairs: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        lefts = [i for i, _ in self.pairs]
-        rights = [j for _, j in self.pairs]
-        if len(set(lefts)) != len(lefts) or len(set(rights)) != len(rights):
+        pairs, k = self.pairs, len(self.pairs)
+        if len(set(map(itemgetter(0), pairs))) != k or len(set(map(itemgetter(1), pairs))) != k:
             raise ParameterError("duplicate endpoint in matching")
 
     @classmethod
