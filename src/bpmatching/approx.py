@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import Instance, Matching, MissingEdgeError, ParameterError
-from .engine import BeliefSnapshot, PartialBpMatching, partial_bp_matching
+from .engine import BeliefSnapshot, partial_bp_matching
 
 
 @dataclass(frozen=True)
@@ -169,18 +169,15 @@ def _solve(ptr, wt: dict) -> tuple[list, list]:
     return matched, cycles
 
 
-def complete(inst: Instance, snap: BeliefSnapshot,
-             partial: Optional[PartialBpMatching] = None) -> CompletionResult:
+def complete(inst: Instance, snap: BeliefSnapshot) -> CompletionResult:
     """Perfect matching extending the snapshot's partial BP matching.
 
     One scan of the beliefs finds the mutual pairs and the uncovered nodes;
     every later stage runs on the uncovered nodes and the conflict edges
-    only.  ``partial``, that partial BP matching if the caller has it, is
-    not read: the snapshot alone determines the result.  The conflict graph
-    is solved as the module docstring says; branch records come in the
-    order of each cyclic component's smallest node.  Every edge of the
-    result, the mutual pairs included, is checked present, and its weight
-    summed once on the scaled integers.
+    only.  The conflict graph is solved as the module docstring says;
+    branch records come in the order of each cyclic component's smallest
+    node.  Every edge of the result, the mutual pairs included, is checked
+    present, and its weight summed once on the scaled integers.
     """
     n, rows, scale = inst.n, inst.scaled_weights(), inst.scale
     left, right = snap.left_belief, snap.right_belief

@@ -205,16 +205,13 @@ def test_approximation_ratio():
 
 def test_approximation_ratio_prices_like_matching_weight():
     # The ratio sums the scaled integers of the completion; the matching
-    # weight route, checked edge by edge, must give the same rational, and a
-    # completion built from a passed partial matching must equal one built
-    # without it.
+    # weight route, checked edge by edge, must give the same rational.
     rng = random.Random(43)
     for _ in range(200):
         n = rng.randint(1, 6)
         inst = Instance(random_rows(rng, n, "dense"))
         snap = random_snapshot(rng, n)
         res = complete(inst, snap)
-        assert complete(inst, snap, partial_bp_matching(snap)) == res
         opt = F(rng.randint(1, 40), rng.randint(1, 7))
         assert approximation_ratio(inst, res, opt) == matching_weight(inst, res.matching) / opt
 

@@ -543,6 +543,40 @@ def test_bare_cycle_time_law_far_past_the_cap(n, eps, monkeypatch):
     assert len(calls) <= 6 * n
 
 
+def tightness_law(n, w_max, eps):
+    """The paper's tightness claim as an exact law on the heavy cycles:
+    T = n * floor(w_max / (2 * eps)) + 2, with n the (largest) half-length."""
+    return n * math.floor(F(w_max) / (2 * eps)) + 2
+
+
+@st.composite
+def law_cycles(draw):
+    """(n, w_max, eps): n = 3..30, integer w_max 1..20 and a rational eps
+    below w_max/(4(n-2)), down to 1e-6 of that bound."""
+    n, w_max = draw(st.integers(3, 30)), draw(st.integers(1, 20))
+    q = draw(st.integers(2, 10**6))
+    return n, w_max, F(w_max, 4 * (n - 2)) * F(draw(st.integers(1, q - 1)), q)
+
+
+@pytest.mark.parametrize("embed", [False, True], ids=["bare", "embedded"])
+@settings(max_examples=60, deadline=None)
+@given(law_cycles())
+@example((3, 8, F(3, 448)))
+@example((30, 1, F(1, 112 * 10**6)))
+def test_heavy_cycles_obey_the_tightness_law(embed, case):
+    n, w_max, eps = case
+    inst = generators.gen_cycle(generators.CycleParams(n, F(w_max), eps), embed=embed)
+    t = convergence_time(inst, optimal_matching(inst), certified_horizon(inst, eps))
+    assert t == tightness_law(n, w_max, eps)
+
+
+def test_multicycle_obeys_the_tightness_law_at_its_largest_half_length():
+    inst = generators.gen_multicycle(16, F(8), F(1, 100), c=2)
+    half = max(c["half_length"] for c in inst.meta["cycles"])
+    t = convergence_time(inst, optimal_matching(inst), certified_horizon(inst))
+    assert half == 7 and t == tightness_law(half, 8, F(1, 100)) == 2802
+
+
 def regime_calls(monkeypatch):
     """Spy on ``_Run.regime``: the list it fills holds (states held, p,
     landing iteration, ``engine.step`` calls made) of every call."""

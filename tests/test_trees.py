@@ -198,6 +198,19 @@ def reference_max_t_matching(inst, tree):
     return total, (tree.root, tree.labels[winners[0]])
 
 
+def assert_reference_belief(inst, v, t, tree):
+    """``oracle_belief(inst, v, t)`` is the partner (mod n) in the reference
+    root edge on ``tree``, the depth-t tree of v, or TIE; with no root edge
+    (t = 0 or an edgeless root) it raises ``ParameterError``."""
+    if t < 1 or tree.node_count() == 1:
+        with pytest.raises(ParameterError):
+            oracle_belief(inst, v, t)
+        return
+    _, ref_edge = reference_max_t_matching(inst, tree)
+    belief = oracle_belief(inst, v, t)
+    assert belief is TIE if ref_edge is TIE else belief == ref_edge[1] % inst.n
+
+
 def test_integer_dp_matches_fraction_reference():
     rng = random.Random(5)
     compared = ties = 0
@@ -211,6 +224,7 @@ def test_integer_dp_matches_fraction_reference():
                     assert (tree.labels, tree.parent) == reference_unroll(inst, v, t)
                     for a, b, w in tree_edges(tree):
                         assert type(w) is F and w == graph_weight(inst, a, b)
+                    assert_reference_belief(inst, v, t, tree)
                     if tree.node_count() == 1:
                         with pytest.raises(ParameterError):
                             max_t_matching(tree)
@@ -280,6 +294,7 @@ def test_memo_is_invisible():
         t = max(0, min(7, t + rng.choice((-3, -1, 0, 1, 2))))
         tree = unroll(inst, v, t)
         assert_is_reference_tree(inst, v, t, tree)
+        assert_reference_belief(inst, v, t, tree)
         # The caller owns the returned lists: scribbling on them, or on
         # their first entries, never reaches a later tree.
         tree.labels[0] = tree.parent[0] = -5
@@ -287,6 +302,7 @@ def test_memo_is_invisible():
         tree.parent.append(99)
         tree.weight_up.append(10**9)
         assert_is_reference_tree(inst, v, t, unroll(inst, v, t))
+        assert_reference_belief(inst, v, t, unroll(inst, v, t))
 
 
 def test_memo_follows_a_new_instance_of_the_same_size():
@@ -294,7 +310,8 @@ def test_memo_follows_a_new_instance_of_the_same_size():
     for v in range(4):
         unroll(old, v, 5)
     del old
-    assert not trees._grown  # the trees go with their instance
+    # The trees, their child lists and their node count go with their instance.
+    assert not trees._grown and not trees._kids and trees._grown_nodes == 0
     new = Instance.scaled([[15, None], [-21, 8]], 3)
     for v in range(4):
         for t in (5, 2, 6):
@@ -338,6 +355,28 @@ def test_unroll_over_the_cap_leaves_the_memo_as_it_found_it(monkeypatch):
     assert_is_reference_tree(inst, 3, 2, unroll(inst, 3, 2))
 
 
+def test_oracle_belief_over_the_cap_leaves_the_memo_as_it_found_it(monkeypatch):
+    # As for unroll: root 1's stored depth-4 tree (161 nodes) is over the
+    # lowered cap at depths 4 and 3; on a fresh instance whose roots 1, 2 and
+    # 0 hold 5 + 17 + 17 = 39 nodes, root 0's level 3 (53 nodes) does not fit.
+    inst = Instance([[F(1)] * 4 for _ in range(4)])
+    assert oracle_belief(inst, 1, 4) is TIE
+    monkeypatch.setattr(trees, "DEFAULT_NODE_CAP", 50)
+    for t in 4, 3:
+        before = copy.deepcopy(trees._grown)
+        with pytest.raises(OracleCapExceeded):
+            oracle_belief(inst, 1, t)
+        assert trees._grown == before
+    inst = Instance([[F(1)] * 4 for _ in range(4)])
+    for v, t in (1, 1), (2, 2), (0, 2):
+        assert oracle_belief(inst, v, t) is TIE
+    for t in 3, 10:
+        before = copy.deepcopy(trees._grown)
+        with pytest.raises(OracleCapExceeded):
+            oracle_belief(inst, 0, t)
+        assert trees._grown == before
+
+
 def test_memo_holds_at_most_the_cap(monkeypatch):
     rng = random.Random(3)
     inst = Instance([[F(rng.randint(1, 5)) for _ in range(3)] for _ in range(3)])
@@ -353,7 +392,7 @@ def test_memo_holds_at_most_the_cap(monkeypatch):
             assert len(reference_unroll(inst, v, t)[0]) > cap
         else:
             assert_is_reference_tree(inst, v, t, tree)
-        assert sum(len(g[0]) for g in trees._grown.values()) <= cap
+        assert trees._grown_nodes == sum(len(g[0]) for g in trees._grown.values()) <= cap
         # Only whole levels are kept.
         assert all(len(g[0]) == g[3][-1] for g in trees._grown.values())
     assert raised > 10
@@ -361,9 +400,10 @@ def test_memo_holds_at_most_the_cap(monkeypatch):
 
 def test_unroll_expands_each_node_once_per_instance(monkeypatch):
     # Walking t = 1..80 over the 14 roots of the bare 7-cycle builds each
-    # root's depth-80 tree (161 nodes) once: its 159 inner nodes read their
-    # neighbour rows once each.  Unrolling every depth from scratch built
-    # 14 * 6560 = 91,840 nodes and read 14 * 6400 rows.
+    # root's depth-80 tree (161 nodes) once, and the children of a node come
+    # from one list per (label, parent label): each row is read once as a
+    # root and once under each of its 2 neighbours.  Unrolling every depth
+    # from scratch built 14 * 6560 = 91,840 nodes and read 14 * 6400 rows.
     inst = generators.gen_cycle(generators.CycleParams(7, F(8), F(1, 10)))
     reads = []
     adjacency = Instance.adjacency
@@ -388,4 +428,4 @@ def test_unroll_expands_each_node_once_per_instance(monkeypatch):
             assert tree.node_count() == 2 * t + 1
             returned += tree.node_count()
     assert returned == 91_840
-    assert len(reads) == 14 * 159
+    assert sorted(reads) == sorted(list(range(14)) * 3)
