@@ -15,7 +15,8 @@ branch with the larger weight wins (without e on a tie).  Ties among
 maximum-weight matchings follow one rule: each tree is solved from its
 root, and a node matches the smallest-id child among those with the
 largest positive gain.  Nodes still unmatched afterwards are paired
-greedily in ascending index order.
+greedily in ascending index order; without a conflict edge these are all
+the uncovered nodes, and no conflict-graph stage runs.
 
 Graph nodes carry the ids of the instance graph view: alpha_i is i and
 beta_j is n + j.  The dynamic programming and the ratio's sum run on the
@@ -176,8 +177,10 @@ def complete(inst: Instance, snap: BeliefSnapshot) -> CompletionResult:
     every later stage runs on the uncovered nodes and the conflict edges
     only.  The conflict graph is solved as the module docstring says;
     branch records come in the order of each cyclic component's smallest
-    node.  Every edge of the result, the mutual pairs included, is checked
-    present, and its weight summed once on the scaled integers.
+    node.  With no pointer there is no conflict edge: its stages are
+    skipped and the one greedy loop pairs the uncovered nodes.  Every edge
+    of the result, the mutual pairs included, is checked present, and its
+    weight summed once on the scaled integers.
     """
     n, rows, scale = inst.n, inst.scaled_weights(), inst.scale
     left, right = snap.left_belief, snap.right_belief
@@ -192,33 +195,35 @@ def complete(inst: Instance, snap: BeliefSnapshot) -> CompletionResult:
     if None in ws:
         raise MissingEdgeError("mutual edge ({},{}) is absent".format(*mutual[ws.index(None)]))
     ptr = _pointers(snap, unc_left, unc_right)
-    edges = _edges(ptr, n)
-    wt = {}
-    for i, j in edges:
-        w = rows[i][j]
-        if w is None:
-            raise MissingEdgeError(f"edge ({i},{j}) is absent")
-        wt[i if ptr.get(i) == n + j else n + j] = w
-    matched, cycles = _solve(ptr, wt)
-    solved = [_edge(u, v, n) for u, v in matched]
-    records = tuple(
-        BranchRecord(_edge(a, ptr[a], n), Fraction(w_in, scale), Fraction(w_out, scale), chose)
-        for _, a, w_in, w_out, chose in sorted(cycles))
-    done = {x for pair in matched for x in pair}
-    greedy = []
-    # Pair leftovers joined by a conflict edge first (the tree stage may
-    # skip a negative believed edge); afterwards no conflict edge joins
-    # the two remaining leftover sets.
-    for i, j in edges:
-        if i not in done and n + j not in done:
-            greedy.append((i, j))
-            done.update((i, n + j))
-    for i, j in zip([i for i in unc_left if i not in done],
-                    [j for j in unc_right if n + j not in done]):
+    wt, matched, records, greedy = {}, [], (), []
+    if ptr:  # without a conflict edge the leftovers are the uncovered nodes
+        edges = _edges(ptr, n)
+        for i, j in edges:
+            w = rows[i][j]
+            if w is None:
+                raise MissingEdgeError(f"edge ({i},{j}) is absent")
+            wt[i if ptr.get(i) == n + j else n + j] = w
+        matched, cycles = _solve(ptr, wt)
+        records = tuple(
+            BranchRecord(_edge(a, ptr[a], n), Fraction(w_in, scale), Fraction(w_out, scale),
+                         chose)
+            for _, a, w_in, w_out, chose in sorted(cycles))
+        done = {x for pair in matched for x in pair}
+        # Pair leftovers joined by a conflict edge first (the tree stage may
+        # skip a negative believed edge); afterwards no conflict edge joins
+        # the two remaining leftover sets.
+        for i, j in edges:
+            if i not in done and n + j not in done:
+                greedy.append((i, j))
+                done.update((i, n + j))
+        unc_left = [i for i in unc_left if i not in done]
+        unc_right = [j for j in unc_right if n + j not in done]
+    for i, j in zip(unc_left, unc_right):
         if rows[i][j] is None:
             raise MissingEdgeError("greedy completion needs the full K_{n,n}; edge "
                                    f"({i},{j}) is absent")
         greedy.append((i, j))
+    solved = [_edge(u, v, n) for u, v in matched]
     weight = sum(ws) + sum(wt[c] for _, c in matched) + sum(rows[i][j] for i, j in greedy)
     return CompletionResult(
         matching=Matching(frozenset((*mutual, *solved, *greedy))),

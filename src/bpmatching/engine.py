@@ -46,9 +46,9 @@ two ints per iteration since the last jump.
 An instance with filler edges (``core.bare_view``: weight fw = -2*W, W the
 largest weight) steps its bare view when every node keeps a bare edge and
 the reference, if any, lies in it; its states carry per node l its fill,
-the largest filler message into l.  While no filler is a strict argmax, the
-filler u -> l at t is fw - best_u(t-1), so fill_l(t) is fw less the
-smallest best_u among l's filler neighbours: the other side's least, save
+the largest filler message into l (None with none).  While no filler is
+a strict argmax, the filler u -> l at t is fw - best_u(t-1), so fill_l(t) is
+fw less the least best_u under l's filler mask: the other side's least, save
 at the nodes ``apart`` from its first argmin.  ``top`` counts the fill among
 the runner-ups, so each node sends what it sends on the full graph; a fill
 equal to the best is a tie there too (Unresolved, w - best on every edge).
@@ -70,8 +70,8 @@ from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from operator import eq, gt, mul, sub
+from itertools import compress, pairwise, repeat
+from operator import eq, ge, gt, mul, sub
 from typing import Iterator, Optional
 
 from .core import (Adjacency, HorizonExhausted, Instance, Matching, ParameterError,
@@ -112,31 +112,31 @@ def _tops(x: list[int], start: list[int], fill: Optional[list[Optional[int]]]) -
 
 @dataclass(frozen=True)
 class _Fillers:
-    """The filler edges a bare view leaves out: the full graph, their one
-    weight ``fw``, per node its filler neighbours and the other side's nodes
-    it has none to (``apart``); ``over`` tests the nodes with some (``has``)."""
+    """The filler edges a bare view leaves out: the full graph, their weight
+    ``fw``, per node a 0/1 mask of its filler neighbours over the other side
+    and the nodes there it has none to (``apart``); ``over`` masks by ``has``."""
 
     full: Adjacency
     fw: int
-    nbrs: list[frozenset[int]]
+    masks: list[bytes]
     apart: list[list[int]]
-    has: list[int]
+    has: bytes
 
     def over(self, fill: list[Optional[int]], vals: list, op) -> bool:
-        return any(map(op, map(fill.__getitem__, self.has), map(vals.__getitem__, self.has)))
+        return any(map(op, compress(fill, self.has), compress(vals, self.has)))
 
 
 def _fill(fillers: _Fillers, bests: list[int]) -> list[Optional[int]]:
     """Per node l, fw - min best_u over its filler neighbours u (None with
     none): fw less the other side's least best, first at node u0, except at
-    the nodes ``apart`` from u0, which take the least of their own."""
-    n, fw, nbrs, fill, apart = len(bests) // 2, fillers.fw, fillers.nbrs, [], []
+    the nodes ``apart`` from u0, which take the least under their mask."""
+    n, fw, masks, has, fill = len(bests) // 2, fillers.fw, fillers.masks, fillers.has, []
     for lo in n, 0:  # the left nodes' fills come from the right side's bests
-        least = min(bests[lo:lo + n])
+        side = bests[lo:lo + n]
+        least = min(side)
         fill += [fw - least] * n
-        apart += fillers.apart[bests.index(least, lo)]
-    for u in apart:
-        fill[u] = fw - min(map(bests.__getitem__, nbrs[u])) if nbrs[u] else None
+        for u in fillers.apart[lo + side.index(least)]:
+            fill[u] = fw - min(compress(side, masks[u])) if has[u] else None
     return fill
 
 
@@ -261,12 +261,13 @@ def _start(inst: Instance, pairs=()) -> MessageState:
     if not (bare and all(bare.adjacency().nbrs) and all(bare.has_edge(*e) for e in pairs)):
         return init_messages(inst)
     adj, full, n = bare.adjacency(), inst.adjacency(), inst.n
-    nbrs = [frozenset(a).difference(b) for a, b in zip(full.nbrs, adj.nbrs)]
-    apart = [[v for v in vs if v not in f]  # vs: the other side's nodes
-             for vs, f in zip([range(n, 2 * n)] * n + [range(n)] * n, nbrs)]
-    return MessageState([0] * adj.start[-1], 0, adj, [0 if f else None for f in nbrs],
-                        _Fillers(full, -2 * max(adj.flat_w), nbrs, apart,
-                                 [u for u, f in enumerate(nbrs) if f]))
+    other = [range(n, 2 * n)] * n + [range(n)] * n  # each node's other side
+    masks = [bytes(v in f for v in vs) for vs, f in
+             zip(other, map(set.difference, map(set, full.nbrs), adj.nbrs))]
+    apart = [[v for v, m in zip(vs, f) if not m] for vs, f in zip(other, masks)]
+    has = bytes(map(any, masks))
+    return MessageState([0] * adj.start[-1], 0, adj, [0 if h else None for h in has],
+                        _Fillers(full, -2 * max(adj.flat_w), masks, apart, has))
 
 
 def _widen(y: MessageState, before: list[int]) -> MessageState:
@@ -383,12 +384,11 @@ class _Run:
         the bests at offset s, must stay below the runner-ups at offset s + 1.
         Each ray a + j*b >= 0 holds on 0..j once it holds at j (it does at 0,
         or ``regime`` widens), so ``bisect_left`` finds k', the first j failing."""
-        fillers = ends[0][0].fillers
+        f = ends[0][0].fillers
 
         def fails(j: int) -> bool:
             floors = [_floors(*end, j) for end in ends]
-            return any(f is not None and f >= s for b, (_, ss) in zip(floors, floors[1:])
-                       for f, s in zip(_fill(fillers, b[0]), ss))
+            return any(f.over(_fill(f, b), s, ge) for (b, _), (_, s) in pairwise(floors))
 
         return bisect_left(range(k - 1), True, key=fails) if fails(k - 1) else k
 

@@ -183,6 +183,34 @@ def test_complete_requires_dense_instance_for_greedy():
     snap = BeliefSnapshot((None, 0, None), (1, None, None), 1)
     with pytest.raises(MissingEdgeError):
         complete(inst, snap)
+    # With no conflict edge (each uncovered node is Unresolved or believes a
+    # covered one) the leftovers pair in index order and nothing branches.
+    dense = Instance([[F(4 * i + j) for j in range(4)] for i in range(4)])
+    res = complete(dense, BeliefSnapshot((0, 0, None, 0), (1, None, 1, 1), 1))
+    assert res.mutual_pairs == ((1, 0),) and res.branch_records == ()
+    assert res.greedy_pairs == ((0, 1), (2, 2), (3, 3))
+    # The bare 12-cycle's snapshots leave one node uncovered per side, never
+    # joined by a conflict edge; the first leftover pair, (a6, b1) at t=1,
+    # is absent.
+    cycle = generators.gen_cycle(generators.CycleParams(6, F(8), F(1, 100)))
+    missing = []
+    for snap in run_to_horizon(cycle, 40):
+        partial = partial_bp_matching(snap)
+        assert build_conflict_graph(cycle, snap).edges == ()
+        leftovers = tuple(zip(partial.uncovered_left, partial.uncovered_right))
+        absent = [e for e in leftovers if not cycle.has_edge(*e)]
+        if absent:
+            i, j = absent[0]
+            missing.append((i, j))
+            with pytest.raises(MissingEdgeError) as err:
+                complete(cycle, snap)
+            assert str(err.value) == ("greedy completion needs the full K_{n,n}; "
+                                      f"edge ({i},{j}) is absent")
+            continue
+        res = complete(cycle, snap)
+        assert res.mutual_pairs == tuple(partial.pairs.sorted_pairs())
+        assert res.greedy_pairs == leftovers and res.branch_records == ()
+    assert missing[0] == (5, 0) and len(missing) < 40
 
 
 def test_complete_rejects_a_believed_absent_edge():

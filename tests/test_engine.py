@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction as F
 from itertools import accumulate, chain, islice
+from operator import eq, ge, gt
 from unittest import mock
 
 import pytest
@@ -920,6 +921,46 @@ def test_floors_of_a_row_without_a_runner_up(monkeypatch):
     assert checked_jumps(inst, reference, 150) == (3, [(150, 4)])
     assert reference_convergence_time(inst, reference, 150) == 3
     assert calls and all(k2 == -1 and second == best for k2, best, second in calls)
+
+
+@st.composite
+def filler_views(draw):
+    """An instance with a bare view and its fillers, integer bests for its
+    2n nodes and values near its fills: an embedded generated cycle, the
+    padded n=16 or n=24 multicycle, or an embedded or padded form, whose
+    planted -2*W cells (``filled_rows``) may leave a node no filler edge."""
+    kind = draw(st.sampled_from(["cycle", "multicycle", "embedded", "padded"]))
+    if kind == "cycle":
+        params = generators.CycleParams(draw(st.integers(3, 9)), F(8), F(1, 10))
+        inst = generators.gen_cycle(params, embed=True)
+    elif kind == "multicycle":
+        inst = generators.gen_multicycle(draw(st.sampled_from([16, 24])), F(8), F(1, 100), c=2)
+    else:
+        inst = Instance(draw(embedded_cases())[0] if kind == "embedded" else draw(padded_forms()))
+    assume(engine._start(inst).fillers)
+    nodes = st.lists(st.integers(-3, 3), min_size=2 * inst.n, max_size=2 * inst.n)
+    return inst, draw(nodes), draw(nodes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(filler_views())
+@example((Instance(LONE_EDGE), [2, -1, 3, 0, -3, 1], [0, 1, -1, 0, 1, 2]))
+def test_fill_is_fw_less_the_least_best_of_the_filler_neighbours(case):
+    # Each fill is fw - min best_u over the node's filler neighbours in the
+    # full adjacency (None with none), and ``over`` compares only the nodes
+    # with some; alpha_1 of LONE_EDGE has none.
+    inst, bests, nudges = case
+    fillers = engine._start(inst).fillers
+    w = max(x for row in inst.weights for x in row if x is not None)
+    assert fillers.fw == -2 * w * inst.scale
+    near = [[bests[v] for v, x in node_neighbors(inst, u) if x == -2 * w]
+            for u in range(2 * inst.n)]
+    fill = engine._fill(fillers, bests)
+    assert fill == [fillers.fw - min(b) if b else None for b in near]
+    vals = [d if f is None else f + d for f, d in zip(fill, nudges)]
+    for op in gt, eq, ge:
+        want = any(op(f, v) for f, v in zip(fill, vals) if f is not None)
+        assert fillers.over(fill, vals, op) == want
 
 
 def random_dense_cases(count, seed):
