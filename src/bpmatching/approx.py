@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .core import Instance, Matching, MissingEdgeError, ParameterError
 from .engine import BeliefSnapshot, partial_bp_matching
@@ -57,13 +56,13 @@ class BranchRecord:
 class CompletionResult:
     """A perfect matching extending the partial BP matching, whose pairs
     ``mutual_pairs`` lists in ascending order; ``scaled_weight`` is the
-    matching's weight over ``Instance.scale``, None unless ``complete`` built it."""
+    matching's weight over ``Instance.scale``."""
 
     matching: Matching
     branch_records: tuple[BranchRecord, ...]
     greedy_pairs: tuple[tuple[int, int], ...]
-    mutual_pairs: tuple[tuple[int, int], ...] = ()
-    scaled_weight: Optional[int] = None
+    mutual_pairs: tuple[tuple[int, int], ...]
+    scaled_weight: int
 
 
 def _pointers(snap: BeliefSnapshot, unc_left, unc_right) -> dict[int, int]:
@@ -241,7 +240,7 @@ def approximation_ratio(
     weight that ``complete`` summed; ``mwm_weight`` is an int or Fraction."""
     if mwm_weight <= 0:
         raise ParameterError("ratio needs a positive optimal weight; shift first")
-    if completion.scaled_weight is None or not completion.matching.is_perfect(inst.n):
+    if not completion.matching.is_perfect(inst.n):
         raise ParameterError("completion must be a perfect matching from complete")
     return Fraction(completion.scaled_weight * mwm_weight.denominator,
                     inst.scale * mwm_weight.numerator)

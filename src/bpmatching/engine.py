@@ -44,10 +44,10 @@ on; a failed proof defers the next scan by p.  It holds those states and
 two ints per iteration since the last jump.
 
 An instance with filler edges (``core.bare_view``: weight fw = -2*W, W the
-largest weight) steps its bare view when every node keeps a bare edge and
-the reference, if any, lies in it; its states carry per node l its fill,
-the largest filler message into l (None with none).  While no filler is
-a strict argmax, the filler u -> l at t is fw - best_u(t-1), so fill_l(t) is
+largest weight) steps its bare view when every node keeps a bare edge and a
+filler edge and the reference, if any, lies in it; its states carry per
+node l its fill, the largest filler message into l.  While no filler is a
+strict argmax, the filler u -> l at t is fw - best_u(t-1), so fill_l(t) is
 fw less the least best_u under l's filler mask: the other side's least, save
 at the nodes ``apart`` from its first argmin.  ``top`` counts the fill among
 the runner-ups, so each node sends what it sends on the full graph; a fill
@@ -87,7 +87,7 @@ Tops = tuple[list[int], list[int], list[Optional[int]]]
 _PRIME = 2**61 - 1
 
 
-def _tops(x: list[int], start: list[int], fill: Optional[list[Optional[int]]]) -> Tops:
+def _tops(x: list[int], start: list[int], fill: Optional[list[int]]) -> Tops:
     ks, bests, seconds = [], [], []
     for a, e, f in zip(start, start[1:], fill or repeat(None)):
         k, best, second = -1, 0, None
@@ -114,29 +114,25 @@ def _tops(x: list[int], start: list[int], fill: Optional[list[Optional[int]]]) -
 class _Fillers:
     """The filler edges a bare view leaves out: the full graph, their weight
     ``fw``, per node a 0/1 mask of its filler neighbours over the other side
-    and the nodes there it has none to (``apart``); ``over`` masks by ``has``."""
+    (never all zero) and the nodes there it has none to (``apart``)."""
 
     full: Adjacency
     fw: int
     masks: list[bytes]
     apart: list[list[int]]
-    has: bytes
-
-    def over(self, fill: list[Optional[int]], vals: list, op) -> bool:
-        return any(map(op, compress(fill, self.has), compress(vals, self.has)))
 
 
-def _fill(fillers: _Fillers, bests: list[int]) -> list[Optional[int]]:
-    """Per node l, fw - min best_u over its filler neighbours u (None with
-    none): fw less the other side's least best, first at node u0, except at
-    the nodes ``apart`` from u0, which take the least under their mask."""
-    n, fw, masks, has, fill = len(bests) // 2, fillers.fw, fillers.masks, fillers.has, []
+def _fill(fillers: _Fillers, bests: list[int]) -> list[int]:
+    """Per node l, fw - min best_u over its filler neighbours u: fw less the
+    other side's least best, first at node u0, except at the nodes ``apart``
+    from u0, which take the least under their mask."""
+    n, fw, masks, fill = len(bests) // 2, fillers.fw, fillers.masks, []
     for lo in n, 0:  # the left nodes' fills come from the right side's bests
         side = bests[lo:lo + n]
         least = min(side)
         fill += [fw - least] * n
         for u in fillers.apart[lo + side.index(least)]:
-            fill[u] = fw - min(compress(side, masks[u])) if has[u] else None
+            fill[u] = fw - min(compress(side, masks[u]))
     return fill
 
 
@@ -148,14 +144,14 @@ class MessageState:
     messages, numerators over ``scale``; ``top`` holds the rows' ``Tops``.
     ``rows``, ``to_left`` (alpha_i's) and ``to_right`` (beta_j's) are
     read-only per-node copies.  On a bare view ``fillers`` holds the edges it
-    leaves out and ``fill[u]`` the largest filler message into u (None with
-    none), which ``top`` counts among the runner-ups.
+    leaves out and ``fill[u]`` the largest filler message into u, which
+    ``top`` counts among the runner-ups.
     """
 
     x: list[int]
     iteration: int
     adj: Adjacency = field(repr=False, compare=False)
-    fill: Optional[list[Optional[int]]] = None
+    fill: Optional[list[int]] = None
     fillers: Optional[_Fillers] = field(default=None, repr=False, compare=False)
     top: Tops = field(init=False, repr=False, compare=False)
 
@@ -220,7 +216,7 @@ def step(state: MessageState) -> MessageState:
     adj, fill = state.adj, state.fillers and _fill(state.fillers, state.top[1])
     nxt = MessageState(_send(adj, state.top, adj.flat_w), state.iteration + 1, adj, fill,
                        state.fillers)
-    if fill and state.fillers.over(fill, nxt.top[1], gt):
+    if fill and any(map(gt, fill, nxt.top[1])):
         return _widen(nxt, state.top[1])
     return nxt
 
@@ -255,19 +251,19 @@ def reference_beliefs(
 
 def _start(inst: Instance, pairs=()) -> MessageState:
     """The state at t=0 on ``inst``'s bare view, with its fillers, when every
-    node keeps a bare edge and every (i, j) of ``pairs`` is a bare edge;
-    else ``init_messages(inst)``."""
+    node keeps a bare edge and a filler edge and every (i, j) of ``pairs`` is
+    a bare edge; else ``init_messages(inst)``."""
     bare = bare_view(inst)
-    if not (bare and all(bare.adjacency().nbrs) and all(bare.has_edge(*e) for e in pairs)):
-        return init_messages(inst)
-    adj, full, n = bare.adjacency(), inst.adjacency(), inst.n
-    other = [range(n, 2 * n)] * n + [range(n)] * n  # each node's other side
-    masks = [bytes(v in f for v in vs) for vs, f in
-             zip(other, map(set.difference, map(set, full.nbrs), adj.nbrs))]
-    apart = [[v for v, m in zip(vs, f) if not m] for vs, f in zip(other, masks)]
-    has = bytes(map(any, masks))
-    return MessageState([0] * adj.start[-1], 0, adj, [0 if h else None for h in has],
-                        _Fillers(full, -2 * max(adj.flat_w), masks, apart, has))
+    if bare and all(bare.adjacency().nbrs) and all(bare.has_edge(*e) for e in pairs):
+        adj, full, n = bare.adjacency(), inst.adjacency(), inst.n
+        other = [range(n, 2 * n)] * n + [range(n)] * n  # each node's other side
+        masks = [bytes(v in f for v in vs) for vs, f in
+                 zip(other, map(set.difference, map(set, full.nbrs), adj.nbrs))]
+        if all(map(any, masks)):
+            apart = [[v for v, m in zip(vs, f) if not m] for vs, f in zip(other, masks)]
+            return MessageState([0] * adj.start[-1], 0, adj, [0] * len(masks),
+                                _Fillers(full, -2 * max(adj.flat_w), masks, apart))
+    return init_messages(inst)
 
 
 def _widen(y: MessageState, before: list[int]) -> MessageState:
@@ -301,12 +297,13 @@ def _runner_ups(y: MessageState) -> list[int]:
 
 
 def _floors(y: MessageState, k2s: list[int], d: list[int], j: int):
-    """Lower bounds of every row's best and runner-up at y + j*d: its value at
-    y's argmax k, and the smaller of its values at k and at its runner-up k2
-    (``k2s``), or at k alone with none.  Exact at j = 0; affine in j."""
+    """Lower bounds of every row's best and runner-up at y + j*d, y a bare
+    state (every row has a runner-up, its fill at least): its value at y's
+    argmax k, and the smaller of its values at k and at its runner-up k2
+    (``k2s``).  Exact at j = 0; affine in j."""
     x = y.x
     bests = [x[k] + j * d[k] for k in y.top[0]]
-    return bests, [b if k2 < 0 else min(b, x[k2] + j * d[k2]) for b, k2 in zip(bests, k2s)]
+    return bests, [min(b, x[k2] + j * d[k2]) for b, k2 in zip(bests, k2s)]
 
 
 def _rays(x: list[int], d: list[int], us: list[int], vs: list[int], hi: int,
@@ -388,7 +385,7 @@ class _Run:
 
         def fails(j: int) -> bool:
             floors = [_floors(*end, j) for end in ends]
-            return any(f.over(_fill(f, b), s, ge) for (b, _), (_, s) in pairwise(floors))
+            return any(any(map(ge, _fill(f, b), s)) for (b, _), (_, s) in pairwise(floors))
 
         return bisect_left(range(k - 1), True, key=fails) if fails(k - 1) else k
 
@@ -434,7 +431,7 @@ class _Run:
             return state
         self.next_scan = max(self.next_scan, i + p)  # if the proof fails
         states = list(held)[-p - 1:]
-        if state.fill and any(z.fillers.over(z.fill, z.top[2], eq) for z in states):
+        if state.fill and any(any(map(eq, z.fill, z.top[2])) for z in states):
             return self.take(_widen(state, states[-2].top[1]))
         a, y, last = states[0].iteration, states[0].x, states.pop()
         d = ds = list(map(sub, last.x, y))

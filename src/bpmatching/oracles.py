@@ -196,10 +196,11 @@ def _bare_view_gap(inst: Instance) -> Optional[Fraction]:
     """The gap of ``core.bare_view(inst)`` if that view is nonnegative and
     has two perfect matchings, else None.  Where the bare view keeps the
     gap, the fillers are taken to change no belief (criterion 5 checks this
-    on the embedded cycles).  This is decided before any run; a
-    ``convergence_time`` run that keeps to the bare view up to the horizon
-    has then checked, for that instance, that no filler message exceeded a
-    node's best up to the horizon."""
+    on the embedded cycles).  This is decided before any run.
+    ``convergence_time`` takes the bare view only where every node also has
+    a filler edge; a run that keeps to it up to the horizon has then
+    checked, for that instance, that no filler message exceeded a node's
+    best up to the horizon."""
     bare = bare_view(inst)
     if bare is None or any(x is not None and x < 0
                            for row in bare.scaled_weights() for x in row):

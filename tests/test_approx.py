@@ -257,7 +257,7 @@ def test_approximation_ratio_requires_perfect_completion():
     from bpmatching.approx import CompletionResult
     from bpmatching.core import Matching
 
-    partial = CompletionResult(Matching.of([(0, 0)]), (), ())
+    partial = CompletionResult(Matching.of([(0, 0)]), (), (), ((0, 0),), 4)
     with pytest.raises(ParameterError):
         approximation_ratio(inst, partial, F(8))
 

@@ -4,7 +4,6 @@ import math
 import random
 from fractions import Fraction as F
 from itertools import accumulate, chain, islice
-from operator import eq, ge, gt
 from unittest import mock
 
 import pytest
@@ -775,6 +774,11 @@ FILL_EXCEEDS_A_BEST = fractions([[4, -10, -3, -10, -10], [-10, 5, -10, 0, -10],
 PADS = fractions([[-14, -5, 6], [-14, 5, -1], [7, -14, -14]])
 
 
+#: alpha_1's one edge is bare and it has no filler neighbour; the other
+#: nodes keep two or three bare edges and one or two filler edges.
+LONE_EDGE = fractions([[5, None, None], [5, 7, -5], [-14, -1, -5]])
+
+
 #: Embedded forms pinned for each path of the filler check: the case, the
 #: number of bare steps, and the iteration of the first full graph state
 #: stepped (None when none is).  A fill that is a runner-up keeps the bare
@@ -806,6 +810,8 @@ CERTIFICATE_PATHS = {
     # The reference takes the filler edge (alpha_3, beta_3): no bare run.
     "reference on a filler": ((fractions([[-8, -1, 0], [2, -8, 1], [4, 1, -8]]),
                                [(0, 1), (1, 0), (2, 2)], 150), 0, 0),
+    # alpha_1 has no filler edge: no bare run.
+    "no filler edge": ((LONE_EDGE, [(i, i) for i in range(3)], 150), 0, 0),
 }
 
 
@@ -899,36 +905,12 @@ def test_a_regime_call_never_steps(inst, reference, horizon, steps, monkeypatch)
     assert steps is None or len(stepped) == steps
 
 
-#: alpha_1's one edge is bare and it has no filler neighbour, so it has no
-#: runner-up; the other nodes keep two or three bare edges.  The regime at
-#: t=10 jumps 35 periods of 4 to the horizon on the bare view.
-LONE_EDGE = fractions([[5, None, None], [5, 7, -5], [-14, -1, -5]])
-
-
-def test_floors_of_a_row_without_a_runner_up(monkeypatch):
-    # _floors reads a row's runner-up by its index in the flat message
-    # vector; with none (-1) its second floor is its best floor, never a
-    # message of another row.
-    inst, reference = Instance(LONE_EDGE), Matching.of([(i, i) for i in range(3)])
-    calls, real = [], engine._floors
-
-    def spy(y, k2s, d, j):
-        bests, seconds = real(y, k2s, d, j)
-        calls.append((k2s[0], bests[0], seconds[0]))
-        return bests, seconds
-
-    monkeypatch.setattr(engine, "_floors", spy)
-    assert checked_jumps(inst, reference, 150) == (3, [(150, 4)])
-    assert reference_convergence_time(inst, reference, 150) == 3
-    assert calls and all(k2 == -1 and second == best for k2, best, second in calls)
-
-
 @st.composite
 def filler_views(draw):
-    """An instance with a bare view and its fillers, integer bests for its
-    2n nodes and values near its fills: an embedded generated cycle, the
-    padded n=16 or n=24 multicycle, or an embedded or padded form, whose
-    planted -2*W cells (``filled_rows``) may leave a node no filler edge."""
+    """An instance with a bare view and its fillers, and integer bests for
+    its 2n nodes: an embedded generated cycle, the padded n=16 or n=24
+    multicycle, or an embedded or padded form, whose planted -2*W cells
+    (``filled_rows``) leave every node a filler edge (else no bare view)."""
     kind = draw(st.sampled_from(["cycle", "multicycle", "embedded", "padded"]))
     if kind == "cycle":
         params = generators.CycleParams(draw(st.integers(3, 9)), F(8), F(1, 10))
@@ -938,29 +920,21 @@ def filler_views(draw):
     else:
         inst = Instance(draw(embedded_cases())[0] if kind == "embedded" else draw(padded_forms()))
     assume(engine._start(inst).fillers)
-    nodes = st.lists(st.integers(-3, 3), min_size=2 * inst.n, max_size=2 * inst.n)
-    return inst, draw(nodes), draw(nodes)
+    return inst, draw(st.lists(st.integers(-3, 3), min_size=2 * inst.n, max_size=2 * inst.n))
 
 
 @settings(max_examples=150, deadline=None)
 @given(filler_views())
-@example((Instance(LONE_EDGE), [2, -1, 3, 0, -3, 1], [0, 1, -1, 0, 1, 2]))
 def test_fill_is_fw_less_the_least_best_of_the_filler_neighbours(case):
     # Each fill is fw - min best_u over the node's filler neighbours in the
-    # full adjacency (None with none), and ``over`` compares only the nodes
-    # with some; alpha_1 of LONE_EDGE has none.
-    inst, bests, nudges = case
+    # full adjacency; a bare view is only taken where every node has some.
+    inst, bests = case
     fillers = engine._start(inst).fillers
     w = max(x for row in inst.weights for x in row if x is not None)
     assert fillers.fw == -2 * w * inst.scale
     near = [[bests[v] for v, x in node_neighbors(inst, u) if x == -2 * w]
             for u in range(2 * inst.n)]
-    fill = engine._fill(fillers, bests)
-    assert fill == [fillers.fw - min(b) if b else None for b in near]
-    vals = [d if f is None else f + d for f, d in zip(fill, nudges)]
-    for op in gt, eq, ge:
-        want = any(op(f, v) for f, v in zip(fill, vals) if f is not None)
-        assert fillers.over(fill, vals, op) == want
+    assert engine._fill(fillers, bests) == [fillers.fw - min(b) for b in near]
 
 
 def random_dense_cases(count, seed):
@@ -1018,14 +992,14 @@ def padded_forms(draw):
 
 
 def first_filler_over_a_best(inst, horizon):
-    """From the full graph's states: 0 if a node has no bare edge, else the
-    first t <= horizon where a node's largest filler message exceeds its
-    largest bare one (None if there is none)."""
+    """From the full graph's states: 0 if a node has no bare edge or no
+    filler edge, else the first t <= horizon where a node's largest filler
+    message exceeds its largest bare one (None if there is none)."""
     n, scaled, adj = inst.n, inst.scaled_weights(), inst.adjacency()
     fw = -2 * max(x for row in scaled for x in row if x is not None)
     fillers = [[scaled[min(u, v)][max(u, v) - n] == fw for v in nb]
                for u, nb in enumerate(adj.nbrs)]
-    if any(all(f) for f in fillers):
+    if any(all(f) or not any(f) for f in fillers):
         return 0
     states = full_graph_states(inst)
     next(states)
