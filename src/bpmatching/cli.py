@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import os
 import sys
 import tempfile
+from csv import DictWriter, writer as csv_writer
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Optional, TextIO
@@ -143,16 +143,6 @@ def _trace_rows(
         yield snap.iteration, row
 
 
-def _write_trace(inst: Instance, horizon: int, reference: Matching,
-                 opt_weight: Optional[Fraction], out) -> None:
-    writer = csv.writer(out)
-    writer.writerow(TRACE_HEADER)
-    for t, (pairs, unresolved, is_reference, _, num, den) in _trace_rows(
-        inst, horizon, reference, opt_weight, []
-    ):
-        writer.writerow([t, pairs, unresolved, is_reference, num, den])
-
-
 def cmd_trace(args: argparse.Namespace, csv: Optional[TextIO] = None) -> tuple[int, str]:
     """``bp run`` and ``approx``: per-iteration trace CSV, to stdout without
     ``--csv``; ratios for ``approx``."""
@@ -162,7 +152,12 @@ def cmd_trace(args: argparse.Namespace, csv: Optional[TextIO] = None) -> tuple[i
         opt_weight = None
     elif opt_weight <= 0:
         raise ParameterError("approximation ratios need a positive optimum")
-    _write_trace(inst, horizon, reference, opt_weight, csv or sys.stdout)
+    writer = csv_writer(csv or sys.stdout)
+    writer.writerow(TRACE_HEADER)
+    for t, (pairs, unresolved, is_reference, _, num, den) in _trace_rows(
+        inst, horizon, reference, opt_weight, []
+    ):
+        writer.writerow([t, pairs, unresolved, is_reference, num, den])
     return 0, ""
 
 
@@ -204,7 +199,7 @@ def cmd_exp_convergence(args: argparse.Namespace, output: TextIO,
                 "verdict": "pass" if verdict else "fail",
             }
         )
-    writer = csv.DictWriter(output, fieldnames=list(rows[0].keys()))
+    writer = DictWriter(output, fieldnames=list(rows[0].keys()))
     writer.writeheader()
     writer.writerows(rows)
     if manifest:
@@ -243,7 +238,7 @@ def cmd_exp_approx(args: argparse.Namespace, output: TextIO,
         inst, int(window) if args.iters is None else args.iters)
     cycles = [(b["offset"], b["offset"] + b["half_length"]) for b in meta["cycles"]]
     digest = (content_hash := inst.content_hash())[:16]
-    writer = csv.writer(output)
+    writer = csv_writer(output)
     writer.writerow(APPROX_HEADER)
     for t, (pairs, unresolved, _, failed, num, den) in _trace_rows(
         inst, horizon, reference, opt_weight, cycles

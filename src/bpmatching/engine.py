@@ -30,18 +30,18 @@ Gunawardena 1999).  A node's selection, an argmax entry k and a runner-up
 entry k2, makes its sends affine: w - x[k], and w - x[k2] back along k, exact
 while x[k] >= every x[v] and x[k2] >= every other x[v], ties included.
 Nodes with at most two incoming messages send the same whatever it is.  A
-candidate p repeats the wider nodes' argmax entries and the drift of a random
-linear fingerprint over two windows; it only proposes p.  The proof takes
-the last of them, from y = x(a), from the states the run holds (2n + 1, or
-p + 1 once a longer p is proposed, whose proof then waits until they are
-held) and carries d = x(a+p) - y through each step's linear part L (its
-selections on zero weights).  The window map is affine, y + d + L(z - y),
-so L(d) = d proves x(a + k*p + s) = y_s + k*d_s until a selection
-comparison a + k*b turns negative; per offset s the k with beliefs equal to
-the reference form an interval.  The run judges those iterations unvisited,
-jumps to the last whole window before the event or the horizon, and steps
-on; a failed proof defers the next scan by p.  It holds those states and
-two ints per iteration since the last jump.
+candidate p repeats the drift of a random linear fingerprint over two
+windows; it only proposes p.  The proof takes the last of them, from
+y = x(a), from the states the run holds (2n + 1, or p + 1 once a longer p
+is proposed, whose proof then waits until they are held) and carries
+d = x(a+p) - y through each step's linear part L (its selections on zero
+weights).  The window map is affine, y + d + L(z - y), so L(d) = d proves
+x(a + k*p + s) = y_s + k*d_s until a selection comparison a + k*b turns
+negative; per offset s the k with beliefs equal to the reference form an
+interval.  The run judges those iterations unvisited, jumps to the last
+whole window before the event or the horizon, and steps on; a failed proof
+defers the next scan by p.  It holds those states and one fingerprint per
+iteration since the last jump.
 
 An instance with filler edges (``core.bare_view``: weight fw = -2*W, W the
 largest weight) steps its bare view when every node keeps a bare edge and a
@@ -324,8 +324,7 @@ def _rays(x: list[int], d: list[int], us: list[int], vs: list[int], hi: int,
 
 class _Run:
     """One ``convergence_time`` call: its verdict so far, the graph it steps,
-    and the fingerprints and selection hashes since the last jump, where
-    regimes are looked for."""
+    and the fingerprints since the last jump, where regimes are looked for."""
 
     def __init__(self, start: MessageState, reference: Matching, horizon: int) -> None:
         self.want = reference_beliefs(reference, len(start.adj.nbrs) // 2)
@@ -345,17 +344,19 @@ class _Run:
                  for v in range(a, e) if v != q]
         self.refs, self.others = [q for q, _ in pairs], [v for _, v in pairs]
         self.zero = [0] * len(adj.flat_w)
-        self.wide = [len(nb) > 2 for nb in adj.nbrs]
         rng = random.Random(0)
         self.coeffs = [rng.getrandbits(31) for _ in adj.src]
         self.held = deque(maxlen=len(adj.nbrs) + 1)  # a bare 2n-cycle's window
         self.reset()
 
     def reset(self) -> None:
-        self.fps, self.sels, self.next_scan = array("q"), array("q"), 0
+        self.fps, self.next_scan = array("q"), 0
         self.held.clear()
 
-    def see(self, state: MessageState) -> None:
+    def take(self, state: MessageState) -> MessageState:
+        """Enters ``state`` into the run, on its graph."""
+        if state.adj is not self.adj:
+            self.use(state.adj)
         if state.iteration:  # beliefs(state) encodes the reference
             ks, bests, seconds = state.top
             if ks == self.slots and not any(map(eq, seconds, bests)):
@@ -363,14 +364,7 @@ class _Run:
             else:
                 self.last_bad = state.iteration
         self.fps.append(sum(map(mul, self.coeffs, state.x)) % _PRIME)
-        self.sels.append(hash(tuple(compress(state.top[0], self.wide))))
         self.held.append(state)
-
-    def take(self, state: MessageState) -> MessageState:
-        """Enters ``state`` into the run, on its graph."""
-        if state.adj is not self.adj:
-            self.use(state.adj)
-        self.see(state)
         return state
 
     @staticmethod
@@ -390,15 +384,15 @@ class _Run:
         return bisect_left(range(k - 1), True, key=fails) if fails(k - 1) else k
 
     def period(self) -> int:
-        """Smallest p whose last two p-step windows repeat the selections and
-        the fingerprint drift; 0 if none or no scan is due (amortized O(1))."""
-        fps, sels, i = self.fps, self.sels, len(self.fps) - 1
+        """Smallest p whose last two p-step windows repeat the fingerprint
+        drift; 0 if none or no scan is due (amortized O(1))."""
+        fps, i = self.fps, len(self.fps) - 1
         if i < self.next_scan:
             return 0
         self.next_scan = i + 1 + i // 64
         for p in range(1, i // 2 + 1):
             drift = fps[i] - 2 * fps[i - p] + fps[i - 2 * p]
-            if drift % _PRIME == 0 and sels[i - 2 * p : i - p] == sels[i - p : i]:
+            if drift % _PRIME == 0:
                 return p
         return 0
 
@@ -407,8 +401,8 @@ class _Run:
         largest k <= kmax keeping y's selections at y + k*d, and the k where
         its beliefs are the reference's."""
         x, start, ks, us, vs = y.x, y.adj.start, y.top[0], [], []
-        for a, e, k, k2, wide in zip(start, start[1:], ks, k2s, self.wide):
-            if wide:  # x[k] and then x[k2] stay maxima; ties send the same
+        for a, e, k, k2 in zip(start, start[1:], ks, k2s):
+            if e - a > 2:  # x[k] and then x[k2] stay maxima; ties send the same
                 others = [v for v in range(a, e) if v != k and v != k2]
                 us += [k] + [k2] * len(others)
                 vs += [k2] + others
@@ -476,10 +470,7 @@ def convergence_time(inst: Instance, reference: Matching, horizon: int) -> int:
     if run.slots is not None:
         while state.iteration < horizon:
             p = run.period()
-            if p and state.iteration + 2 * p <= horizon:
-                state = run.regime(state, p)
-            else:
-                state = run.take(step(state))
+            state = run.regime(state, p) if p else run.take(step(state))
     if not run.any_good:
         raise HorizonExhausted(f"no snapshot in t=1..{horizon} matches the reference")
     if run.last_bad == horizon:

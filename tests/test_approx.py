@@ -2,14 +2,16 @@
 
 import random
 from fractions import Fraction as F
+from itertools import takewhile
 
 import pytest
 
 from bpmatching import generators
 from bpmatching.approx import _solve, approximation_ratio, build_conflict_graph, complete
 from bpmatching.core import Instance, MissingEdgeError, ParameterError, matching_weight
-from bpmatching.engine import BeliefSnapshot, partial_bp_matching, run_to_horizon
-from bpmatching.oracles import mwm_hungarian
+from bpmatching.engine import (BeliefSnapshot, convergence_time, partial_bp_matching,
+                               run_to_horizon)
+from bpmatching.oracles import certified_horizon, mwm_hungarian
 from reference import (
     best_matching_weight,
     forest_pointers,
@@ -266,3 +268,35 @@ def test_constructed_instances_have_isolated_conflict_graphs():
     inst = generators.gen_multicycle(16, F(8), F(1, 100), c=2)
     for snap in run_to_horizon(inst, 4):
         assert build_conflict_graph(inst, snap).edges == ()
+
+
+def sharp_from(inst, deltas):
+    """T and, per delta, t_delta: the first t from which the completion
+    ratio stays >= 1 - delta up to T, each distinct snapshot completed once."""
+    reference, opt = mwm_hungarian(inst)
+    t_end = convergence_time(inst, reference, certified_horizon(inst))
+    ratios, seen = [], {}
+    for snap in run_to_horizon(inst, t_end):
+        key = (snap.left_belief, snap.right_belief)
+        if key not in seen:
+            seen[key] = approximation_ratio(inst, complete(inst, snap), opt)
+        ratios.append(seen[key])
+    late = [t_end - sum(1 for _ in takewhile((1 - d).__le__, reversed(ratios))) + 1
+            for d in deltas]
+    return t_end, late
+
+
+@pytest.mark.parametrize("inst, t_end, late", [
+    (generators.gen_cycle(generators.CycleParams(6, F(8), F(1, 10)), embed=True),
+     242, [236] * 3),
+    (generators.gen_cycle(generators.CycleParams(7, F(16), F(1, 2)), embed=True),
+     114, [100] * 3),
+    (generators.gen_cycle(generators.CycleParams(3, F(3), F(5, 8)), embed=True), 8, [8] * 3),
+    (generators.gen_multicycle(16, F(8), F(1, 100), c=2), 2802, [1942, 2788, 2788]),
+], ids=["embedded n=6", "embedded n=7", "embedded n=3", "multicycle n=16"])
+def test_a_sharp_completion_comes_only_near_convergence(inst, t_end, late):
+    # The paper's second claim, as exact numbers: t_delta for delta = 1/2,
+    # 1/10 and 1/100.  T - t_delta is n, 2n or 0 on embedded heavy cycles,
+    # not one law; on the multicycle it is 14, twice the largest half-length,
+    # for delta <= 1/10.
+    assert sharp_from(inst, [F(1, 2), F(1, 10), F(1, 100)]) == (t_end, late)
