@@ -24,43 +24,45 @@ w - second back along entry k.  A state carries its graph, so ``step``
 and ``beliefs`` take the state alone.  A run's horizon is an input;
 ``oracles.certified_horizon`` gives the certified one.
 
-``convergence_time`` jumps over drift regimes x(t+p) = x(t) + d, which
-orbits of this monotone min-max map end in (Cochet-Terrasson, Gaubert and
-Gunawardena 1999).  A node's selection, an argmax entry k and a runner-up
-entry k2, makes its sends affine: w - x[k], and w - x[k2] back along k, exact
-while x[k] >= every x[v] and x[k2] >= every other x[v], ties included.
-Nodes with at most two incoming messages send the same whatever it is.  A
-candidate p repeats the drift of a random linear fingerprint over two
-windows; it only proposes p.  The proof takes the last of them, from
-y = x(a), from the states the run holds (2n + 1, or p + 1 once a longer p
-is proposed, whose proof then waits until they are held) and carries
-d = x(a+p) - y through each step's linear part L (its selections on zero
-weights).  The window map is affine, y + d + L(z - y), so L(d) = d proves
-x(a + k*p + s) = y_s + k*d_s until a selection comparison a + k*b turns
-negative; per offset s the k with beliefs equal to the reference form an
-interval.  The run judges those iterations unvisited, jumps to the last
-whole window before the event or the horizon, and steps on; a failed proof
-defers the next scan by p.  It holds those states and one fingerprint per
-iteration since the last jump.
+``convergence_time`` jumps over drift regimes x(t+p) = x(t) + d, which orbits
+of this monotone min-max map end in (Cochet-Terrasson, Gaubert and Gunawardena
+1999).  A node's selection, an argmax entry k and a runner-up entry k2, makes
+its sends affine: w - x[k], and w - x[k2] back along k, exact while
+x[k] >= every x[v] and x[k2] >= every other x[v], ties included.  Nodes with
+at most two incoming messages send the same whatever it is.  A random linear
+fingerprint of x only proposes p: in a lasting regime every offset drifts by
+the same d, so the last one-step increment repeats the one p steps back one
+step after its first window; a regime that ends may drift by offset, and two
+p-step windows repeating their drift propose p too.  The proof takes the last
+p steps, from y = x(a), from the states the run holds (2n + 1, or p + 1 once a
+longer p is proposed and waits for them) and carries d = x(a+p) - y through
+each step's linear part L (its selections on zero weights).  The window map is
+affine, y + d + L(z - y), so L(d) = d proves x(a + k*p + s) = y_s + k*d_s
+until a selection comparison a + k*b turns negative; per offset s the k with
+beliefs equal to the reference form an interval.  The run judges those
+iterations unvisited and lands on the horizon if no comparison turns negative
+first, else on the last whole window before the event; a failed proof defers
+the next scan by p.  It holds those states and the fingerprints since a jump.
 
 An instance with filler edges (``core.bare_view``: weight fw = -2*W, W the
 largest weight) steps its bare view when every node keeps a bare edge and a
-filler edge and the reference, if any, lies in it; its states carry per
-node l its fill, the largest filler message into l.  While no filler is a
-strict argmax, the filler u -> l at t is fw - best_u(t-1), so fill_l(t) is
-fw less the least best_u under l's filler mask: the other side's least, save
-at the nodes ``apart`` from its first argmin.  ``top`` counts the fill among
-the runner-ups, so each node sends what it sends on the full graph; a fill
-equal to the best is a tie there too (Unresolved, w - best on every edge).
-By induction from t=1 the bare messages, fills and beliefs are the full
-graph's while fill_l(t) <= best_l(t) for every l.  The first t where that
-fails rebuilds the full state at t (bare rows kept, fw - best_u(t-1) on the
+filler edge and the reference, if any, lies in it; its states carry per node
+l its fill, the largest filler message into l.  While no filler is a strict
+argmax, the filler u -> l at t is fw - best_u(t-1), so fill_l(t) is fw less
+the least best_u under l's filler mask: the other side's least, save at the
+nodes ``apart`` from its first argmin.  ``top`` counts the fill among the
+runner-ups, so each node sends what it sends on the full graph; a fill equal
+to the best is a tie there too (Unresolved, w - best on every edge).  By
+induction from t=1 the bare messages, fills and beliefs are the full graph's
+while fill_l(t) <= best_l(t) for every l.  The first t where that fails
+rebuilds the full state at t (bare rows kept, fw - best_u(t-1) on the
 fillers) before its beliefs count, and the full graph is stepped on: the
 rule of ``step``, which alone steps both kinds of run.  A jump also needs
-every fill below the bare runner-up, so ``_Run.regime`` also widens, at
-its window's end, where a fill in the window is a runner-up; at the
-regime's selections these are affine lower bounds, which hold on 0..k once
-they hold at k, and a bisection stops the jump before the first that fails.
+every fill below the bare runner-up, so ``_Run.regime`` also widens, at its
+window's end, where a fill in the window is a runner-up; at the regime's
+selections these are affine lower bounds, which hold on 0..k once they hold
+at k, and a bisection stops the jump before the first that fails; the fills
+into a partial last window are checked on its exact states.
 """
 
 from __future__ import annotations
@@ -296,14 +298,13 @@ def _runner_ups(y: MessageState) -> list[int]:
             for a, e, k, b, c in zip(start, start[1:], ks, bests, seconds)]
 
 
-def _floors(y: MessageState, k2s: list[int], d: list[int], j: int):
-    """Lower bounds of every row's best and runner-up at y + j*d, y a bare
-    state (every row has a runner-up, its fill at least): its value at y's
-    argmax k, and the smaller of its values at k and at its runner-up k2
-    (``k2s``).  Exact at j = 0; affine in j."""
-    x = y.x
-    bests = [x[k] + j * d[k] for k in y.top[0]]
-    return bests, [min(b, x[k2] + j * d[k2]) for b, k2 in zip(bests, k2s)]
+def _slots(end: tuple, j: int) -> tuple[list[int], list[int]]:
+    """Each row's values at z + j*dz at its argmax entry and runner-up, for
+    ``end`` = (z, its runner-ups, dz), z bare: the first and the smaller are
+    lower bounds of its best and runner-up; the larger and the smaller are
+    exact on rows of two and wherever z's selections hold at j."""
+    (z, k2s, dz), x = end, end[0].x
+    return [x[k] + j * dz[k] for k in z.top[0]], [x[k2] + j * dz[k2] for k2 in k2s]
 
 
 def _rays(x: list[int], d: list[int], us: list[int], vs: list[int], hi: int,
@@ -378,21 +379,22 @@ class _Run:
         f = ends[0][0].fillers
 
         def fails(j: int) -> bool:
-            floors = [_floors(*end, j) for end in ends]
-            return any(any(map(ge, _fill(f, b), s)) for (b, _), (_, s) in pairwise(floors))
+            slots = [_slots(end, j) for end in ends]
+            return any(any(map(ge, _fill(f, b) * 2, u + v)) for (b, _), (u, v) in pairwise(slots))
 
         return bisect_left(range(k - 1), True, key=fails) if fails(k - 1) else k
 
     def period(self) -> int:
-        """Smallest p whose last two p-step windows repeat the fingerprint
-        drift; 0 if none or no scan is due (amortized O(1))."""
+        """Smallest p whose last one-step fingerprint increment, or last two
+        p-step window drifts, repeat; 0 if none or no scan is due (one scan of
+        p < i every 1 + i // 64 steps: amortized O(1))."""
         fps, i = self.fps, len(self.fps) - 1
         if i < self.next_scan:
             return 0
         self.next_scan = i + 1 + i // 64
-        for p in range(1, i // 2 + 1):
-            drift = fps[i] - 2 * fps[i - p] + fps[i - 2 * p]
-            if drift % _PRIME == 0:
+        for p in range(1, i):
+            if (fps[i] - fps[i - 1] - fps[i - p] + fps[i - 1 - p]) % _PRIME == 0 or (
+                    2 * p <= i and (fps[i] - 2 * fps[i - p] + fps[i - 2 * p]) % _PRIME == 0):
                 return p
         return 0
 
@@ -415,10 +417,11 @@ class _Run:
     def regime(self, state: MessageState, p: int) -> MessageState:
         """Takes the p-step window from y = x(a) to ``state`` from the held
         states, stepping none; if its linear part carries d = x(a+p) - y back to
-        d, that proves a regime: judges the beliefs of its whole windows and
-        jumps to the last that starts by the horizon and that the filler rays
-        certify.  With fewer than p + 1 held it holds p + 1 from then on and
-        waits for them; a runner-up fill in the window widens at its end."""
+        d, that proves a regime: judges the beliefs it covers and jumps to the
+        horizon if the selections and fills hold up to it, else to the last
+        whole window by the horizon that the selections and filler rays allow.
+        With fewer than p + 1 held it holds p + 1 from then on and waits for
+        them; a runner-up fill in the window widens at its end."""
         i, held = len(self.fps) - 1, self.held
         if len(held) <= p:
             self.held, self.next_scan = deque(held, maxlen=p + 1), i + p + 1 - len(held)
@@ -434,26 +437,35 @@ class _Run:
             ends.append((z, _runner_ups(z), ds))
             ds, kmax, good = self.window_step(*ends[-1], kmax)
             goods.append(good)
-        k = min(kmax + 1, (self.horizon - a) // p)
+            if kmax < 1:  # a selection changes in the next window: no jump
+                return last
+        whole, r = divmod(self.horizon - a, p)  # r: the horizon's offset in window k
+        k, r = (whole, r) if kmax >= whole else (kmax + 1, 0)
         if ds != d or k < 2:
             return last
-        fill = None
-        if last.fillers:
+        if f := last.fillers:
             ends.append((last, _runner_ups(last), d))
             k = self.filler_jump(ends, k)
             if k < 2:
                 return last
-            z, _, dz = ends[-2]  # the state a jump lands one iteration past
-            at, start = [u + (k - 1) * v for u, v in zip(z.x, dz)], z.adj.start
-            fill = _fill(last.fillers, [max(at[a:e]) for a, e in zip(start, start[1:])])
-        for s, (lo, hi) in enumerate(goods):  # at a + j*p + s, j = 1..k-1
-            lo, hi = max(lo, 1), min(hi, k - 1)
+            r *= k == whole
+            tops = [_slots(end, k) for end in ends[:r + 1]]  # offsets 0..r of window k
+            for (us, vs), (u2, v2) in pairwise(tops):  # the fills into offsets 1..r, in order
+                fill = _fill(f, [u if u > v else v for u, v in zip(us, vs)])
+                if any(map(ge, fill * 2, u2 + v2)):  # a fill reaches a runner-up
+                    r = 0
+                    break
+        for s, (lo, hi) in enumerate(goods):  # at a + j*p + s, j = 1..m
+            m = k - (s >= r)
+            lo, hi = max(lo, 1), min(hi, m)
             self.any_good |= lo <= hi
-            bad = k - 1 if lo > hi or hi < k - 1 else lo - 1
+            bad = m if lo > hi or hi < m else lo - 1
             self.last_bad = max(self.last_bad, a + bad * p + s if bad else 0)
         self.reset()
-        return self.take(MessageState([u + k * v for u, v in zip(y, d)], a + k * p, last.adj,
-                                      fill, last.fillers))
+        z, _, dz = ends[r]  # the landing's offset; its fills come from the state before
+        fill = f and _fill(f, list(map(max, *_slots(ends[(r or p) - 1], k - (not r)))))
+        return self.take(MessageState([u + k * v for u, v in zip(z.x, dz)], a + k * p + r,
+                                      last.adj, fill, last.fillers))
 
 
 def convergence_time(inst: Instance, reference: Matching, horizon: int) -> int:
