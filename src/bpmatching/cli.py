@@ -69,7 +69,7 @@ def _horizon(inst: Instance, explicit: Optional[int],
             raise ParameterError("horizon must be >= 1")
         return (explicit, *oracles.mwm_hungarian(inst))
     reference, opt_weight, gap = oracles.optimum_and_gap(inst)
-    horizon = oracles.certified_horizon(inst, gap)
+    horizon = oracles.certified_horizon(inst, gap, reference)
     if horizon > _HORIZON_CAP:
         hint = f" (an explicit {flag} is not capped)" if flag else ""
         raise HorizonExhausted(

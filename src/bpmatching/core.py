@@ -168,6 +168,7 @@ class Instance:
         self.n, self.scale, self.meta = n, scale // g, meta
         self._rows = [[None if x is None else x // g for x in row] for row in rows]
         self._adj: Optional[Adjacency] = None
+        self._bare: Optional[Instance] | bool = False  # ``bare_view``, False until taken
 
     @property
     def weights(self) -> list[list[Optional[Fraction]]]:
@@ -263,13 +264,14 @@ def bare_view(inst: Instance) -> Optional[Instance]:
     """``inst`` without its filler edges, those of scaled weight -2*W where
     W > 0 is the largest weight; None when it has none.  The bare view keeps
     ``inst.scale``: W stays in it, so its weights share no factor the
-    fillers do not."""
-    rows = inst.scaled_weights()
-    w = max((x for row in rows for x in row if x is not None), default=0)
-    if w <= 0 or not any(-2 * w in row for row in rows):
-        return None
-    return Instance.scaled([[None if x == -2 * w else x for x in row] for row in rows],
-                           inst.scale)
+    fillers do not.  Memoised on ``inst``, like its adjacency."""
+    if inst._bare is False:
+        rows = inst.scaled_weights()
+        w = max((x for row in rows for x in row if x is not None), default=0)
+        inst._bare = Instance.scaled(
+            [[None if x == -2 * w else x for x in row] for row in rows], inst.scale
+        ) if w > 0 and any(-2 * w in row for row in rows) else None
+    return inst._bare
 
 
 def relabel(inst: Instance, left_perm: list[int], right_perm: list[int]) -> Instance:

@@ -32,37 +32,38 @@ x[k] >= every x[v] and x[k2] >= every other x[v], ties included.  Nodes with
 at most two incoming messages send the same whatever it is.  A random linear
 fingerprint of x only proposes p: in a lasting regime every offset drifts by
 the same d, so the last one-step increment repeats the one p steps back one
-step after its first window; a regime that ends may drift by offset, and two
-p-step windows repeating their drift propose p too.  The proof takes the last
-p steps, from y = x(a), from the states the run holds (2n + 1, or p + 1 once a
-longer p is proposed and waits for them) and carries d = x(a+p) - y through
-each step's linear part L (its selections on zero weights).  The window map is
-affine, y + d + L(z - y), so L(d) = d proves x(a + k*p + s) = y_s + k*d_s
-until a selection comparison a + k*b turns negative; per offset s the k with
-beliefs equal to the reference form an interval.  The run judges those
-iterations unvisited and lands on the horizon if no comparison turns negative
-first, else on the last whole window before the event; a failed proof defers
-the next scan by p.  It holds those states and the fingerprints since a jump.
+step after its first window (an O(1) lookup of its last index); a regime that
+ends may drift by offset, and two p-step windows repeating their drift propose
+a smaller p too.  The proof takes the last p steps, from y = x(a), from the
+states the run holds (2n + 1, or p + 1 once a longer p is proposed and waits
+for them) and carries d = x(a+p) - y through each step's linear part L (its
+selections on zero weights).  The window map is affine, y + d + L(z - y), so
+L(d) = d proves x(a + k*p + s) = y_s + k*d_s until a selection comparison
+a + k*b turns negative; per offset s the k with beliefs equal to the reference
+form an interval.  The run judges those iterations unvisited and lands on the
+horizon if no comparison turns negative first, else on the last whole window
+before the event; a failed proof defers the next scan by p.  It holds those
+states and the fingerprints since a jump.
 
 An instance with filler edges (``core.bare_view``: weight fw = -2*W, W the
 largest weight) steps its bare view when every node keeps a bare edge and a
-filler edge and the reference, if any, lies in it; its states carry per node
-l its fill, the largest filler message into l.  While no filler is a strict
-argmax, the filler u -> l at t is fw - best_u(t-1), so fill_l(t) is fw less
-the least best_u under l's filler mask: the other side's least, save at the
-nodes ``apart`` from its first argmin.  ``top`` counts the fill among the
-runner-ups, so each node sends what it sends on the full graph; a fill equal
-to the best is a tie there too (Unresolved, w - best on every edge).  By
-induction from t=1 the bare messages, fills and beliefs are the full graph's
-while fill_l(t) <= best_l(t) for every l.  The first t where that fails
-rebuilds the full state at t (bare rows kept, fw - best_u(t-1) on the
-fillers) before its beliefs count, and the full graph is stepped on: the
-rule of ``step``, which alone steps both kinds of run.  A jump also needs
-every fill below the bare runner-up, so ``_Run.regime`` also widens, at its
-window's end, where a fill in the window is a runner-up; at the regime's
-selections these are affine lower bounds, which hold on 0..k once they hold
-at k, and a bisection stops the jump before the first that fails; the fills
-into a partial last window are checked on its exact states.
+filler edge and the reference, if any, lies in it; only a widening builds the
+full graph.  Its states carry per node l its fill, the largest filler message
+into l.  While no filler is a strict argmax, the filler u -> l at t is
+fw - best_u(t-1), so fill_l(t) is fw less the least best_u under l's filler
+mask: the other side's least, save at the nodes ``apart`` from its first
+argmin.  ``top`` counts the fill among the runner-ups, so each node sends what
+it sends on the full graph; a fill equal to the best is a tie there too
+(Unresolved, w - best on every edge).  By induction from t=1 the bare messages,
+fills and beliefs are the full graph's while fill_l(t) <= best_l(t) for every
+l.  The first t where that fails rebuilds the full state at t (bare rows kept,
+fw - best_u(t-1) on the fillers) before its beliefs count, and the full graph
+is stepped on: the rule of ``step``, which alone steps both kinds of run.  A
+jump also needs every fill below the bare runner-up, so ``_Run.regime`` also
+widens, at its window's end, where a fill in the window is a runner-up; at the
+regime's selections these are affine lower bounds, which hold on 0..k once
+they hold at k, and a bisection stops the jump before the first that fails;
+the fills into a partial last window are checked on its exact states.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import compress, pairwise, repeat
+from itertools import chain, compress, pairwise, repeat
 from operator import eq, ge, gt, mul, sub
 from typing import Iterator, Optional
 
@@ -114,11 +115,12 @@ def _tops(x: list[int], start: list[int], fill: Optional[list[int]]) -> Tops:
 
 @dataclass(frozen=True)
 class _Fillers:
-    """The filler edges a bare view leaves out: the full graph, their weight
-    ``fw``, per node a 0/1 mask of its filler neighbours over the other side
-    (never all zero) and the nodes there it has none to (``apart``)."""
+    """The filler edges a bare view leaves out: the instance (only ``_widen``
+    builds its full graph), their weight ``fw``, per node a 0/1 mask of its
+    filler neighbours over the other side (never all zero) and the nodes there
+    it has none to (``apart``)."""
 
-    full: Adjacency
+    inst: Instance
     fw: int
     masks: list[bytes]
     apart: list[list[int]]
@@ -252,27 +254,28 @@ def reference_beliefs(
 
 
 def _start(inst: Instance, pairs=()) -> MessageState:
-    """The state at t=0 on ``inst``'s bare view, with its fillers, when every
-    node keeps a bare edge and a filler edge and every (i, j) of ``pairs`` is
-    a bare edge; else ``init_messages(inst)``."""
+    """The state at t=0 on ``inst``'s bare view, with its fillers (masks read
+    off the weight matrix, no full graph), when every node keeps a bare edge
+    and a filler edge and every (i, j) of ``pairs`` is a bare edge; else
+    ``init_messages(inst)``."""
     bare = bare_view(inst)
     if bare and all(bare.adjacency().nbrs) and all(bare.has_edge(*e) for e in pairs):
-        adj, full, n = bare.adjacency(), inst.adjacency(), inst.n
-        other = [range(n, 2 * n)] * n + [range(n)] * n  # each node's other side
-        masks = [bytes(v in f for v in vs) for vs, f in
-                 zip(other, map(set.difference, map(set, full.nbrs), adj.nbrs))]
+        adj, rows, n = bare.adjacency(), inst.scaled_weights(), inst.n
+        fw = -2 * max(adj.flat_w)
+        masks = [bytes(x == fw for x in row) for row in chain(rows, zip(*rows))]
         if all(map(any, masks)):
+            other = [range(n, 2 * n)] * n + [range(n)] * n  # each node's other side
             apart = [[v for v, m in zip(vs, f) if not m] for vs, f in zip(other, masks)]
             return MessageState([0] * adj.start[-1], 0, adj, [0] * len(masks),
-                                _Fillers(full, -2 * max(adj.flat_w), masks, apart))
+                                _Fillers(inst, fw, masks, apart))
     return init_messages(inst)
 
 
 def _widen(y: MessageState, before: list[int]) -> MessageState:
-    """The full graph's state at y's iteration t, where y's filler messages
-    are fw - best_u(t-1) and ``before`` holds those bests: y's messages on
-    the bare edges, and fw - before[u] on each filler edge (u, l)."""
-    full, x = y.fillers.full, []
+    """The full graph, built from the instance, and its state at y's iteration
+    t: y's messages on the bare edges and fw - before[u] on each filler edge
+    (u, l), ``before`` holding the bests at t-1."""
+    full, x = y.fillers.inst.adjacency(), []
     for nb, ws, bare, row in zip(full.nbrs, full.w, y.adj.nbrs, y.rows):
         got = dict(zip(bare, row))
         x += [got[u] if u in got else w - before[u] for u, w in zip(nb, ws)]
@@ -314,11 +317,11 @@ def _rays(x: list[int], d: list[int], us: list[int], vs: list[int], hi: int,
     gx, gd, lo = x.__getitem__, d.__getitem__, 0
     for a, b in zip(map(sub, map(gx, us), map(gx, vs)), map(sub, map(gd, us), map(gd, vs))):
         a -= least
-        if b > 0:
-            lo = max(lo, -(a // b))
-        elif b < 0:
-            hi = min(hi, a // -b)
-        elif a < 0:
+        if b > 0 and (c := -(a // b)) > lo:
+            lo = c
+        elif b < 0 and (c := a // -b) < hi:
+            hi = c
+        elif b == 0 and a < 0:
             return 1, 0
     return lo, hi
 
@@ -344,6 +347,7 @@ class _Run:
         pairs = [(q, v) for a, e, q in zip(start, start[1:], self.slots or ())
                  for v in range(a, e) if v != q]
         self.refs, self.others = [q for q, _ in pairs], [v for _, v in pairs]
+        self.wide = [(u, a, e) for u, (a, e) in enumerate(pairwise(start)) if e - a > 2]
         self.zero = [0] * len(adj.flat_w)
         rng = random.Random(0)
         self.coeffs = [rng.getrandbits(31) for _ in adj.src]
@@ -351,7 +355,7 @@ class _Run:
         self.reset()
 
     def reset(self) -> None:
-        self.fps, self.next_scan = array("q"), 0
+        self.fps, self.next_scan, self.lag, self.last = array("q"), 0, 0, {}
         self.held.clear()
 
     def take(self, state: MessageState) -> MessageState:
@@ -364,7 +368,10 @@ class _Run:
                 self.any_good = True
             else:
                 self.last_bad = state.iteration
-        self.fps.append(sum(map(mul, self.coeffs, state.x)) % _PRIME)
+        fp, i = sum(map(mul, self.coeffs, state.x)) % _PRIME, len(self.fps)
+        inc = (fp - self.fps[-1]) % _PRIME if i else -1  # -1: index 0 has no increment
+        self.lag, self.last[inc] = i - self.last.get(inc, i), i  # 0: a new increment
+        self.fps.append(fp)
         self.held.append(state)
         return state
 
@@ -386,32 +393,32 @@ class _Run:
 
     def period(self) -> int:
         """Smallest p whose last one-step fingerprint increment, or last two
-        p-step window drifts, repeat; 0 if none or no scan is due (one scan of
-        p < i every 1 + i // 64 steps: amortized O(1))."""
+        p-step window drifts, repeat; 0 if none or no scan is due.  The
+        one-step p is ``take``'s O(1) lookup, and a scan, due every
+        1 + i // 64 steps, tests the two windows only for the p below it."""
         fps, i = self.fps, len(self.fps) - 1
         if i < self.next_scan:
             return 0
         self.next_scan = i + 1 + i // 64
-        for p in range(1, i):
-            if (fps[i] - fps[i - 1] - fps[i - p] + fps[i - 1 - p]) % _PRIME == 0 or (
-                    2 * p <= i and (fps[i] - 2 * fps[i - p] + fps[i - 2 * p]) % _PRIME == 0):
+        for p in range(1, min(self.lag or i, i // 2 + 1)):
+            if (fps[i] - 2 * fps[i - p] + fps[i - 2 * p]) % _PRIME == 0:
                 return p
-        return 0
+        return self.lag
 
     def window_step(self, y: MessageState, k2s: list[int], d: list[int], kmax: int):
         """At y with runner-ups k2s and drift d: the drift a step on, the
         largest k <= kmax keeping y's selections at y + k*d, and the k where
         its beliefs are the reference's."""
-        x, start, ks, us, vs = y.x, y.adj.start, y.top[0], [], []
-        for a, e, k, k2 in zip(start, start[1:], ks, k2s):
-            if e - a > 2:  # x[k] and then x[k2] stay maxima; ties send the same
-                others = [v for v in range(a, e) if v != k and v != k2]
-                us += [k] + [k2] * len(others)
-                vs += [k2] + others
-        # The linear part of the step: y's selections on zero weights.
-        best = [d[k] if k >= 0 else 0 for k in ks]
-        second = [d[k2] if k2 >= 0 else None for k2 in k2s]
-        return (_send(y.adj, (ks, best, second), self.zero), _rays(x, d, us, vs, kmax)[1],
+        x, ks, us, vs = y.x, y.top[0], [], []
+        for u, a, e in self.wide:  # x[k] and then x[k2] stay maxima; ties send the same
+            k, k2 = ks[u], k2s[u]
+            others = [v for v in range(a, e) if v != k and v != k2]
+            us += [k] + [k2] * len(others)
+            vs += [k2] + others
+        # The linear part of the step: y's selections on zero weights (entry -1: none, 0).
+        dz = d + [0]
+        tops = ks, list(map(dz.__getitem__, ks)), list(map(dz.__getitem__, k2s))
+        return (_send(y.adj, tops, self.zero), _rays(x, d, us, vs, kmax)[1],
                 _rays(x, d, self.refs, self.others, self.horizon, 1))
 
     def regime(self, state: MessageState, p: int) -> MessageState:

@@ -2,16 +2,17 @@
 
 The oracle is one Hungarian method run on the instance's one weight
 matrix, integer numerators over ``Instance.scale``; `Fraction` appears only
-in the returned weights and gap.  The uniqueness
-gap comes from the same solve: every other perfect matching is the optimum
-with partners permuted along disjoint exchange cycles, each of nonnegative
-cost, so the second-best matching differs from the best by one cheapest
-exchange cycle (Murty 1968).  The gap also fixes the certified horizon,
-the Bayati-Shah-Sharma bound on how long BP runs.  An exhaustive dynamic
-program over column subsets, n * 2^n steps, is kept as an independent
-small-n reference; it breaks ties toward the lexicographically smallest
-permutation.  Like ``trees``, this module imports only ``core``, so it
-checks the engine without sharing its code.
+in the returned weights and gap.  The uniqueness gap comes from the same
+solve: every other perfect matching is the optimum with partners permuted
+along disjoint exchange cycles, each of nonnegative cost, so the
+second-best matching differs from the best by one cheapest exchange cycle
+(Murty 1968).  The gap also fixes the certified horizon, the
+Bayati-Shah-Sharma bound on how long BP runs; an embedded instance's bare
+view, when the optimum keeps to it, takes its gap from the optimum with no
+second solve.  An exhaustive dynamic program over column subsets, n * 2^n
+steps, is kept as an independent small-n reference; it breaks ties toward
+the lexicographically smallest permutation.  Like ``trees``, this module
+imports only ``core``, so it checks the engine without sharing its code.
 """
 
 from __future__ import annotations
@@ -133,16 +134,17 @@ def _min_cost_assignment(cost: list[list[int]]) -> list[int]:
     return result
 
 
-def optimum_and_gap(inst: Instance) -> tuple[Matching, Fraction, Fraction]:
+def optimum_and_gap(inst: Instance, best: Optional[Matching] = None
+                    ) -> tuple[Matching, Fraction, Fraction]:
     """The optimum matching, its weight, and the cost of the cheapest exchange
-    cycle around it (the uniqueness gap).
+    cycle around it (the uniqueness gap); ``best``, if given, is that optimum.
 
     Row i may take row k's optimal partner when that edge is present, at
     integer cost w[i][M(i)] - w[i][M(k)].  The cheapest directed cycle of
     this digraph is found by Floyd-Warshall with an open diagonal; the
     optimality of M rules out negative cycles.
     """
-    best, best_weight = mwm_hungarian(inst)
+    best, best_weight = (best, matching_weight(inst, best)) if best else mwm_hungarian(inst)
     n = inst.n
     w = inst.scaled_weights()
     partner = best.partner_of_left()
@@ -171,12 +173,14 @@ def optimum_and_gap(inst: Instance) -> tuple[Matching, Fraction, Fraction]:
     return best, best_weight, Fraction(cheapest, inst.scale)
 
 
-def certified_horizon(inst: Instance, eps: Optional[Fraction] = None) -> int:
+def certified_horizon(inst: Instance, eps: Optional[Fraction] = None,
+                      best: Optional[Matching] = None) -> int:
     """ceil(2n*w/eps), the Bayati-Shah-Sharma bound; eps is the uniqueness
     gap, solved for unless given.  The bound is stated for nonnegative
     weights with w = w_max, the largest edge weight, and the embedded
-    families keep it (``_bare_view_gap``).  Any other negative weight makes
-    w the spread w_max - w_min: a common shift of the weights changes no
+    families keep it (``_bare_view_gap``, which ``best``, an optimum of
+    ``inst`` if given, spares a solve).  Any other negative weight makes w
+    the spread w_max - w_min: a common shift of the weights changes no
     belief when every node has two or more edges.  Integer arithmetic on
     the scaled weights: ceil(2n*W*q / (p*scale)) with W the scaled w and
     eps = p/q.  ``ParameterError`` on no positive weight, a tied optimum,
@@ -185,28 +189,30 @@ def certified_horizon(inst: Instance, eps: Optional[Fraction] = None) -> int:
     w = max(xs, default=0)
     if w <= 0 or not (eps := uniqueness_gap(inst) if eps is None else eps):
         raise ParameterError("certified horizon: no positive weight, or a tied optimum")
-    if min(xs) < 0 and _bare_view_gap(inst) != eps:
+    if min(xs) < 0 and _bare_view_gap(inst, best) != eps:
         if min(map(len, inst.adjacency().nbrs)) < 2:
             raise ParameterError("certified horizon: negative weights, a node of one edge")
         w -= min(xs)
     return -(-2 * inst.n * w * eps.denominator // (eps.numerator * inst.scale))
 
 
-def _bare_view_gap(inst: Instance) -> Optional[Fraction]:
+def _bare_view_gap(inst: Instance, best: Optional[Matching]) -> Optional[Fraction]:
     """The gap of ``core.bare_view(inst)`` if that view is nonnegative and
-    has two perfect matchings, else None.  Where the bare view keeps the
-    gap, the fillers are taken to change no belief (criterion 5 checks this
-    on the embedded cycles).  This is decided before any run.
-    ``convergence_time`` takes the bare view only where every node also has
-    a filler edge; a run that keeps to it up to the horizon has then
-    checked, for that instance, that no filler message exceeded a node's
-    best up to the horizon."""
+    has two perfect matchings, else None; an optimum ``best`` of ``inst`` on
+    bare edges is the view's optimum too, and spares it a solve.  Where the
+    bare view keeps the gap, the fillers are taken to change no belief
+    (criterion 5 checks this on the embedded cycles).  This is decided
+    before any run.  ``convergence_time`` takes the bare view only where
+    every node also has a filler edge; a run that keeps to it up to the
+    horizon has then checked, for that instance, that no filler message
+    exceeded a node's best up to the horizon."""
     bare = bare_view(inst)
     if bare is None or any(x is not None and x < 0
                            for row in bare.scaled_weights() for x in row):
         return None
     try:
-        return uniqueness_gap(bare)
+        on_bare = best is not None and all(bare.has_edge(i, j) for i, j in best.pairs)
+        return optimum_and_gap(bare, best if on_bare else None)[2]
     except ParameterError:
         return None
 

@@ -70,6 +70,20 @@ def full_graph_states(inst):
         state = step(state)
 
 
+def scanned_period(fps, prime: int) -> int:
+    """Smallest p < i, i the last index of the fingerprints ``fps`` (mod
+    ``prime``), whose last one-step increment repeats the one p steps back,
+    or whose last two p-step window drifts repeat; 0 if none.  The scan of
+    every p that ``engine._Run.period`` ran before it looked the one-step p
+    up."""
+    i = len(fps) - 1
+    for p in range(1, i):
+        if (fps[i] - fps[i - 1] - fps[i - p] + fps[i - 1 - p]) % prime == 0 or (
+                2 * p <= i and (fps[i] - 2 * fps[i - p] + fps[i - 2 * p]) % prime == 0):
+            return p
+    return 0
+
+
 def full_graph_snapshots(inst, horizon: int):
     """Belief snapshots for t = 1..horizon of stepping the full graph."""
     states = full_graph_states(inst)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction as F
 from itertools import accumulate, chain, islice
 from unittest import mock
@@ -21,8 +22,9 @@ from bpmatching.engine import (
     step,
 )
 from bpmatching.oracles import certified_horizon, mwm_hungarian
-from reference import (encodes, full_graph_snapshots, full_graph_states, message,
-                       node_neighbors, optimal_matching, weight_tables)
+from reference import (count_calls, encodes, full_graph_snapshots, full_graph_states,
+                       message, node_neighbors, optimal_matching, scanned_period,
+                       weight_tables)
 
 
 def small_cycle():
@@ -1062,6 +1064,101 @@ def test_a_wrong_period_costs_steps_never_a_result(monkeypatch):
         except HorizonExhausted:
             t = HorizonExhausted
         assert t == reference_convergence_time(inst, reference, horizon)
+
+
+def scanned_periods(monkeypatch):
+    """Spy on ``engine._Run.period``: every scan that is due must propose
+    the p of the scan over every p < i (``scanned_period``); the list it
+    fills holds those p."""
+    scans, period = [], engine._Run.period
+
+    def spy(run):
+        due, p = len(run.fps) - 1 >= run.next_scan, period(run)
+        if due:
+            assert p == scanned_period(run.fps, engine._PRIME)
+            scans.append(p)
+        return p
+
+    monkeypatch.setattr(engine._Run, "period", spy)
+    return scans
+
+
+#: A full-graph run whose one-step increment at t=41 came before at t=21
+#: and t=31: the proof of p=10 fails at t=31 and holds at t=41, where the
+#: increment's first index would propose 20.
+THIRD_REPEAT = (fractions([[9, None, 1, 7, 0], [-2, None, 4, -1, 6], [F(1, 2), 5, -1, 5, 4],
+                           [1, None, 3, -3, None], [3, F(5, 2), -3, None, 8]]),
+                [(0, 0), (1, 4), (2, 3), (3, 2), (4, 1)], 3000)
+
+
+def period_cases():
+    """The runs of ``no_step_cases`` (``CERTIFICATE_PATHS`` among them),
+    ``REGIME_ENDS`` and ``THIRD_REPEAT``, as (instance, reference, horizon)."""
+    for case in no_step_cases():
+        yield pytest.param(*case.values[:3], id=case.id)
+    for k, (rows, pairs, horizon) in enumerate(REGIME_ENDS + [THIRD_REPEAT]):
+        yield pytest.param(Instance(rows), Matching.of(pairs), horizon,
+                           id=f"regime ends {k}" if k < len(REGIME_ENDS) else "third repeat")
+
+
+@pytest.mark.parametrize("inst, reference, horizon", period_cases())
+def test_the_looked_up_period_is_the_full_scans(inst, reference, horizon, monkeypatch):
+    # The one-step p comes from each increment's last index, and only the p
+    # below it get the two-window test: every scan still proposes the
+    # smallest p of the scan over every p < i.
+    scans = scanned_periods(monkeypatch)
+    try:
+        convergence_time(inst, reference, horizon)
+    except HorizonExhausted:
+        pass
+    assert any(scans)
+
+
+def test_the_looked_up_period_is_the_full_scans_on_the_stepping_draws(monkeypatch):
+    # The draws and examples of test_convergence_time_matches_stepping,
+    # run again under the spy.
+    scans = scanned_periods(monkeypatch)
+    test_convergence_time_matches_stepping()
+    assert any(scans)
+
+
+def full_adjacency_calls(monkeypatch, inst):
+    """Spy on ``inst.adjacency()``: the list it fills holds the name of the
+    function that made each call."""
+    calls, real = [], Instance.adjacency
+
+    def spy(self):
+        if self is inst:
+            calls.append(sys._getframe(1).f_code.co_name)
+        return real(self)
+
+    monkeypatch.setattr(Instance, "adjacency", spy)
+    return calls
+
+
+def test_a_run_that_keeps_to_the_bare_view_never_builds_the_full_graph(monkeypatch):
+    # converge-dense, loaded as the command line loads it: the fillers come
+    # off the weight matrix, and no run step leaves the bare view, so the
+    # 16x16 adjacency is never built.
+    params = generators.CycleParams(16, F(8), F(1, 10))
+    inst = Instance.from_json(generators.gen_cycle(params, embed=True).to_json())
+    reference = optimal_matching(inst)
+    calls = full_adjacency_calls(monkeypatch, inst)
+    assert convergence_time(inst, reference, 2560) == 642
+    assert calls == []
+
+
+def test_a_widening_run_builds_the_full_graph_once(monkeypatch):
+    # "fails mid-run" widens at t=20, where its one full adjacency is built.
+    (rows, pairs, horizon), _, first_full = CERTIFICATE_PATHS["fails mid-run"]
+    inst, reference = Instance(rows), Matching.of(pairs)
+    calls = full_adjacency_calls(monkeypatch, inst)
+    widened = count_calls(monkeypatch, engine, "_widen")
+    t = convergence_time(inst, reference, horizon)
+    assert calls == ["_widen"] and [y.iteration for y, _ in widened] == [first_full]
+    monkeypatch.undo()
+    assert checked_jumps(inst, reference, horizon)[0] == t
+    assert t == reference_convergence_time(inst, reference, horizon)
 
 
 @st.composite
