@@ -41,9 +41,8 @@ selections on zero weights).  The window map is affine, y + d + L(z - y), so
 L(d) = d proves x(a + k*p + s) = y_s + k*d_s until a selection comparison
 a + k*b turns negative; per offset s the k with beliefs equal to the reference
 form an interval.  The run judges those iterations unvisited and lands on the
-horizon if no comparison turns negative first, else on the last whole window
-before the event; a failed proof defers the next scan by p.  It holds those
-states and the fingerprints since a jump.
+first step the proof does not cover, by the horizon; a failed proof defers the
+next scan by p.  It holds those states and the fingerprints since a jump.
 
 An instance with filler edges (``core.bare_view``: weight fw = -2*W, W the
 largest weight) steps its bare view when every node keeps a bare edge and a
@@ -62,8 +61,8 @@ is stepped on: the rule of ``step``, which alone steps both kinds of run.  A
 jump also needs every fill below the bare runner-up, so ``_Run.regime`` also
 widens, at its window's end, where a fill in the window is a runner-up; at the
 regime's selections these are affine lower bounds, which hold on 0..k once
-they hold at k, and a bisection stops the jump before the first that fails;
-the fills into a partial last window are checked on its exact states.
+they hold at k: a bisection finds the first window where one fails, and the
+exact fills there, or up to the landing, find the first step to land on.
 """
 
 from __future__ import annotations
@@ -377,12 +376,12 @@ class _Run:
 
     @staticmethod
     def filler_jump(ends: list, k: int) -> int:
-        """The largest k' <= k for which the filler rays certify every
-        iteration up to a + k'*p.  ``ends`` holds the states at a..a+p with
-        their runner-ups and drifts; the fills into a + j*p + s + 1, from
-        the bests at offset s, must stay below the runner-ups at offset s + 1.
-        Each ray a + j*b >= 0 holds on 0..j once it holds at j (it does at 0,
-        or ``regime`` widens), so ``bisect_left`` finds k', the first j failing."""
+        """The first window j < k whose fills the filler rays do not certify,
+        else k; ``regime`` scans window j's exact fills for the step to land on.
+        ``ends`` holds the states at a..a+p with their runner-ups and drifts; the
+        fills into a + j*p + s + 1, from the bests at offset s, must stay below
+        the runner-ups at offset s + 1.  Each ray a + j*b >= 0 holds on 0..j once
+        it holds at j (it does at 0, or ``regime`` widens): ``bisect_left``."""
         f = ends[0][0].fillers
 
         def fails(j: int) -> bool:
@@ -424,11 +423,11 @@ class _Run:
     def regime(self, state: MessageState, p: int) -> MessageState:
         """Takes the p-step window from y = x(a) to ``state`` from the held
         states, stepping none; if its linear part carries d = x(a+p) - y back to
-        d, that proves a regime: judges the beliefs it covers and jumps to the
-        horizon if the selections and fills hold up to it, else to the last
-        whole window by the horizon that the selections and filler rays allow.
-        With fewer than p + 1 held it holds p + 1 from then on and waits for
-        them; a runner-up fill in the window widens at its end."""
+        d, that proves a regime: judges the beliefs it covers and lands on the
+        first step it does not cover: the horizon, an offset's first step off its
+        selections, or the first fill at a runner-up.  With fewer than p + 1 held
+        it holds p + 1 from then on and waits for them; a runner-up fill in the
+        window widens at its end."""
         i, held = len(self.fps) - 1, self.held
         if len(held) <= p:
             self.held, self.next_scan = deque(held, maxlen=p + 1), i + p + 1 - len(held)
@@ -439,28 +438,27 @@ class _Run:
             return self.take(_widen(state, states[-2].top[1]))
         a, y, last = states[0].iteration, states[0].x, states.pop()
         d = ds = list(map(sub, last.x, y))
-        kmax, goods, ends = self.horizon, [], []
-        for z in states:
+        kmax, goods, ends, land = self.horizon, [], [], self.horizon - a
+        for s, z in enumerate(states):
             ends.append((z, _runner_ups(z), ds))
             ds, kmax, good = self.window_step(*ends[-1], kmax)
             goods.append(good)
+            land = min(land, (kmax + 1) * p + s)  # the first step off offset s's selections
             if kmax < 1:  # a selection changes in the next window: no jump
                 return last
-        whole, r = divmod(self.horizon - a, p)  # r: the horizon's offset in window k
-        k, r = (whole, r) if kmax >= whole else (kmax + 1, 0)
-        if ds != d or k < 2:
+        if ds != d:
             return last
+        ends.append((last, _runner_ups(last), d))
+        k, r = (land - 1) // p, (land - 1) % p + 1  # a + land: offset r (1..p) of window k
         if f := last.fillers:
-            ends.append((last, _runner_ups(last), d))
-            k = self.filler_jump(ends, k)
-            if k < 2:
-                return last
-            r *= k == whole
+            if (j := self.filler_jump(ends, k)) < k:  # the rays fail in window j
+                if j < 2:  # a jump of a window at most: stepping on keeps the fingerprints
+                    return last
+                k, r = j, p  # scan all of window j
             tops = [_slots(end, k) for end in ends[:r + 1]]  # offsets 0..r of window k
-            for (us, vs), (u2, v2) in pairwise(tops):  # the fills into offsets 1..r, in order
-                fill = _fill(f, [u if u > v else v for u, v in zip(us, vs)])
-                if any(map(ge, fill * 2, u2 + v2)):  # a fill reaches a runner-up
-                    r = 0
+            for r, ((us, vs), (u2, v2)) in enumerate(pairwise(tops), 1):  # fills into 1..r
+                fill = _fill(f, bests := list(map(max, us, vs)))
+                if any(map(ge, fill * 2, u2 + v2)):  # it reaches a runner-up: land on it
                     break
         for s, (lo, hi) in enumerate(goods):  # at a + j*p + s, j = 1..m
             m = k - (s >= r)
@@ -469,10 +467,10 @@ class _Run:
             bad = m if lo > hi or hi < m else lo - 1
             self.last_bad = max(self.last_bad, a + bad * p + s if bad else 0)
         self.reset()
-        z, _, dz = ends[r]  # the landing's offset; its fills come from the state before
-        fill = f and _fill(f, list(map(max, *_slots(ends[(r or p) - 1], k - (not r)))))
-        return self.take(MessageState([u + k * v for u, v in zip(z.x, dz)], a + k * p + r,
-                                      last.adj, fill, last.fillers))
+        z, _, dz = ends[r]  # the landing, with the last fill scanned
+        z = MessageState([u + k * v for u, v in zip(z.x, dz)], a + k * p + r, last.adj,
+                         f and fill, last.fillers)
+        return self.take(_widen(z, bests) if f and any(map(gt, fill, z.top[1])) else z)
 
 
 def convergence_time(inst: Instance, reference: Matching, horizon: int) -> int:

@@ -176,18 +176,21 @@ def optimum_and_gap(inst: Instance, best: Optional[Matching] = None
 def certified_horizon(inst: Instance, eps: Optional[Fraction] = None,
                       best: Optional[Matching] = None) -> int:
     """ceil(2n*w/eps), the Bayati-Shah-Sharma bound; eps is the uniqueness
-    gap, solved for unless given.  The bound is stated for nonnegative
-    weights with w = w_max, the largest edge weight, and the embedded
-    families keep it (``_bare_view_gap``, which ``best``, an optimum of
-    ``inst`` if given, spares a solve).  Any other negative weight makes w
-    the spread w_max - w_min: a common shift of the weights changes no
-    belief when every node has two or more edges.  Integer arithmetic on
-    the scaled weights: ceil(2n*W*q / (p*scale)) with W the scaled w and
-    eps = p/q.  ``ParameterError`` on no positive weight, a tied optimum,
-    one perfect matching, or a negative weight with a node of one edge."""
+    gap, solved for with the optimum unless given.  The bound is stated for
+    nonnegative weights with w = w_max, the largest edge weight, and the
+    embedded families keep it (``_bare_view_gap``, which ``best``, an optimum
+    of ``inst`` given or solved for, spares a solve).  Any other negative
+    weight makes w the spread w_max - w_min: a common shift of the weights
+    changes no belief when every node has two or more edges.  Integer
+    arithmetic on the scaled weights: ceil(2n*W*q / (p*scale)) with W the
+    scaled w and eps = p/q.  ``ParameterError`` on no positive weight, a
+    tied optimum, one perfect matching, or a negative weight with a node of
+    one edge."""
     xs = [x for row in inst.scaled_weights() for x in row if x is not None]
     w = max(xs, default=0)
-    if w <= 0 or not (eps := uniqueness_gap(inst) if eps is None else eps):
+    if w > 0 and eps is None:
+        best, _, eps = optimum_and_gap(inst, best)
+    if w <= 0 or not eps:
         raise ParameterError("certified horizon: no positive weight, or a tied optimum")
     if min(xs) < 0 and _bare_view_gap(inst, best) != eps:
         if min(map(len, inst.adjacency().nbrs)) < 2:

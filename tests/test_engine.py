@@ -832,22 +832,25 @@ LONE_EDGE = fractions([[5, None, None], [5, 7, -5], [-14, -1, -5]])
 #: one rebuilds the full state at its end.
 CERTIFICATE_PATHS = {
     # No fill is a runner-up up to the horizon, jumps included.  The filler
-    # rays stop the first jump, from the window t=1..7, at t=13; the next
-    # window, t=14..20, lands on the horizon.
+    # rays stop the first jump, from the window t=1..7, in the window
+    # t=13..19, whose exact fills all hold: it lands on t=19, and the next
+    # window, t=20..26, lands on the horizon.
     "holds": ((fractions([[3, 2, -8], [-8, 4, 2], [1, -8, 1]]),
                [(0, 0), (1, 1), (2, 2)], 150), 14, None),
-    # The filler rays stop the first jump, from the window t=1..7, at t=13.
-    # A fill is a runner-up at t=17, inside the next regime window,
-    # t=14..20: the full state at t=20 is rebuilt and stepped on.
+    # The filler rays stop the first jump, from the window t=1..7, in the
+    # window t=13..19, whose exact fills reach a runner-up first at t=17: it
+    # lands there.  A fill is a runner-up inside the next regime window,
+    # t=18..24: the full state at t=24 is rebuilt and stepped on.
     "fails mid-run": ((fractions([[-4, -16, 8], [-3, -2, -16], [-16, -4, 5]]),
-                       [(0, 2), (1, 0), (2, 1)], 40), 14, 20),
-    # A jump from t=5 to t=17 on the bare view; the fills at t=18 come from
-    # the landing's bests, and the fills at t=17 from the bests at t=16,
-    # which no step visited.  A fill is a runner-up in the next regime
+                       [(0, 2), (1, 0), (2, 1)], 40), 14, 24),
+    # A jump from t=5 to t=21 on the bare view: the filler rays stop it in
+    # the window t=17..21, whose exact fills all hold.  The fills at t=22
+    # come from the landing's bests, and the fills at t=21 from the bests at
+    # t=20, which no step visited.  A fill is a runner-up in the next regime
     # window, t=26..30: the full state at t=30 is rebuilt.
     "fails after a jump": ((fractions([[8, -16, -16, 1], [-16, 7, 8, -16],
                                        [7, -16, -16, 8], [-16, 8, -2, -16]]),
-                            [(0, 0), (1, 2), (2, 3), (3, 1)], 48), 18, 30),
+                            [(0, 0), (1, 2), (2, 3), (3, 1)], 48), 14, 30),
     # alpha_2's fill -2 is above its bare runner-up -5 at t=1: the bare view
     # runs on to the first regime window, t=6..10, and widens at t=10.
     "fails at t=1": ((fractions([[-2, 1, -1], [-5, -2, 0], [-1, 0, -2]]),
@@ -888,20 +891,27 @@ def test_filler_certificate_paths(case, bare_steps, first_full, monkeypatch):
     assert t == reference_convergence_time(inst, reference, horizon)
 
 
-def test_a_fill_at_a_runner_up_in_the_last_window_keeps_the_landing_whole(monkeypatch):
+def test_a_jump_lands_on_the_first_step_its_proof_does_not_cover(monkeypatch):
     # "fails mid-run": the window t=1..7 proves p=6, and the filler rays
-    # certify the whole windows to t=13.  The exact fills into the partial
-    # window after it hold up to t=16, so a horizon of 16 is landed on; a
-    # fill is a runner-up at t=17, so horizons 17 and 18 land on t=13 and
-    # step on from there.
+    # certify the whole windows to t=13.  The exact fills after it hold up
+    # to t=16, so a horizon of 16 is landed on; a fill reaches a runner-up
+    # at t=17, so horizons 17 and 18 land on t=17 and step on from there.
     (rows, pairs, _), _, _ = CERTIFICATE_PATHS["fails mid-run"]
     inst, reference = Instance(rows), Matching.of(pairs)
     calls = regime_calls(monkeypatch)
-    for horizon, landing in (16, 16), (17, 13), (18, 13):
+    for horizon, landing in (16, 16), (17, 17), (18, 17):
         calls.clear()
         t, _ = checked_jumps(inst, reference, horizon)
         assert t == reference_convergence_time(inst, reference, horizon)
         assert calls[0] == (7, 6, landing, 0)
+    # On the full graph: the last jump short of the horizon lands on the
+    # first step off a selection, mid-window (p=4).
+    for k, landing in (0, 45), (1, 59), (3, 57):
+        rows, pairs, horizon = REGIME_ENDS[k]
+        inst, reference = Instance(rows), Matching.of(pairs)
+        t, jumps = checked_jumps(inst, reference, horizon)
+        assert t == reference_convergence_time(inst, reference, horizon)
+        assert jumps[-2] == (landing, 4) and jumps[-1][0] == horizon
 
 
 @settings(max_examples=100, deadline=None)
@@ -974,7 +984,7 @@ def no_step_cases():
     for key, (rows, pairs, horizon, _, steps) in DRIFT_BEFORE_SELECTIONS.items():
         yield pytest.param(Instance(fractions(rows)), Matching.of(pairs), horizon, steps, id=key)
     padded = generators.gen_multicycle(16, F(8), F(1, 100), c=2)
-    yield pytest.param(padded, optimal_matching(padded), certified_horizon(padded), 2651,
+    yield pytest.param(padded, optimal_matching(padded), certified_horizon(padded), 2363,
                        id="padded multicycle")
 
 
@@ -1149,7 +1159,7 @@ def test_a_run_that_keeps_to_the_bare_view_never_builds_the_full_graph(monkeypat
 
 
 def test_a_widening_run_builds_the_full_graph_once(monkeypatch):
-    # "fails mid-run" widens at t=20, where its one full adjacency is built.
+    # "fails mid-run" widens at t=24, where its one full adjacency is built.
     (rows, pairs, horizon), _, first_full = CERTIFICATE_PATHS["fails mid-run"]
     inst, reference = Instance(rows), Matching.of(pairs)
     calls = full_adjacency_calls(monkeypatch, inst)

@@ -29,7 +29,7 @@ from bpmatching.oracles import (
     second_best_weight,
     uniqueness_gap,
 )
-from reference import mwm_enumeration, optimal_matching, random_rows
+from reference import count_calls, mwm_enumeration, optimal_matching, random_rows
 
 
 def random_instance(rng, n, sparse=False):
@@ -311,6 +311,16 @@ def test_uniqueness_gap_on_cycle_family():
         generators.CycleParams(5, F(8), F(1, 2)), embed=True
     )
     assert uniqueness_gap(inst) == F(1, 2)
+
+
+def test_certified_horizon_without_an_eps_solves_once(monkeypatch):
+    # The embedded n=16 cycle (converge-dense): the optimum solved for the
+    # gap keeps to the bare view, so the view's gap is the exchange-cycle
+    # pass around it, with no second Hungarian solve.
+    inst = generators.gen_cycle(generators.CycleParams(16, F(8), F(1, 10)), embed=True)
+    calls = count_calls(monkeypatch, oracles, "mwm_hungarian")
+    assert oracles.certified_horizon(inst) == 2560
+    assert len(calls) == 1
 
 
 def test_uniqueness_gap_on_multicycle_family():
