@@ -60,9 +60,10 @@ fw - best_u(t-1) on the fillers) before its beliefs count, and the full graph
 is stepped on: the rule of ``step``, which alone steps both kinds of run.  A
 jump also needs every fill below the bare runner-up, so ``_Run.regime`` also
 widens, at its window's end, where a fill in the window is a runner-up; at the
-regime's selections these are affine lower bounds, which hold on 0..k once
-they hold at k: a bisection finds the first window where one fails, and the
-exact fills there, or up to the landing, find the first step to land on.
+regime's selections each fill is a ray that holds on 0..k once it holds at k.
+One pass tests the rays of the landing's window up to the landing, and of the
+window before past it; an exact fill judges a ray failing in the first only, and
+a ray failing in the second bisects for the first window where one fails.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain, compress, pairwise, repeat
 from operator import eq, ge, gt, mul, sub
 from typing import Iterator, Optional
@@ -300,15 +302,6 @@ def _runner_ups(y: MessageState) -> list[int]:
             for a, e, k, b, c in zip(start, start[1:], ks, bests, seconds)]
 
 
-def _slots(end: tuple, j: int) -> tuple[list[int], list[int]]:
-    """Each row's values at z + j*dz at its argmax entry and runner-up, for
-    ``end`` = (z, its runner-ups, dz), z bare: the first and the smaller are
-    lower bounds of its best and runner-up; the larger and the smaller are
-    exact on rows of two and wherever z's selections hold at j."""
-    (z, k2s, dz), x = end, end[0].x
-    return [x[k] + j * dz[k] for k in z.top[0]], [x[k2] + j * dz[k2] for k2 in k2s]
-
-
 def _rays(x: list[int], d: list[int], us: list[int], vs: list[int], hi: int,
           least: int = 0) -> tuple[int, int]:
     """Bounds lo..hi of the k in 0..hi with z[u] - z[v] >= least at z = x + k*d
@@ -375,20 +368,41 @@ class _Run:
         return state
 
     @staticmethod
-    def filler_jump(ends: list, k: int) -> int:
-        """The first window j < k whose fills the filler rays do not certify,
-        else k; ``regime`` scans window j's exact fills for the step to land on.
-        ``ends`` holds the states at a..a+p with their runner-ups and drifts; the
-        fills into a + j*p + s + 1, from the bests at offset s, must stay below
-        the runner-ups at offset s + 1.  Each ray a + j*b >= 0 holds on 0..j once
-        it holds at j (it does at 0, or ``regime`` widens): ``bisect_left``."""
-        f = ends[0][0].fillers
+    def filler_jump(ends: list, k: int, r: int) -> Optional[tuple]:
+        """The landing (k, r, its fill, their bests) of a jump to offset r (1..p) of
+        window k with no fill at a runner-up, or None for no jump.  ``ends`` holds the
+        states at a..a+p, runner-ups and drifts, ``slots`` offset s's values at window
+        j at each argmax and runner-up.  From s's argmax values (below the bests) the
+        fill stays below those at s + 1 on a ray per node, which holds on 0..j once at
+        j (at 0, or ``regime`` widens), and so does the exact fill.  One pass tests s's
+        ray at k while s < r, else at k - 1; the exact fill judges one failing at k
+        only, the first at a runner-up landing; one failing at k - 1 bisects for the
+        first failing window j: no jump if j < 2, else a pass at (j, p)."""
+        f, p = ends[0][0].fillers, len(ends) - 1
 
-        def fails(j: int) -> bool:
-            slots = [_slots(end, j) for end in ends]
-            return any(any(map(ge, _fill(f, b) * 2, u + v)) for (b, _), (u, v) in pairwise(slots))
+        @cache
+        def slots(j: int, s: int) -> tuple[list[int], list[int]]:
+            (z, k2s, dz), x = ends[s], ends[s][0].x
+            return [x[k] + j * dz[k] for k in z.top[0]], [x[k2] + j * dz[k2] for k2 in k2s]
 
-        return bisect_left(range(k - 1), True, key=fails) if fails(k - 1) else k
+        @cache
+        def reach(j: int, s: int, exact: bool = False) -> tuple:
+            (u, v), (u2, v2) = slots(j, s), slots(j, s + 1)
+            fill = _fill(f, bests := list(map(max, u, v)) if exact else u)
+            return any(map(ge, fill * 2, u2 + v2)), fill, bests  # at a runner-up?
+
+        while True:
+            for s in range(p):  # the fill into offset s + 1; a ray held at k holds at k - 1
+                if (s >= r or reach(k, s)[0]) and reach(k - 1, s)[0]:
+                    k, r = bisect_left(range(k - 1), True, key=lambda j: any(
+                        reach(j, t)[0] for t in range(p))), p
+                    break
+                if s < r and reach(k, s)[0] and reach(k, s, True)[0]:
+                    r = s + 1
+            else:
+                return k, r, *reach(k, r - 1, True)[1:]
+            if k < 2:
+                return None
 
     def period(self) -> int:
         """Smallest p whose last one-step fingerprint increment, or last two
@@ -425,9 +439,9 @@ class _Run:
         states, stepping none; if its linear part carries d = x(a+p) - y back to
         d, that proves a regime: judges the beliefs it covers and lands on the
         first step it does not cover: the horizon, an offset's first step off its
-        selections, or the first fill at a runner-up.  With fewer than p + 1 held
-        it holds p + 1 from then on and waits for them; a runner-up fill in the
-        window widens at its end."""
+        selections, or the first fill at a runner-up, which ``filler_jump`` finds
+        in one ray pass.  With fewer than p + 1 held it holds p + 1 from then on
+        and waits for them; a runner-up fill in the window widens at its end."""
         i, held = len(self.fps) - 1, self.held
         if len(held) <= p:
             self.held, self.next_scan = deque(held, maxlen=p + 1), i + p + 1 - len(held)
@@ -450,16 +464,9 @@ class _Run:
             return last
         ends.append((last, _runner_ups(last), d))
         k, r = (land - 1) // p, (land - 1) % p + 1  # a + land: offset r (1..p) of window k
-        if f := last.fillers:
-            if (j := self.filler_jump(ends, k)) < k:  # the rays fail in window j
-                if j < 2:  # a jump of a window at most: stepping on keeps the fingerprints
-                    return last
-                k, r = j, p  # scan all of window j
-            tops = [_slots(end, k) for end in ends[:r + 1]]  # offsets 0..r of window k
-            for r, ((us, vs), (u2, v2)) in enumerate(pairwise(tops), 1):  # fills into 1..r
-                fill = _fill(f, bests := list(map(max, us, vs)))
-                if any(map(ge, fill * 2, u2 + v2)):  # it reaches a runner-up: land on it
-                    break
+        if (f := last.fillers) and not (got := self.filler_jump(ends, k, r)):
+            return last  # a jump of a window at most: stepping on keeps the fingerprints
+        k, r, fill, bests = got if f else (k, r, None, None)
         for s, (lo, hi) in enumerate(goods):  # at a + j*p + s, j = 1..m
             m = k - (s >= r)
             lo, hi = max(lo, 1), min(hi, m)
@@ -467,10 +474,10 @@ class _Run:
             bad = m if lo > hi or hi < m else lo - 1
             self.last_bad = max(self.last_bad, a + bad * p + s if bad else 0)
         self.reset()
-        z, _, dz = ends[r]  # the landing, with the last fill scanned
+        z, _, dz = ends[r]  # the landing
         z = MessageState([u + k * v for u, v in zip(z.x, dz)], a + k * p + r, last.adj,
-                         f and fill, last.fillers)
-        return self.take(_widen(z, bests) if f and any(map(gt, fill, z.top[1])) else z)
+                         fill, last.fillers)
+        return self.take(_widen(z, bests) if fill and any(map(gt, fill, z.top[1])) else z)
 
 
 def convergence_time(inst: Instance, reference: Matching, horizon: int) -> int:

@@ -914,6 +914,69 @@ def test_a_jump_lands_on_the_first_step_its_proof_does_not_cover(monkeypatch):
         assert jumps[-2] == (landing, 4) and jumps[-1][0] == horizon
 
 
+def filler_passes(monkeypatch):
+    """Spy on ``_Run.filler_jump``: the list it fills holds (the window and
+    offset asked for, the landing's or None, the ``engine._fill`` calls made)
+    of every call."""
+    out, real, fills = [], engine._Run.filler_jump, count_calls(monkeypatch, engine, "_fill")
+
+    def spy(ends, k, r):
+        before = len(fills)
+        landing = real(ends, k, r)
+        out.append(((k, r), landing and landing[:2], len(fills) - before))
+        return landing
+
+    monkeypatch.setattr(engine._Run, "filler_jump", staticmethod(spy))
+    return out
+
+
+def embedded_cycle_case(n, horizon):
+    """The embedded heavy cycle of half-length n (w_max 8, eps 1/10) as
+    (rows, optimal pairs, horizon)."""
+    inst = generators.gen_cycle(generators.CycleParams(n, F(8), F(1, 10)), embed=True)
+    return inst.weights, optimal_matching(inst).sorted_pairs(), horizon
+
+
+#: One input per branch of the filler pass, with its first ``filler_jump``
+#: call: the window k and offset r asked for, the landing, the fills made.
+FILLER_PASS_BRANCHES = {
+    # (a) The window t=1..7 proves p=6, and a horizon of 16 is offset 3 of
+    # window 2: offsets 0..2 hold their rays at window 2, 3..5 at window 1,
+    # and one exact fill gives the landing's.
+    "every ray holds": (CERTIFICATE_PATHS["fails mid-run"][0][:2] + (16,), (2, 3), (2, 3), 7),
+    # (b) converge-dense: offset 14's ray fails at window 79 and holds at 78,
+    # and its exact fill holds, so the jump lands on the horizon.
+    "an exact fill holds": (embedded_cycle_case(16, 2560), (79, 31), (79, 31), 35),
+    # (c) As (a) with a horizon of 18: offset 3's ray fails at window 2 and
+    # holds at 1, and its exact fill reaches a runner-up at t=17, the landing.
+    "an exact fill lands": (CERTIFICATE_PATHS["fails mid-run"][0][:2] + (18,), (2, 5), (2, 4), 8),
+    # (d) The embedded n=3 cycle: a ray fails at window 78, so the bisection
+    # finds window 70, whose exact fills hold; the jump lands on its end.
+    "a ray fails a window back": (embedded_cycle_case(3, 480), (79, 5), (70, 6), 35),
+}
+
+
+@pytest.mark.parametrize("case, asked, landing, fills", FILLER_PASS_BRANCHES.values(),
+                         ids=FILLER_PASS_BRANCHES.keys())
+def test_the_filler_pass_branches(case, asked, landing, fills, monkeypatch):
+    rows, pairs, horizon = case
+    inst, reference = Instance(rows), Matching.of(pairs)
+    calls = filler_passes(monkeypatch)
+    t, _ = checked_jumps(inst, reference, horizon)
+    assert t == reference_convergence_time(inst, reference, horizon)
+    assert calls[0] == (asked, landing, fills)
+
+
+def test_the_filler_pass_tests_each_offset_once(monkeypatch):
+    # converge-dense: a fill per step (33) and one pass over the 32 offsets
+    # of its one jump, testing each offset's ray once, with at most three
+    # more fills where a ray fails and for the landing.
+    inst = generators.gen_cycle(generators.CycleParams(16, F(8), F(1, 10)), embed=True)
+    fills = count_calls(monkeypatch, engine, "_fill")
+    assert convergence_time(inst, optimal_matching(inst), 2560) == 642
+    assert len(fills) <= 33 + 32 + 3
+
+
 @settings(max_examples=100, deadline=None)
 @given(embedded_cases())
 @example(CERTIFICATE_PATHS["holds"][0])
