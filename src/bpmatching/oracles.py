@@ -2,17 +2,19 @@
 
 The oracle is one Hungarian method run on the instance's one weight
 matrix, integer numerators over ``Instance.scale``; `Fraction` appears only
-in the returned weights and gap.  The uniqueness gap comes from the same
-solve: every other perfect matching is the optimum with partners permuted
-along disjoint exchange cycles, each of nonnegative cost, so the
-second-best matching differs from the best by one cheapest exchange cycle
-(Murty 1968).  The gap also fixes the certified horizon, the
-Bayati-Shah-Sharma bound on how long BP runs; an embedded instance's bare
-view, when the optimum keeps to it, takes its gap from the optimum with no
-second solve.  An exhaustive dynamic program over column subsets, n * 2^n
-steps, is kept as an independent small-n reference; it breaks ties toward
-the lexicographically smallest permutation.  Like ``trees``, this module
-imports only ``core``, so it checks the engine without sharing its code.
+in the returned weights and gap.  Each row's search defers its dual shifts
+to its end, one per tree column, and so ends on the eager method's duals.
+The uniqueness gap comes from the same solve: every other perfect matching
+is the optimum with partners permuted along disjoint exchange cycles, each
+of nonnegative cost, so the second-best matching differs from the best by
+one cheapest exchange cycle (Murty 1968).  The gap also fixes the certified
+horizon, the Bayati-Shah-Sharma bound on how long BP runs; an embedded
+instance's bare view, when the optimum keeps to it, takes its gap from the
+optimum with no second solve.  An exhaustive dynamic program over column
+subsets, n * 2^n steps, is kept as an independent small-n reference; it
+breaks ties toward the lexicographically smallest permutation.  Like
+``trees``, this module imports only ``core``, so it checks the engine
+without sharing its code.
 """
 
 from __future__ import annotations
@@ -90,9 +92,14 @@ def _min_cost_assignment(cost: list[list[int]]) -> list[int]:
     """Exact O(n^3) assignment minimizing total cost; returns column per row.
 
     Each scan visits only the ``free`` columns, those off the alternating
-    tree, in ascending order with a strict ``<``, and the duals shift over
-    the ``done`` ones on it; a scan of every column that skips the tree's
-    picks the same column, so the assignment is the same."""
+    tree, in ascending order with a strict ``<``; a scan of every column
+    that skips the tree's picks the same column, so the assignment is the
+    same.  The shifts are deferred: ``acc`` sums the search's deltas, ``mv``
+    holds each free column's slack plus ``acc``, and a scan's delta is
+    ``min(mv) - acc``.  Each tree column records the ``acc`` it joined at,
+    and its row's ``u`` and its ``v`` move once, by ``acc`` at the end less
+    that, when the search ends.  Every comparison is the eager one's, so the
+    final duals are the eager ones."""
     n = len(cost)
     u = [0] * (n + 1)
     v = [0] * (n + 1)
@@ -100,31 +107,28 @@ def _min_cost_assignment(cost: list[list[int]]) -> list[int]:
     way = [0] * (n + 1)
     for i in range(1, n + 1):
         p[0] = i
-        j0 = 0
-        minv = [inf] * (n + 1)
-        free, done = list(range(1, n + 1)), [0]
+        j0 = acc = 0
+        mv = [inf] * (n + 1)
+        free, done = list(range(1, n + 1)), [(0, 0)]
         while True:
-            row, ui = cost[p[j0] - 1], u[p[j0]]
-            delta = inf
-            j1 = 0
+            row, base = cost[p[j0] - 1], acc - u[p[j0]]
+            acc = inf
             for j in free:
-                cur = row[j - 1] - ui - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
+                cur = row[j - 1] + base - v[j]
+                if cur < mv[j]:
+                    mv[j] = cur
                     way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
+                if mv[j] < acc:
+                    acc = mv[j]
                     j1 = j
-            for j in done:
-                u[p[j]] += delta
-                v[j] -= delta
-            for j in free:
-                minv[j] -= delta
             free.remove(j1)
-            done.append(j1)
             j0 = j1
             if p[j0] == 0:
                 break
+            done.append((j0, acc))
+        for j, at in done:
+            u[p[j]] += acc - at
+            v[j] -= acc - at
         while j0:
             p[j0] = p[way[j0]]
             j0 = way[j0]

@@ -3,6 +3,7 @@ the random and Hypothesis instance builders, and a call counter."""
 
 from fractions import Fraction
 from itertools import permutations
+from math import inf
 from typing import Optional
 
 from hypothesis import strategies as st
@@ -139,6 +140,53 @@ def mwm_enumeration(inst) -> tuple[Matching, Fraction]:
     if best_perm is None:
         raise ParameterError("instance has no perfect matching on present edges")
     return Matching.of(enumerate(best_perm)), Fraction(best_weight, inst.scale)
+
+
+def eager_assignment(cost: list[list[int]]) -> list[int]:
+    """``oracles._min_cost_assignment`` with its dual shifts applied eagerly:
+    after each scan, every tree column's row and column duals and every free
+    column's slack move by that scan's delta.  Returns the column of each
+    row; the deferred search must return the same one on every cost matrix,
+    ties included."""
+    n = len(cost)
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    p = [0] * (n + 1)  # p[j]: row (1-based) currently matched to column j
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = [inf] * (n + 1)
+        free, done = list(range(1, n + 1)), [0]
+        while True:
+            row, ui = cost[p[j0] - 1], u[p[j0]]
+            delta = inf
+            j1 = 0
+            for j in free:
+                cur = row[j - 1] - ui - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in done:
+                u[p[j]] += delta
+                v[j] -= delta
+            for j in free:
+                minv[j] -= delta
+            free.remove(j1)
+            done.append(j1)
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0:
+            p[j0] = p[way[j0]]
+            j0 = way[j0]
+    result = [0] * n
+    for j in range(1, n + 1):
+        result[p[j] - 1] = j - 1
+    return result
 
 
 def optimal_matching(inst) -> Matching:

@@ -29,7 +29,13 @@ from bpmatching.oracles import (
     second_best_weight,
     uniqueness_gap,
 )
-from reference import count_calls, mwm_enumeration, optimal_matching, random_rows
+from reference import (
+    count_calls,
+    eager_assignment,
+    mwm_enumeration,
+    optimal_matching,
+    random_rows,
+)
 
 
 def random_instance(rng, n, sparse=False):
@@ -184,6 +190,44 @@ def test_hungarian_pairs_are_pinned_on_tied_optima():
     assert (tied, found.count(None)) == (144, 10)
     digest = hashlib.sha256(json.dumps(found).encode()).hexdigest()
     assert digest == "558a5305547a16ac46f2f952d3d3d7480d310772def3a9d3458789f1abd71c8d"
+
+
+def test_deferred_shifts_pick_the_eager_columns(monkeypatch):
+    # The search defers its dual shifts to the end of each row's search.
+    # On every cost matrix ``mwm_hungarian`` builds, sentinel-costed absent
+    # cells and ties included, it must return the eager search's columns.
+    solve, sizes = oracles._min_cost_assignment, []
+
+    def compared(cost):
+        got = solve(cost)
+        assert got == eager_assignment(cost), cost
+        sizes.append(len(cost))
+        return got
+
+    monkeypatch.setattr(oracles, "_min_cost_assignment", compared)
+    rng = random.Random(40)
+    insts = []
+    for k in range(2000):
+        n = rng.randint(1, 12)
+        low, high = (0, 3) if k % 2 else (-9, 9)
+        absent = 0.2 if k % 4 >= 2 else 0.0
+        insts.append(Instance([[None if rng.random() < absent else F(rng.randint(low, high))
+                                for _ in range(n)] for _ in range(n)]))
+    insts += [
+        generators.gen_cycle(generators.CycleParams(16, F(8), F(1, 10)), embed=True),
+        generators.gen_multicycle(24, F(8), F(1, 1000), c=2),
+        generators.gen_multicycle(120, F(8), F(1, 1000), c=3),
+    ]
+    insts += [Instance([[F(rng.randint(-1000, 1000), rng.randint(1, 12)) for _ in range(40)]
+                        for _ in range(40)]) for _ in range(4)]
+    unmatchable = 0
+    for inst in insts:
+        try:
+            mwm_hungarian(inst)
+        except ParameterError:
+            unmatchable += 1
+    assert len(sizes) == len(insts) and set(sizes) >= set(range(1, 13)) | {40, 120}
+    assert unmatchable > 0
 
 
 def test_gap_rejects_a_suboptimal_assignment(monkeypatch):

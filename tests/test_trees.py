@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from bpmatching import generators, trees
 from bpmatching.core import Instance, OracleCapExceeded, ParameterError
-from bpmatching.engine import run_to_horizon
+from bpmatching.engine import convergence_time, run_to_horizon
+from bpmatching.oracles import certified_horizon
 from bpmatching.trees import (
     TIE,
     max_t_matching,
@@ -19,8 +20,8 @@ from bpmatching.trees import (
     oracle_belief,
     unroll,
 )
-from reference import (class_weight_split, heavy_tail_tree, node_neighbors, random_rows,
-                       tree_edges)
+from reference import (class_weight_split, heavy_tail_tree, node_neighbors, optimal_matching,
+                       random_rows, tree_edges)
 
 
 def test_unroll_shapes_on_dense_graph():
@@ -429,3 +430,23 @@ def test_unroll_expands_each_node_once_per_instance(monkeypatch):
             returned += tree.node_count()
     assert returned == 91_840
     assert sorted(reads) == sorted(list(range(14)) * 3)
+
+
+def test_tree_oracle_pins_a_deep_convergence_time():
+    # The bare heavy cycle (n, w_max, eps) = (5, 8, 1/1000): T = 20002 of a
+    # certified horizon of 80,000, reached by jumps.  Its computation trees
+    # are paths, so the tree oracle reads every belief at depth T directly:
+    # two nodes are still off the reference at T - 1, none at T, T + 5 or
+    # T + 10.
+    inst = generators.gen_cycle(generators.CycleParams(5, F(8), F(1, 1000)))
+    ref = optimal_matching(inst)
+    horizon = certified_horizon(inst)
+    assert horizon == 80000
+    t_conv = convergence_time(inst, ref, horizon)
+    assert t_conv == 20002
+    partner = ref.partner_of_left() | {inst.n + j: i for j, i in ref.partner_of_right().items()}
+
+    def on_reference(t):
+        return sum(oracle_belief(inst, v, t) == partner[v] for v in range(2 * inst.n))
+
+    assert [on_reference(t_conv + d) for d in (-1, 0, 5, 10)] == [8, 10, 10, 10]
